@@ -18,7 +18,12 @@ entries).  Each wave iteration performs exactly **one** ``actSet2virt``
 transform, **one** edge expansion, **one** ``TracePlan`` build (at most
 one sort) and **one** cache/coalescing pass — for all lanes at once.
 The kernel's gathered operand is the 8-byte lane mask instead of the
-4-byte label, and the cost model sees exactly that.
+4-byte label, and the cost model sees exactly that.  The iteration
+pipeline itself — memo, transform, per-placement topology charges,
+vertex kernel, overlap — is the session's own, shared with
+:meth:`EngineSession.query`; the wave supplies only its lane-mask OR
+step, so it pays the same topology traffic a query over the same
+frontier pays.
 
 Exactness contract: the per-source levels a wave produces are
 **bit-identical** to running each source through
@@ -37,19 +42,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.base import get_problem
-from repro.core.config import MemoryMode
-from repro.core.session import EngineSession, _FrontierExpansion
-from repro.core.stats import IterationStats, TraversalStats
-from repro.core.smp import plan_prefetch
-from repro.core.udc import degree_cut
-from repro.errors import ConfigError, ConvergenceError, InvalidLaunchError
-from repro.gpu import kernel as gpukernel
-from repro.gpu.kernel import simulate_streaming_kernel, simulate_vertex_kernel
+from repro.core.session import EngineSession
+from repro.core.stats import TraversalStats
+from repro.errors import ConfigError, InvalidLaunchError
 from repro.gpu.profiler import Profiler
 from repro.gpu.timeline import Timeline
-from repro.gpu.transfer import d2h_copy, h2d_copy
-from repro.utils.ragged import ragged_gather_indices
-from repro.utils.sorting import sorted_unique
 
 #: Lane capacity of one wave: one bit per source in a uint64 mask.
 WAVE_LANES = 64
@@ -188,47 +185,12 @@ def run_wave(
         )
     problem = get_problem("bfs")
     problem.check_graph(session.csr)
-
-    cfg = session.config
-    csr = session.csr
-    spec = session.device
-    mem = session.memory
-    caches = session.caches
-    um = session.um
     width = len(sources)
-    n = csr.num_vertices
+    n = session.csr.num_vertices
 
-    prof = Profiler()
-    timeline = Timeline()
-    check_udc_partition = None
-    if cfg.check_invariants:
-        from repro.testing.invariants import check_udc_partition
-    clock = 0.0
-    setup_before = session.setup_ms
-    smp = session._smp
-    threads_per_block = session._threads_per_block
-
-    tr = session.tracer
-    if tr is None and cfg.telemetry:
-        from repro.observability.spans import Tracer
-
-        tr = Tracer()
-    q_span = None
-    if tr is not None:
-        q_span = tr.start(
-            "wave_query", "engine", clock,
-            problem="msbfs", sources=width,
-            memory_mode=cfg.memory_mode.value,
-            vertices=n, edges=csr.num_edges,
-            warm=session.warm,
-        )
-
-    # --- topology placement (first query of the session only) ---------
-    clock = session._place_topology(problem, prof, timeline, clock, tr)
-    offsets_arr = session._offsets_arr
-    cols_arr = session._cols_arr
-
-    # --- wave state: bit-packed frontier masks + per-lane levels ------
+    run = session._open(problem, "wave_query", problem="msbfs",
+                        sources=width)
+    # Wave state: bit-packed frontier masks + per-lane levels.
     masks_host = np.zeros(n, dtype=np.uint64)
     levels = np.full((width, n), np.inf, dtype=np.float32)
     for lane, source in enumerate(sources):
@@ -237,173 +199,13 @@ def run_wave(
     mask_arr = session._wave_mask_buffer(masks_host)
     mask = mask_arr.data
     visited_mask = mask.copy()
-    frontier = session._frontier_buffers()
-    if tr is not None:
-        tr.cursor_ms = clock
-    t = h2d_copy(spec, prof, mask_arr.nbytes, injector=session.injector,
-                 tracer=tr, label="wave-masks-init")
-    timeline.add("transfer", clock, clock + t, nbytes=mask_arr.nbytes,
-                 label="wave-masks-init")
-    clock += t
 
-    oversubscribed = False
-    if um is not None:
-        um_bytes = sum(a.nbytes for a in session._topo_arrays())
-        oversubscribed = \
-            um_bytes > um.resident_budget_pages * spec.page_bytes
-
-    clock = session._prefetch_topology(prof, timeline, clock, tr)
-    clock = session._place_shadow_table(prof, timeline, clock, tr)
-    shadow_table = session._shadow_table
-
-    # --- fused traversal loop -----------------------------------------
-    seeds = np.flatnonzero(mask)
-    stats = TraversalStats(num_vertices=n, seed_count=len(seeds))
-    frontier.seed_many(seeds)
-    offsets = csr.row_offsets
-    cols = csr.column_indices
-
-    iteration = 0
-    iteration_limit = (
-        cfg.max_iterations if max_iterations is None else max_iterations
-    )
-    while not frontier.is_empty:
-        if iteration >= iteration_limit:
-            raise ConvergenceError(
-                f"msbfs wave ({width} sources) did not converge within "
-                f"{iteration_limit} iterations"
-            )
-        active = frontier.active
-        frontier.reset()
-
-        it_span = None
-        if tr is not None:
-            it_span = tr.start("iteration", "engine", clock,
-                               index=iteration, active=len(active))
-            tr.cursor_ms = clock
-
-        # One memo lookup for the whole wave; entries are keyed with the
-        # lane count so wave and sequential expansions never mix (their
-        # trace plans gather different operand widths).
-        entry = key = None
-        active_bytes = b""
-        if cfg.frontier_memo_entries > 0:
-            if session.injector is not None:
-                session.injector.on_memo_lookup(session)
-            active_bytes = np.ascontiguousarray(active).tobytes()
-            key = session._memo_key(
-                active_bytes, len(active), mask_arr, None,
-                wave_lanes=width,
-            )
-            entry = session._memo_get(key, active_bytes)
-        memo_hit = entry is not None
-
-        # One actSet2virtActSet transform for every lane at once.
-        if shadow_table is not None:
-            shadows = entry.shadows if entry is not None \
-                else shadow_table.select(active)
-            transform = simulate_streaming_kernel(
-                spec, caches,
-                read_bytes=2 * len(active) * 4,
-                write_bytes=len(shadows) * 4,
-                n_threads=len(active),
-                instr_per_thread=8.0,
-                tracer=tr, trace_name="transform",
-            )
-        else:
-            shadows = entry.shadows if entry is not None \
-                else degree_cut(active, offsets, cfg.degree_limit)
-            transform = simulate_streaming_kernel(
-                spec, caches,
-                read_bytes=len(active) * 4,
-                write_bytes=3 * len(shadows) * 4,
-                n_threads=len(active),
-                instr_per_thread=14.0,
-                scatter_base_address=offsets_arr.base_address,
-                scatter_indices=np.asarray(active, dtype=np.int64),
-                tracer=tr, trace_name="transform",
-            )
-        prof.record_kernel(transform.counters)
-        transform_ms = transform.time_ms
-        if check_udc_partition is not None:
-            check_udc_partition(shadows, active, offsets, cfg.degree_limit)
-
-        # On-demand UM / zero-copy traffic: same page-touch pattern a
-        # sequential iteration over this active set would generate, paid
-        # once for the whole wave.
-        migration_ms = 0.0
-        migration_bytes = 0
-        zero_copy_ms = 0.0
-        if cfg.memory_mode is MemoryMode.ZERO_COPY and len(shadows):
-            zc_bytes = len(active) * 8 + shadows.total_edges * 4
-            zero_copy_ms = spec.bytes_time_ms(
-                zc_bytes, spec.pcie_bandwidth_gbps * 0.35
-            )
-            timeline.add("transfer", clock, clock + zero_copy_ms,
-                         nbytes=zc_bytes, label=f"zerocopy-{iteration}")
-            if tr is not None:
-                tr.emit("zerocopy", "transfer", zero_copy_ms, t_ms=clock,
-                        nbytes=float(zc_bytes))
-        if um is not None and cfg.memory_mode is MemoryMode.UM_ON_DEMAND:
-            if tr is not None:
-                tr.cursor_ms = clock
-            batches = [
-                um.touch_byte_ranges(
-                    offsets_arr,
-                    np.asarray(active, dtype=np.int64) * 4,
-                    np.full(len(active), 8, dtype=np.int64),
-                    prof, tr,
-                )
-            ]
-            if len(shadows):
-                batches.append(um.touch_byte_ranges(
-                    cols_arr, shadows.starts * 4, shadows.degrees * 4,
-                    prof, tr,
-                ))
-            migration_ms = sum(b.time_ms for b in batches)
-            migration_bytes = sum(b.bytes_moved for b in batches)
-        elif um is not None and cfg.memory_mode is MemoryMode.UM_PREFETCH \
-                and oversubscribed and len(shadows):
-            if tr is not None:
-                tr.cursor_ms = clock
-            batch = um.touch_byte_ranges(
-                cols_arr, shadows.starts * 4, shadows.degrees * 4,
-                prof, tr,
-            )
-            migration_ms = batch.time_ms
-            migration_bytes = batch.bytes_moved
-
-        if len(shadows) == 0:
-            clock += transform_ms
-            stats.record(IterationStats(
-                index=iteration, active_vertices=len(active),
-                shadow_vertices=0, edges_scanned=0, updates=0,
-                newly_visited=0, kernel_ms=0.0, transform_ms=transform_ms,
-                transfer_ms=migration_ms, elapsed_end_ms=clock,
-            ))
-            if it_span is not None:
-                tr.end(it_span, clock, shadows=0, edges=0, updates=0)
-            iteration += 1
-            continue
-
-        # --- functional step: one OR-propagation for all lanes --------
-        if entry is None:
-            edge_idx = ragged_gather_indices(shadows.starts, shadows.degrees)
-            nbr = cols[edge_idx].astype(np.int64)
-            entry = _FrontierExpansion(
-                shadows=shadows,
-                ids64=shadows.ids.astype(np.int64),
-                edge_idx=edge_idx,
-                nbr=nbr,
-                dests=sorted_unique(nbr),
-                w_per_edge=None,
-                active_bytes=active_bytes,
-            )
-            if key is not None:
-                session._memo_put(key, entry)
+    def propagate(active, entry, iteration):
+        # One OR-propagation for all lanes: an edge carries its source's
+        # whole lane mask.
         nbr = entry.nbr
         dests = entry.dests
-        masks_per_edge = np.repeat(mask[entry.ids64], shadows.degrees)
+        masks_per_edge = np.repeat(mask[entry.ids64], entry.shadows.degrees)
         fresh_per_edge = masks_per_edge & ~visited_mask[nbr]
         attempted = int(np.count_nonzero(fresh_per_edge))
 
@@ -427,130 +229,39 @@ def run_wave(
         mask[active] = 0
         if len(changed):
             mask[changed] = new_bits[changed]
+        return attempted, changed, len(changed), False
 
-        # --- kernel cost: one launch for the whole wave ---------------
-        if entry.trace_plan is None:
-            smp_plan = (
-                plan_prefetch(shadows, offsets, cfg.degree_limit)
-                if smp else None
-            )
-            entry.trace_plan = gpukernel.build_vertex_trace(
-                spec,
-                starts=shadows.starts,
-                degrees=shadows.degrees,
-                adj_array=cols_arr,
-                neighbor_ids=nbr,
-                label_array=mask_arr,
-                weight_array=None,
-                meta_array=frontier.virt_act_set,
-                meta_words_per_thread=3,
-                smp=smp,
-                smp_planned_words=(
-                    smp_plan.planned_words if smp_plan else None
-                ),
-                trace_cap=gpukernel.TRACE_CAP,
-            )
-        if session.injector is not None:
-            session.injector.on_kernel_launch(mask)
-        if tr is not None:
-            tr.cursor_ms = clock + transform_ms
-        timing = simulate_vertex_kernel(
-            spec, caches,
-            starts=shadows.starts,
-            degrees=shadows.degrees,
-            adj_array=cols_arr,
-            neighbor_ids=nbr,
-            label_array=mask_arr,
-            weight_array=None,
-            meta_array=frontier.virt_act_set,
-            meta_words_per_thread=3,
-            smp=smp,
-            degree_limit=cfg.degree_limit,
-            updates=attempted,
-            instr_per_edge=problem.instr_per_edge,
-            threads_per_block=threads_per_block,
-            plan=entry.trace_plan,
-            tracer=tr,
-        )
-        prof.record_kernel(timing.counters)
-        kernel_ms = timing.time_ms
-        compute_ms = transform_ms + kernel_ms
-
-        if migration_ms > 0:
-            hidden = cfg.overlap_efficiency * min(compute_ms, migration_ms)
-            iter_ms = compute_ms + migration_ms - hidden
-            timeline.add("compute", clock, clock + iter_ms)
-            timeline.add("transfer", clock, clock + migration_ms,
-                         nbytes=migration_bytes, label=f"iter-{iteration}")
-        elif zero_copy_ms > 0:
-            iter_ms = max(compute_ms, zero_copy_ms)
-            timeline.add("compute", clock, clock + iter_ms)
-        else:
-            iter_ms = compute_ms
-            timeline.add("compute", clock, clock + compute_ms)
-        clock += iter_ms
-
-        stats.record(IterationStats(
-            index=iteration,
-            active_vertices=len(active),
-            shadow_vertices=len(shadows),
-            edges_scanned=shadows.total_edges,
-            updates=attempted,
-            newly_visited=len(changed),
-            kernel_ms=kernel_ms,
-            transform_ms=transform_ms,
-            transfer_ms=migration_ms,
-            elapsed_end_ms=clock,
-        ))
-        if it_span is not None:
-            tr.end(
-                it_span, clock,
-                shadows=len(shadows), edges=shadows.total_edges,
-                updates=attempted, newly_visited=len(changed),
-                memo="hit" if memo_hit else "miss",
-            )
-
-        frontier.publish(changed)
-        iteration += 1
-
-    total_ms = clock
-    if tr is not None:
-        tr.cursor_ms = clock
-    d2h_ms = d2h_copy(spec, prof, mask_arr.nbytes,
-                      injector=session.injector,
-                      tracer=tr, label="wave-masks-d2h")
-    setup_this_call = session.setup_ms - setup_before
-
-    trace = None
-    if tr is not None:
-        tr.end(q_span, total_ms + d2h_ms,
-               iterations=iteration, total_ms=total_ms, d2h_ms=d2h_ms)
-        trace = tr.trace(
-            problem="msbfs", sources=str(width),
-            graph=f"{n}v-{csr.num_edges}e",
-            memory_mode=cfg.memory_mode.value,
-        )
+    # Wave memo entries carry the lane count, so wave and sequential
+    # expansions never mix (their trace plans gather different operand
+    # widths).
+    session._traverse(
+        run, problem, mask_arr, np.flatnonzero(mask), propagate,
+        name=f"msbfs wave ({width} sources)", label="wave-masks",
+        max_iterations=max_iterations,
+        trace_meta={"problem": "msbfs", "sources": str(width)},
+        wave_lanes=width,
+    )
 
     session.queries_served += width
     return WaveResult(
         sources=sources,
         levels=levels,
-        total_ms=total_ms,
-        kernel_ms=prof.kernels.elapsed_ms,
-        transfer_ms=prof.h2d_time_ms + prof.migration_time_ms,
-        d2h_ms=d2h_ms,
-        setup_ms=setup_this_call,
-        stats=stats,
-        timeline=timeline,
-        profiler=prof,
-        config=cfg,
-        oversubscribed=oversubscribed,
-        trace=trace,
+        total_ms=run.total_ms,
+        kernel_ms=run.prof.kernels.elapsed_ms,
+        transfer_ms=run.prof.h2d_time_ms + run.prof.migration_time_ms,
+        d2h_ms=run.d2h_ms,
+        setup_ms=run.setup_ms,
+        stats=run.stats,
+        timeline=run.timeline,
+        profiler=run.prof,
+        config=session.config,
+        oversubscribed=run.oversubscribed,
+        trace=run.trace,
         extras={
-            "smp_effective": smp,
-            "threads_per_block": threads_per_block,
-            "device_bytes": mem.device_bytes_in_use,
-            "um_bytes": mem.um_bytes_allocated,
+            "smp_effective": session._smp,
+            "threads_per_block": session._threads_per_block,
+            "device_bytes": session.memory.device_bytes_in_use,
+            "um_bytes": session.memory.um_bytes_allocated,
         },
     )
 

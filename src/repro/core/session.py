@@ -115,6 +115,31 @@ class _FrontierExpansion:
         return total
 
 
+class _TraversalRun:
+    """Measurement state of one query or wave: opened by
+    :meth:`EngineSession._open`, advanced and filled in by
+    :meth:`EngineSession._traverse`."""
+
+    __slots__ = (
+        "prof", "timeline", "tr", "span", "clock", "setup_before",
+        "oversubscribed", "total_ms", "d2h_ms", "stats", "setup_ms", "trace",
+    )
+
+    def __init__(self, setup_before: float):
+        self.prof = Profiler()
+        self.timeline = Timeline()
+        self.tr = None
+        self.span = None
+        self.clock = 0.0
+        self.setup_before = setup_before
+        self.oversubscribed = False
+        self.total_ms = 0.0
+        self.d2h_ms = 0.0
+        self.stats: TraversalStats | None = None
+        self.setup_ms = 0.0
+        self.trace = None
+
+
 class EngineSession:
     """A prepared (graph, config, device) binding serving many queries.
 
@@ -641,89 +666,195 @@ class EngineSession:
             if not 0 <= target < self.csr.num_vertices:
                 raise InvalidLaunchError(f"target {target} out of range")
         cfg = self.config
-        csr = self.csr
-        spec = self.device
-
-        if not 0 <= source < csr.num_vertices:
+        n = self.csr.num_vertices
+        if not 0 <= source < n:
             raise InvalidLaunchError(
-                f"source {source} out of range [0, {csr.num_vertices})"
+                f"source {source} out of range [0, {n})"
             )
 
-        mem = self.memory
-        caches = self.caches
-        um = self.um
-        prof = Profiler()
-        timeline = Timeline()
-        check_udc_partition = check_traversal_result = None
+        run = self._open(problem, "query", problem=problem.name,
+                         source=source)
+        # Allocation order fixes device addresses (and so the cache
+        # model's input): labels, frontier buffers, then parents.
+        labels_arr = self._labels_buffer(problem.initial_labels(n, source))
+        labels = labels_arr.data
+        self._frontier_buffers()
+        parents_arr = self._parents_buffer()
+        parents = parents_arr.data if parents_arr is not None else None
+        seeds = problem.initial_frontier(n, source)
+        visited = np.zeros(n, dtype=bool)
+        visited[seeds] = True
+
+        def relax(active, entry, iteration):
+            # Exact label propagation: scatter-reduce every candidate.
+            nbr = entry.nbr
+            dests = entry.dests
+            degrees = entry.shadows.degrees
+            src_per_edge = np.repeat(labels[entry.ids64], degrees)
+            cand = problem.candidates(src_per_edge, entry.w_per_edge)
+            attempted = int(problem.improves(cand, labels[nbr]).sum())
+
+            before = labels[dests].copy()
+            problem.scatter_reduce(labels, nbr, cand)
+            changed = dests[labels[dests] != before]
+            newly = changed[~visited[changed]]
+            visited[changed] = True
+
+            if parents is not None and len(changed):
+                # The winning atomic's thread records its own id: any
+                # edge whose candidate equals the final label witnesses
+                # the update.
+                changed_mask = np.zeros(n, dtype=bool)
+                changed_mask[changed] = True
+                witness = (cand == labels[nbr]) & changed_mask[nbr]
+                if entry.src_ids is None:
+                    entry.src_ids = np.repeat(entry.ids64, degrees)
+                parents[nbr[witness]] = entry.src_ids[witness]
+            stop = target is not None and bool(visited[target])
+            return attempted, changed, len(newly), stop
+
+        self._traverse(
+            run, problem, labels_arr, seeds, relax,
+            name=problem.name, label="labels",
+            max_iterations=max_iterations,
+            trace_meta={"problem": problem.name, "source": source},
+        )
+
+        result = TraversalResult(
+            labels=labels.copy(),
+            source=source,
+            problem_name=problem.name,
+            total_ms=run.total_ms,
+            kernel_ms=run.prof.kernels.elapsed_ms,
+            transfer_ms=run.prof.h2d_time_ms + run.prof.migration_time_ms,
+            d2h_ms=run.d2h_ms,
+            stats=run.stats,
+            timeline=run.timeline,
+            profiler=run.prof,
+            config=cfg,
+            device_bytes=self.memory.device_bytes_in_use,
+            um_bytes=self.memory.um_bytes_allocated,
+            oversubscribed=run.oversubscribed,
+            setup_ms=run.setup_ms,
+            trace=run.trace,
+            extras={
+                "smp_effective": self._smp,
+                "threads_per_block": self._threads_per_block,
+                "parents": parents.copy() if parents is not None else None,
+                "early_exit": target is not None,
+                "session_query_index": self.queries_served,
+                "warm_start": self.queries_served > 0 and run.setup_ms == 0.0,
+            },
+        )
+        self.queries_served += 1
         if cfg.check_invariants:
             # Imported lazily: repro.testing imports this module.
-            from repro.testing.invariants import (
-                check_traversal_result, check_udc_partition,
-            )
-        clock = 0.0
-        setup_before = self.setup_ms
-        smp = self._smp
-        threads_per_block = self._threads_per_block
+            from repro.testing.invariants import check_traversal_result
 
-        # Telemetry (repro.observability): an attached tracer wins; else
-        # config.telemetry creates one per query.  Every site below is
-        # guarded by ``tr is not None`` — with telemetry off this costs
-        # nothing, and with it on the spans only *read* ``clock``.
+            # Early-exit runs legitimately leave labels beyond the target
+            # unsettled, so the label/stats cross-check only applies to
+            # full traversals.
+            check_traversal_result(
+                result, problem=problem if target is None else None
+            )
+        return result
+
+    # ------------------------------------------------------------------
+    # The iteration pipeline every driver (query, MSBFS wave) runs
+    # ------------------------------------------------------------------
+
+    def _open(self, problem: TraversalProblem, span_name: str, /,
+              **attrs) -> _TraversalRun:
+        """Start one traversal: fresh profiler and timeline, the tracer
+        and its outer span, and topology placement (first call only).
+
+        Telemetry: an attached tracer wins; else ``config.telemetry``
+        creates one per traversal.  Every tracer site is guarded by
+        ``tr is not None`` — with telemetry off this costs nothing, and
+        with it on the spans only *read* the simulated clock.
+        """
+        cfg = self.config
+        run = _TraversalRun(self.setup_ms)
         tr = self.tracer
         if tr is None and cfg.telemetry:
             from repro.observability.spans import Tracer
 
             tr = Tracer()
-        q_span = None
+        run.tr = tr
         if tr is not None:
-            q_span = tr.start(
-                "query", "engine", clock,
-                problem=problem.name, source=source,
+            run.span = tr.start(
+                span_name, "engine", 0.0, **attrs,
                 memory_mode=cfg.memory_mode.value,
-                vertices=csr.num_vertices, edges=csr.num_edges,
+                vertices=self.csr.num_vertices, edges=self.csr.num_edges,
                 warm=self.warm,
             )
+        run.clock = self._place_topology(problem, run.prof, run.timeline,
+                                         0.0, tr)
+        return run
 
-        # --- topology placement (first query only) -----------------------
-        clock = self._place_topology(problem, prof, timeline, clock, tr)
+    def _traverse(
+        self,
+        run: _TraversalRun,
+        problem: TraversalProblem,
+        work_arr: DeviceArray,
+        seeds: np.ndarray,
+        step,
+        *,
+        name: str,
+        label: str,
+        max_iterations: int | None,
+        trace_meta: dict,
+        wave_lanes: int = 0,
+    ) -> None:
+        """Run the traversal loop over the per-vertex working array
+        ``work_arr`` (float labels, or MSBFS uint64 lane masks).
+
+        Every iteration is the paper's pipeline: frontier-memo lookup and
+        expansion, the ``actSet2virtActSet`` transform kernel, topology
+        access under the session's placement, the functional ``step``,
+        the SMP vertex kernel and the transfer/compute overlap rule.
+        ``step(active, entry, iteration)`` is the only driver-specific
+        part: it updates the working state from the expansion ``entry``
+        and returns ``(attempted, changed, newly_visited, stop)``.
+
+        The working array's H2D initialization and D2H readback bracket
+        the loop as ``{label}-init`` / ``{label}-d2h``.  Results land on
+        ``run``; ``name`` heads the non-convergence message.
+        """
+        cfg = self.config
+        csr = self.csr
+        spec = self.device
+        caches = self.caches
+        prof, timeline, tr = run.prof, run.timeline, run.tr
+        clock = run.clock
+        check_udc_partition = None
+        if cfg.check_invariants:
+            from repro.testing.invariants import check_udc_partition
         offsets_arr = self._offsets_arr
         cols_arr = self._cols_arr
         weights_arr = self._weights_arr if problem.needs_weights else None
-        topo_arrays = self._topo_arrays()
-
-        # --- working state on device ------------------------------------
-        labels_host = problem.initial_labels(csr.num_vertices, source)
-        labels_arr = self._labels_buffer(labels_host)
-        labels = labels_arr.data
         frontier = self._frontier_buffers()
-        parents_arr = self._parents_buffer()
-        parents = parents_arr.data if parents_arr is not None else None
+
         if tr is not None:
             tr.cursor_ms = clock
-        t = h2d_copy(spec, prof, labels_arr.nbytes, injector=self.injector,
-                     tracer=tr, label="labels-init")
-        timeline.add("transfer", clock, clock + t, nbytes=labels_arr.nbytes,
-                     label="labels-init")
+        t = h2d_copy(spec, prof, work_arr.nbytes, injector=self.injector,
+                     tracer=tr, label=f"{label}-init")
+        timeline.add("transfer", clock, clock + t, nbytes=work_arr.nbytes,
+                     label=f"{label}-init")
         clock += t
 
-        oversubscribed = False
-        if um is not None:
-            um_bytes = sum(a.nbytes for a in topo_arrays)
-            oversubscribed = um_bytes > um.resident_budget_pages * spec.page_bytes
-
+        if self.um is not None:
+            um_bytes = sum(a.nbytes for a in self._topo_arrays())
+            run.oversubscribed = \
+                um_bytes > self.um.resident_budget_pages * spec.page_bytes
         clock = self._prefetch_topology(prof, timeline, clock, tr)
-
-        # --- optional out-of-core UDC table ------------------------------
+        # Optional out-of-core UDC table.
         clock = self._place_shadow_table(prof, timeline, clock, tr)
         shadow_table = self._shadow_table
 
-        # --- traversal loop ----------------------------------------------
-        seeds = problem.initial_frontier(csr.num_vertices, source)
         stats = TraversalStats(
             num_vertices=csr.num_vertices, seed_count=len(seeds)
         )
-        visited = np.zeros(csr.num_vertices, dtype=bool)
-        visited[seeds] = True
         frontier.seed_many(seeds)
         offsets = csr.row_offsets
         cols = csr.column_indices
@@ -736,7 +867,7 @@ class EngineSession:
         while not frontier.is_empty:
             if iteration >= iteration_limit:
                 raise ConvergenceError(
-                    f"{problem.name} did not converge within "
+                    f"{name} did not converge within "
                     f"{iteration_limit} iterations"
                 )
             active = frontier.active
@@ -759,7 +890,8 @@ class EngineSession:
                     self.injector.on_memo_lookup(self)
                 active_bytes = np.ascontiguousarray(active).tobytes()
                 key = self._memo_key(
-                    active_bytes, len(active), labels_arr, weights_arr
+                    active_bytes, len(active), work_arr, weights_arr,
+                    wave_lanes,
                 )
                 entry = self._memo_get(key, active_bytes)
             memo_hit = entry is not None
@@ -795,127 +927,9 @@ class EngineSession:
             if check_udc_partition is not None:
                 check_udc_partition(shadows, active, offsets, cfg.degree_limit)
 
-            # On-demand UM: fault in the pages this iteration reads.
-            migration_ms = 0.0
-            migration_bytes = 0
-            zero_copy_ms = 0.0
-            direct_ms = 0.0
-            direct_bytes = 0
-            if cfg.memory_mode is MemoryMode.ZERO_COPY and len(shadows):
-                # Every topology read crosses PCIe, every iteration, at
-                # the poor efficiency of fine-grained bus reads.  This is
-                # what makes UM strictly better for read-only topology
-                # (Section IV-B).  Compressed topology shrinks the
-                # adjacency stream to its payload bytes; weights stay
-                # dense.
-                _, zc_lens = self._adj_byte_ranges(
-                    shadows.starts, shadows.degrees
-                )
-                zc_bytes = (len(active) * 2 * offsets_arr.itemsize
-                            + int(zc_lens.sum()))
-                if weights_arr is not None:
-                    zc_bytes += shadows.total_edges * 4
-                zero_copy_ms = spec.bytes_time_ms(
-                    zc_bytes, spec.pcie_bandwidth_gbps * 0.35
-                )
-                timeline.add("transfer", clock, clock + zero_copy_ms,
-                             nbytes=zc_bytes, label=f"zerocopy-{iteration}")
-                if tr is not None:
-                    tr.emit("zerocopy", "transfer", zero_copy_ms, t_ms=clock,
-                            nbytes=float(zc_bytes))
-            if cfg.memory_mode is MemoryMode.DIRECT_ACCESS and len(shadows):
-                # EMOGI-style direct access: the kernel's topology loads
-                # cross PCIe as deduplicated 128-byte sector reads
-                # covering exactly the offsets entries and adjacency
-                # bytes this frontier expands — never a whole 4 KiB UM
-                # page.  Base addresses keep the three arrays' sectors
-                # distinct.
-                off_item = offsets_arr.itemsize
-                ids64 = np.asarray(active, dtype=np.int64)
-                range_starts = [offsets_arr.base_address + ids64 * off_item]
-                range_lens = [np.full(len(ids64), 2 * off_item,
-                                      dtype=np.int64)]
-                adj_starts, adj_lens = self._adj_byte_ranges(
-                    shadows.starts, shadows.degrees
-                )
-                range_starts.append(cols_arr.base_address + adj_starts)
-                range_lens.append(adj_lens)
-                if weights_arr is not None:
-                    range_starts.append(
-                        weights_arr.base_address
-                        + shadows.starts.astype(np.int64) * 4
-                    )
-                    range_lens.append(shadows.degrees.astype(np.int64) * 4)
-                if tr is not None:
-                    tr.cursor_ms = clock
-                direct_ms, direct_bytes = direct_access_read(
-                    spec, prof,
-                    np.concatenate(range_starts),
-                    np.concatenate(range_lens),
-                    injector=self.injector, tracer=tr,
-                    label=f"direct-access-{iteration}",
-                )
-                if direct_ms:
-                    timeline.add("transfer", clock, clock + direct_ms,
-                                 nbytes=direct_bytes,
-                                 label=f"direct-{iteration}")
-            if um is not None and cfg.memory_mode is MemoryMode.UM_ON_DEMAND:
-                # Migration overlaps the kernel, so its trace events tile
-                # from the iteration start, not from the cursor's
-                # post-transform position.
-                if tr is not None:
-                    tr.cursor_ms = clock
-                off_item = offsets_arr.itemsize
-                batches = [
-                    um.touch_byte_ranges(
-                        offsets_arr,
-                        np.asarray(active, dtype=np.int64) * off_item,
-                        np.full(len(active), 2 * off_item, dtype=np.int64),
-                        prof, tr,
-                    )
-                ]
-                if len(shadows):
-                    starts_b, lens_b = self._adj_byte_ranges(
-                        shadows.starts, shadows.degrees
-                    )
-                    batches.append(
-                        um.touch_byte_ranges(cols_arr, starts_b, lens_b,
-                                             prof, tr)
-                    )
-                    if weights_arr is not None:
-                        # Weights stay dense float32 whatever the
-                        # topology encoding.
-                        batches.append(
-                            um.touch_byte_ranges(
-                                weights_arr,
-                                shadows.starts.astype(np.int64) * 4,
-                                shadows.degrees.astype(np.int64) * 4,
-                                prof, tr,
-                            )
-                        )
-                migration_ms = sum(b.time_ms for b in batches)
-                migration_bytes = sum(b.bytes_moved for b in batches)
-            elif um is not None and cfg.memory_mode is MemoryMode.UM_PREFETCH \
-                    and oversubscribed and len(shadows):
-                # Prefetched but oversubscribed: evicted pages re-fault.
-                if tr is not None:
-                    tr.cursor_ms = clock
-                starts_b, lens_b = self._adj_byte_ranges(
-                    shadows.starts, shadows.degrees
-                )
-                batches = [um.touch_byte_ranges(cols_arr, starts_b, lens_b,
-                                                prof, tr)]
-                if weights_arr is not None:
-                    batches.append(
-                        um.touch_byte_ranges(
-                            weights_arr,
-                            shadows.starts.astype(np.int64) * 4,
-                            shadows.degrees.astype(np.int64) * 4,
-                            prof, tr,
-                        )
-                    )
-                migration_ms = sum(b.time_ms for b in batches)
-                migration_bytes = sum(b.bytes_moved for b in batches)
+            migration_ms, migration_bytes, pcie_ms = self._topology_access(
+                run, clock, iteration, active, shadows, weights_arr
+            )
 
             if len(shadows) == 0:
                 clock += transform_ms
@@ -930,7 +944,7 @@ class EngineSession:
                 iteration += 1
                 continue
 
-            # --- functional step (exact label propagation) ---------------
+            # --- functional step ------------------------------------------
             if entry is None:
                 edge_idx = ragged_gather_indices(
                     shadows.starts, shadows.degrees
@@ -949,46 +963,26 @@ class EngineSession:
                 )
                 if key is not None:
                     self._memo_put(key, entry)
-            nbr = entry.nbr
-            dests = entry.dests
-            src_per_edge = np.repeat(labels[entry.ids64], shadows.degrees)
-            cand = problem.candidates(src_per_edge, entry.w_per_edge)
-            attempted = int(problem.improves(cand, labels[nbr]).sum())
+            attempted, changed, newly_visited, stop = \
+                step(active, entry, iteration)
 
-            before = labels[dests].copy()
-            problem.scatter_reduce(labels, nbr, cand)
-            changed = dests[labels[dests] != before]
-            newly = changed[~visited[changed]]
-            visited[changed] = True
-
-            if parents is not None and len(changed):
-                # The winning atomic's thread records its own id: any
-                # edge whose candidate equals the final label witnesses
-                # the update.
-                changed_mask = np.zeros(csr.num_vertices, dtype=bool)
-                changed_mask[changed] = True
-                witness = (cand == labels[nbr]) & changed_mask[nbr]
-                if entry.src_ids is None:
-                    entry.src_ids = np.repeat(entry.ids64, shadows.degrees)
-                parents[nbr[witness]] = entry.src_ids[witness]
-
-            # --- kernel cost --------------------------------------------
+            # --- kernel cost ----------------------------------------------
             if entry.trace_plan is None:
                 smp_plan = (
                     plan_prefetch(shadows, offsets, cfg.degree_limit)
-                    if smp else None
+                    if self._smp else None
                 )
                 entry.trace_plan = gpukernel.build_vertex_trace(
                     spec,
                     starts=shadows.starts,
                     degrees=shadows.degrees,
                     adj_array=cols_arr,
-                    neighbor_ids=nbr,
-                    label_array=labels_arr,
+                    neighbor_ids=entry.nbr,
+                    label_array=work_arr,
                     weight_array=weights_arr,
                     meta_array=frontier.virt_act_set,
                     meta_words_per_thread=3,
-                    smp=smp,
+                    smp=self._smp,
                     smp_planned_words=(
                         smp_plan.planned_words if smp_plan else None
                     ),
@@ -996,9 +990,9 @@ class EngineSession:
                 )
             if self.injector is not None:
                 # The ECC check point: an injected bit flip lands in the
-                # device labels and aborts the launch with a typed
+                # device working array and aborts the launch with a typed
                 # DataCorruptionError before results can be consumed.
-                self.injector.on_kernel_launch(labels)
+                self.injector.on_kernel_launch(work_arr.data)
             if tr is not None:
                 # The vertex kernel issues after the transform kernel.
                 tr.cursor_ms = clock + transform_ms
@@ -1007,16 +1001,16 @@ class EngineSession:
                 starts=shadows.starts,
                 degrees=shadows.degrees,
                 adj_array=cols_arr,
-                neighbor_ids=nbr,
-                label_array=labels_arr,
+                neighbor_ids=entry.nbr,
+                label_array=work_arr,
                 weight_array=weights_arr,
                 meta_array=frontier.virt_act_set,
                 meta_words_per_thread=3,
-                smp=smp,
+                smp=self._smp,
                 degree_limit=cfg.degree_limit,
                 updates=attempted,
                 instr_per_edge=problem.instr_per_edge,
-                threads_per_block=threads_per_block,
+                threads_per_block=self._threads_per_block,
                 plan=entry.trace_plan,
                 tracer=tr,
             )
@@ -1037,12 +1031,11 @@ class EngineSession:
                 timeline.add("compute", clock, clock + iter_ms)
                 timeline.add("transfer", clock, clock + migration_ms,
                              nbytes=migration_bytes, label=f"iter-{iteration}")
-            elif zero_copy_ms > 0 or direct_ms > 0:
+            elif pcie_ms > 0:
                 # Zero-copy and direct-access reads are the kernel's own
                 # loads: fully pipelined, so the slower of the two
-                # pipelines governs.  At most one of the two is nonzero
-                # (they are exclusive placements).
-                iter_ms = max(compute_ms, zero_copy_ms + direct_ms)
+                # pipelines governs.
+                iter_ms = max(compute_ms, pcie_ms)
                 timeline.add("compute", clock, clock + iter_ms)
             else:
                 iter_ms = compute_ms
@@ -1055,7 +1048,7 @@ class EngineSession:
                 shadow_vertices=len(shadows),
                 edges_scanned=shadows.total_edges,
                 updates=attempted,
-                newly_visited=len(newly),
+                newly_visited=newly_visited,
                 kernel_ms=kernel_ms,
                 transform_ms=transform_ms,
                 transfer_ms=migration_ms,
@@ -1065,65 +1058,144 @@ class EngineSession:
                 tr.end(
                     it_span, clock,
                     shadows=len(shadows), edges=shadows.total_edges,
-                    updates=attempted, newly_visited=len(newly),
+                    updates=attempted, newly_visited=newly_visited,
                     memo="hit" if memo_hit else "miss",
                 )
 
             frontier.publish(changed)
             iteration += 1
-            if target is not None and visited[target]:
+            if stop:
                 break
 
-        total_ms = clock
         if tr is not None:
             tr.cursor_ms = clock
-        d2h_ms = d2h_copy(spec, prof, labels_arr.nbytes,
+        d2h_ms = d2h_copy(spec, prof, work_arr.nbytes,
                           injector=self.injector,
-                          tracer=tr, label="labels-d2h")
-        setup_this_call = self.setup_ms - setup_before
-
-        trace = None
+                          tracer=tr, label=f"{label}-d2h")
+        run.total_ms = clock
+        run.d2h_ms = d2h_ms
+        run.stats = stats
+        run.setup_ms = self.setup_ms - run.setup_before
         if tr is not None:
-            tr.end(q_span, total_ms + d2h_ms,
-                   iterations=iteration, total_ms=total_ms, d2h_ms=d2h_ms)
-            trace = tr.trace(
-                problem=problem.name, source=source,
+            tr.end(run.span, clock + d2h_ms,
+                   iterations=iteration, total_ms=clock, d2h_ms=d2h_ms)
+            run.trace = tr.trace(
+                **trace_meta,
                 graph=f"{csr.num_vertices}v-{csr.num_edges}e",
                 memory_mode=cfg.memory_mode.value,
             )
 
-        result = TraversalResult(
-            labels=labels.copy(),
-            source=source,
-            problem_name=problem.name,
-            total_ms=total_ms,
-            kernel_ms=prof.kernels.elapsed_ms,
-            transfer_ms=prof.h2d_time_ms + prof.migration_time_ms,
-            d2h_ms=d2h_ms,
-            stats=stats,
-            timeline=timeline,
-            profiler=prof,
-            config=cfg,
-            device_bytes=mem.device_bytes_in_use,
-            um_bytes=mem.um_bytes_allocated,
-            oversubscribed=oversubscribed,
-            setup_ms=setup_this_call,
-            trace=trace,
-            extras={
-                "smp_effective": smp,
-                "threads_per_block": threads_per_block,
-                "parents": parents.copy() if parents is not None else None,
-                "early_exit": target is not None,
-                "session_query_index": self.queries_served,
-                "warm_start": self.queries_served > 0 and setup_this_call == 0.0,
-            },
-        )
-        self.queries_served += 1
-        if check_traversal_result is not None:
-            # Early-exit runs legitimately leave labels beyond the target
-            # unsettled, so the label/stats cross-check only applies to
-            # full traversals.
-            check_traversal_result(
-                result, problem=problem if target is None else None
+    def _topology_access(
+        self,
+        run: _TraversalRun,
+        clock: float,
+        iteration: int,
+        active: np.ndarray,
+        shadows,
+        weights_arr: DeviceArray | None,
+    ) -> tuple[float, int, float]:
+        """Charge one iteration's topology reads under the placement.
+
+        Returns ``(migration_ms, migration_bytes, pcie_ms)``: UM page
+        faults (which stall the kernel) and zero-copy / direct-access
+        PCIe reads (which pipeline with it).  Byte ranges come from
+        :meth:`_adj_byte_ranges`, so compressed topology is charged its
+        payload bytes; weights stay dense float32 whatever the encoding.
+        """
+        spec = self.device
+        prof, tr, um = run.prof, run.tr, self.um
+        mode = self.config.memory_mode
+        offsets_arr = self._offsets_arr
+        cols_arr = self._cols_arr
+        off_item = offsets_arr.itemsize
+
+        def weight_ranges():
+            return (shadows.starts.astype(np.int64) * 4,
+                    shadows.degrees.astype(np.int64) * 4)
+
+        if mode is MemoryMode.ZERO_COPY and len(shadows):
+            # Every topology read crosses PCIe, every iteration, at
+            # the poor efficiency of fine-grained bus reads.  This is
+            # what makes UM strictly better for read-only topology
+            # (Section IV-B).
+            _, zc_lens = self._adj_byte_ranges(
+                shadows.starts, shadows.degrees
             )
-        return result
+            zc_bytes = len(active) * 2 * off_item + int(zc_lens.sum())
+            if weights_arr is not None:
+                zc_bytes += shadows.total_edges * 4
+            zero_copy_ms = spec.bytes_time_ms(
+                zc_bytes, spec.pcie_bandwidth_gbps * 0.35
+            )
+            run.timeline.add("transfer", clock, clock + zero_copy_ms,
+                             nbytes=zc_bytes, label=f"zerocopy-{iteration}")
+            if tr is not None:
+                tr.emit("zerocopy", "transfer", zero_copy_ms, t_ms=clock,
+                        nbytes=float(zc_bytes))
+            return 0.0, 0, zero_copy_ms
+        if mode is MemoryMode.DIRECT_ACCESS and len(shadows):
+            # EMOGI-style direct access: the kernel's topology loads
+            # cross PCIe as deduplicated 128-byte sector reads
+            # covering exactly the offsets entries and adjacency
+            # bytes this frontier expands — never a whole 4 KiB UM
+            # page.  Base addresses keep the three arrays' sectors
+            # distinct.
+            ids64 = np.asarray(active, dtype=np.int64)
+            range_starts = [offsets_arr.base_address + ids64 * off_item]
+            range_lens = [np.full(len(ids64), 2 * off_item, dtype=np.int64)]
+            adj_starts, adj_lens = self._adj_byte_ranges(
+                shadows.starts, shadows.degrees
+            )
+            range_starts.append(cols_arr.base_address + adj_starts)
+            range_lens.append(adj_lens)
+            if weights_arr is not None:
+                w_starts, w_lens = weight_ranges()
+                range_starts.append(weights_arr.base_address + w_starts)
+                range_lens.append(w_lens)
+            if tr is not None:
+                tr.cursor_ms = clock
+            direct_ms, direct_bytes = direct_access_read(
+                spec, prof,
+                np.concatenate(range_starts),
+                np.concatenate(range_lens),
+                injector=self.injector, tracer=tr,
+                label=f"direct-access-{iteration}",
+            )
+            if direct_ms:
+                run.timeline.add("transfer", clock, clock + direct_ms,
+                                 nbytes=direct_bytes,
+                                 label=f"direct-{iteration}")
+            return 0.0, 0, direct_ms
+
+        refault = mode is MemoryMode.UM_PREFETCH and run.oversubscribed \
+            and len(shadows)
+        if um is None or not (mode is MemoryMode.UM_ON_DEMAND or refault):
+            return 0.0, 0, 0.0
+        # On-demand UM faults in the pages this iteration reads; a
+        # prefetched but oversubscribed topology re-faults its evicted
+        # adjacency pages.  Migration overlaps the kernel, so its trace
+        # events tile from the iteration start, not from the cursor's
+        # post-transform position.
+        if tr is not None:
+            tr.cursor_ms = clock
+        batches = []
+        if mode is MemoryMode.UM_ON_DEMAND:
+            batches.append(um.touch_byte_ranges(
+                offsets_arr, np.asarray(active, dtype=np.int64) * off_item,
+                np.full(len(active), 2 * off_item, dtype=np.int64),
+                prof, tr,
+            ))
+        if len(shadows):
+            starts_b, lens_b = self._adj_byte_ranges(
+                shadows.starts, shadows.degrees
+            )
+            batches.append(
+                um.touch_byte_ranges(cols_arr, starts_b, lens_b, prof, tr)
+            )
+            if weights_arr is not None:
+                batches.append(
+                    um.touch_byte_ranges(weights_arr, *weight_ranges(),
+                                         prof, tr)
+                )
+        return (sum(b.time_ms for b in batches),
+                sum(b.bytes_moved for b in batches), 0.0)

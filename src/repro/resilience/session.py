@@ -349,7 +349,65 @@ class ResilientSession:
         if isinstance(problem, str):
             problem = get_problem(problem)
         policy = policy or self.policy
+        return self._serve(
+            lambda session: session.query(
+                problem, source, target=target,
+                max_iterations=policy.max_iterations,
+            ),
+            # The exact host traversal has no iteration schedule to
+            # budget; a per-request iteration cap does not apply here.
+            lambda tracer: self._cpu_oracle_result(problem, source, tracer),
+            policy, noun="query", lanes=1,
+            span_attrs={"problem": problem.name, "source": source},
+            trace_meta={"problem": problem.name, "source": source},
+        )
 
+    def run_wave(self, sources, *, policy: RetryPolicy | None = None):
+        """Serve one MSBFS wave (:func:`repro.core.msbfs.run_wave`)
+        through the same retry/degradation ladder as :meth:`run`.
+
+        The whole wave moves down the ladder together: a fault on one
+        rung re-runs *all* lanes on the next try/rung (lanes share one
+        traversal, so there is no per-lane partial result to salvage).
+        Returns a :class:`RunOutcome` whose ``result`` is a
+        :class:`~repro.core.msbfs.WaveResult`; per-source levels are
+        bit-identical whichever rung served them (the cpu_oracle floor
+        included, labels-wise — its timings are host wall time, like
+        :meth:`run`'s oracle).
+        """
+        from repro.core import msbfs
+
+        if self._closed:
+            raise SessionClosedError("resilient session is closed")
+        policy = policy or self.policy
+        sources = np.asarray(sources, dtype=np.int64).ravel()
+        width = len(sources)
+        return self._serve(
+            lambda session: msbfs.run_wave(
+                session, sources, max_iterations=policy.max_iterations,
+            ),
+            lambda tracer: self._cpu_oracle_wave(sources, tracer),
+            policy, noun="wave", lanes=width,
+            span_attrs={"problem": "msbfs", "sources": width},
+            trace_meta={"problem": "msbfs", "sources": str(width)},
+        )
+
+    def _serve(
+        self,
+        run_on,
+        oracle,
+        policy: RetryPolicy,
+        *,
+        noun: str,
+        lanes: int,
+        span_attrs: dict,
+        trace_meta: dict,
+    ) -> RunOutcome:
+        """The retry/degradation ladder: try each rung in turn — via
+        ``run_on(session)`` on a GPU rung, ``oracle(tracer)`` on the CPU
+        floor — until one returns a result.  ``lanes`` is how many
+        queries a success serves; ``noun`` names the work in the
+        iteration-budget error."""
         started = time.monotonic()
         outcome = RunOutcome(
             result=None,  # type: ignore[arg-type] — set before returning
@@ -374,8 +432,7 @@ class ResilientSession:
             tr.base_ms = 0.0
             cur = tr.max_end_ms
             serve_span = tr.start(
-                "serve", "resilience", cur,
-                problem=problem.name, source=source,
+                "serve", "resilience", cur, **span_attrs,
                 entry_rung=self.entry_rung,
             )
 
@@ -395,10 +452,7 @@ class ResilientSession:
                             rung=rung, try_number=try_number,
                         )
                     try:
-                        result = self._attempt(
-                            rung, problem, source, target, tr,
-                            max_iterations=policy.max_iterations,
-                        )
+                        result = self._attempt(rung, tr, run_on, oracle)
                     except DeviceOutOfMemoryError as exc:
                         # OOM is not retryable at this placement: demote.
                         # A genuine capacity failure also retires the
@@ -439,7 +493,7 @@ class ResilientSession:
                             self._close_attempt(tr, a_span, exc)
                         if policy.max_iterations is not None:
                             raise DeadlineExceededError(
-                                f"query exceeded its iteration budget of "
+                                f"{noun} exceeded its iteration budget of "
                                 f"{policy.max_iterations}"
                             ) from exc
                         raise
@@ -455,14 +509,13 @@ class ResilientSession:
                         outcome.faults_seen = list(
                             self.injector.fired[fired_before:]
                         )
-                    self.queries_served += 1
+                    self.queries_served += lanes
                     if tr is not None:
                         tr.end(serve_span, cur, placement=rung,
                                attempts=outcome.num_attempts,
                                degraded=outcome.degraded)
                         outcome.result.trace = tr.trace(
-                            problem=problem.name, source=source,
-                            resilient="true", placement=rung,
+                            **trace_meta, resilient="true", placement=rung,
                         )
                     return outcome
 
@@ -477,157 +530,12 @@ class ResilientSession:
                 tr.unwind(tr.max_end_ms, error=True)
             raise
 
-    def run_wave(self, sources, *, policy: RetryPolicy | None = None):
-        """Serve one MSBFS wave (:func:`repro.core.msbfs.run_wave`)
-        through the same retry/degradation ladder as :meth:`run`.
-
-        The whole wave moves down the ladder together: a fault on one
-        rung re-runs *all* lanes on the next try/rung (lanes share one
-        traversal, so there is no per-lane partial result to salvage).
-        Returns a :class:`RunOutcome` whose ``result`` is a
-        :class:`~repro.core.msbfs.WaveResult`; per-source levels are
-        bit-identical whichever rung served them (the cpu_oracle floor
-        included, labels-wise — its timings are host wall time, like
-        :meth:`run`'s oracle).
-        """
-        from repro.core import msbfs
-
-        if self._closed:
-            raise SessionClosedError("resilient session is closed")
-        policy = policy or self.policy
-
-        started = time.monotonic()
-        outcome = RunOutcome(
-            result=None,  # type: ignore[arg-type] — set before returning
-            requested_placement=self.entry_rung,
-        )
-        fired_before = len(self.injector.fired) if self.injector else 0
-        last_error: Exception | None = None
-
-        tr = self.tracer
-        if tr is None and self.config.telemetry:
-            from repro.observability.spans import Tracer
-
-            tr = Tracer()
-        serve_span = None
-        cur = 0.0
-        if tr is not None:
-            tr.base_ms = 0.0
-            cur = tr.max_end_ms
-            serve_span = tr.start(
-                "serve", "resilience", cur,
-                problem="msbfs", sources=len(sources),
-                entry_rung=self.entry_rung,
-            )
-
-        rungs = self._ladder_from(self.entry_rung, policy)
-        if not rungs:
-            raise DeviceOutOfMemoryError(0, 0, self.device.memory_capacity)
-        try:
-            for rung in rungs:
-                tries = 1 + policy.max_retries
-                for try_number in range(1, tries + 1):
-                    self._check_deadline(started, policy)
-                    a_span = None
-                    if tr is not None:
-                        tr.base_ms = cur
-                        a_span = tr.start(
-                            "attempt", "resilience", 0.0,
-                            rung=rung, try_number=try_number,
-                        )
-                    try:
-                        if rung == "cpu_oracle":
-                            result = self._cpu_oracle_wave(sources, tr)
-                        else:
-                            session = self._session_for(rung)
-                            prev = session.tracer
-                            session.tracer = tr if tr is not None else prev
-                            try:
-                                result = msbfs.run_wave(
-                                    session, sources,
-                                    max_iterations=policy.max_iterations,
-                                )
-                            finally:
-                                session.tracer = prev
-                    except DeviceOutOfMemoryError as exc:
-                        if tr is not None:
-                            cur = self._close_attempt(tr, a_span, exc)
-                        outcome.attempts.append(Attempt(
-                            rung=rung, try_number=try_number,
-                            error=f"{type(exc).__name__}: {exc}",
-                        ))
-                        last_error = exc
-                        self._discard(rung)
-                        if rung != "cpu_oracle" and \
-                                exc.requested + exc.in_use > exc.capacity:
-                            self.dead_rungs.add(rung)
-                        break
-                    except (TransientDeviceError, DataCorruptionError) as exc:
-                        if tr is not None:
-                            cur = self._close_attempt(tr, a_span, exc)
-                        backoff = 0.0
-                        if try_number <= policy.max_retries:
-                            backoff = self._backoff_ms(policy, try_number)
-                            outcome.backoff_ms += backoff
-                            if tr is not None and backoff > 0:
-                                tr.emit("backoff", "resilience", backoff,
-                                        t_ms=cur, rung=rung,
-                                        try_number=try_number)
-                                cur += backoff
-                        outcome.attempts.append(Attempt(
-                            rung=rung, try_number=try_number,
-                            error=f"{type(exc).__name__}: {exc}",
-                            backoff_ms=backoff,
-                        ))
-                        last_error = exc
-                        continue
-                    except ConvergenceError as exc:
-                        if tr is not None:
-                            self._close_attempt(tr, a_span, exc)
-                        if policy.max_iterations is not None:
-                            raise DeadlineExceededError(
-                                f"wave exceeded its iteration budget of "
-                                f"{policy.max_iterations}"
-                            ) from exc
-                        raise
-                    if tr is not None:
-                        cur = self._close_attempt(tr, a_span, None)
-                    outcome.attempts.append(Attempt(
-                        rung=rung, try_number=try_number, error=None,
-                    ))
-                    outcome.result = result
-                    outcome.final_placement = rung
-                    outcome.degraded = rung != outcome.requested_placement
-                    if self.injector is not None:
-                        outcome.faults_seen = list(
-                            self.injector.fired[fired_before:]
-                        )
-                    self.queries_served += result.width
-                    if tr is not None:
-                        tr.end(serve_span, cur, placement=rung,
-                               attempts=outcome.num_attempts,
-                               degraded=outcome.degraded)
-                        outcome.result.trace = tr.trace(
-                            problem="msbfs", sources=str(result.width),
-                            resilient="true", placement=rung,
-                        )
-                    return outcome
-
-            assert last_error is not None
-            raise last_error
-        except Exception:
-            if tr is not None:
-                tr.base_ms = 0.0
-                tr.unwind(tr.max_end_ms, error=True)
-            raise
-
     def _cpu_oracle_wave(self, sources, tracer=None):
         """Exact host MSBFS: one serial oracle traversal per lane,
         stacked into a :class:`~repro.core.msbfs.WaveResult`."""
         from repro.core.msbfs import WaveResult
         from repro.testing.differential import oracle_labels
 
-        sources = np.asarray(sources, dtype=np.int64).ravel()
         t0 = time.perf_counter()
         levels = np.stack([
             oracle_labels(self.csr, "bfs", int(s)) for s in sources
@@ -702,29 +610,19 @@ class ResilientSession:
         tr.base_ms = 0.0
         return end_abs
 
-    def _attempt(
-        self,
-        rung: str,
-        problem: TraversalProblem,
-        source: int,
-        target: int | None,
-        tracer=None,
-        *,
-        max_iterations: int | None = None,
-    ) -> TraversalResult:
+    def _attempt(self, rung: str, tracer, run_on, oracle):
+        """One try on ``rung``: ``oracle(tracer)`` on the CPU floor, else
+        ``run_on(session)`` on the rung's session with ``tracer``
+        attached for the call."""
         if rung == "cpu_oracle":
-            # The exact host traversal has no iteration schedule to
-            # budget; a per-request iteration cap does not apply here.
-            return self._cpu_oracle_result(problem, source, tracer)
+            return oracle(tracer)
         session = self._session_for(rung)
         if tracer is None:
-            return session.query(problem, source, target=target,
-                                 max_iterations=max_iterations)
+            return run_on(session)
         prev = session.tracer
         session.tracer = tracer
         try:
-            return session.query(problem, source, target=target,
-                                 max_iterations=max_iterations)
+            return run_on(session)
         finally:
             session.tracer = prev
 

@@ -34,7 +34,7 @@ from repro.resilience.session import (
     ResilientSession,
     RetryPolicy,
 )
-from repro.testing.differential import run_differential_case
+from repro.testing.differential import msbfs_engine, run_differential_case
 
 
 def _generator_zoo() -> dict[str, CSRGraph]:
@@ -144,21 +144,32 @@ class TestPlacement:
             labels = s.query("bfs", 0).labels
         assert np.array_equal(labels, reference)
 
-    @pytest.mark.parametrize("problem", ["bfs", "sssp", "cc"])
-    def test_differential_over_compressed_topology(self, problem):
-        """The differential harness (etagraph + etagraph-session engines
-        vs the CPU oracle) accepts a CompressedCSRGraph directly."""
+    # Direct-access cases keep the bare problem ids they had when the
+    # test ran under that placement only.
+    @pytest.mark.parametrize("problem,mode", [
+        pytest.param(problem, mode, id=(
+            problem if mode is MemoryMode.DIRECT_ACCESS
+            else f"{problem}-{mode.value}"
+        ))
+        for problem in ("bfs", "sssp", "cc") for mode in ALL_MODES
+    ])
+    def test_differential_over_compressed_topology(self, problem, mode):
+        """The differential harness (etagraph, etagraph-session and
+        etagraph-msbfs engines vs the CPU oracle) accepts a
+        CompressedCSRGraph directly, under every placement."""
         dense = generators.social_network(400, 3_000, seed=10)
         w = (np.arange(dense.num_edges, dtype=np.float32) % 5) + 1
         topology = CompressedCSRGraph(dense.with_weights(w))
+        config = EtaGraphConfig(memory_mode=mode)
         report = run_differential_case(
             topology, problem, 0,
-            config=EtaGraphConfig(memory_mode=MemoryMode.DIRECT_ACCESS),
+            config=config,
             baselines=(),
+            extra_engines={"etagraph-msbfs": msbfs_engine(config)},
         )
         assert report.ok, report.summary()
         assert {e.engine for e in report.engines} >= \
-            {"etagraph", "etagraph-session"}
+            {"etagraph", "etagraph-session", "etagraph-msbfs"}
 
     def test_direct_access_moves_bytes_over_pcie(self, graph):
         """Direct access streams sector reads every iteration instead of

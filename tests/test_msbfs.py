@@ -22,16 +22,26 @@ from repro.errors import (
     DeadlineExceededError,
     InvalidLaunchError,
 )
+from repro.gpu.device import GTX_1080TI, KIB
+from repro.graph.compressed import compress
 from repro.resilience import FaultPlan, FaultSpec, ResilientSession
 from repro.serving import TenantQuota, TraversalService, VisitRequest
 from repro.testing.differential import oracle_labels
 
-ALL_MODES = (
-    MemoryMode.DEVICE,
-    MemoryMode.UM_PREFETCH,
-    MemoryMode.UM_ON_DEMAND,
-    MemoryMode.ZERO_COPY,
-)
+ALL_MODES = tuple(MemoryMode)
+ENCODINGS = ("dense", "compressed")
+#: Every memory mode x topology encoding.  Dense cases keep the bare
+#: mode ids they had before the encoding axis existed.
+MODE_ENCODING_CASES = [
+    pytest.param(mode, encoding, id=(
+        mode.value if encoding == "dense" else f"{encoding}-{mode.value}"
+    ))
+    for encoding in ENCODINGS for mode in ALL_MODES
+]
+
+
+def _encode(graph, encoding):
+    return compress(graph) if encoding == "compressed" else graph
 
 
 def _sequential_labels(graph, sources, config=None):
@@ -52,12 +62,14 @@ def _assert_lanes_match(wave: WaveResult, expected: list[np.ndarray]):
 
 
 class TestWaveBitIdentity:
-    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
-    def test_identical_across_memory_modes(self, skewed_graph, mode):
+    @pytest.mark.parametrize("mode,encoding", MODE_ENCODING_CASES)
+    def test_identical_across_memory_modes(self, skewed_graph, mode,
+                                           encoding):
+        topology = _encode(skewed_graph, encoding)
         config = EtaGraphConfig(memory_mode=mode)
         sources = list(range(0, 64, 2))  # 32 lanes
-        expected = _sequential_labels(skewed_graph, sources, config)
-        with EngineSession(skewed_graph, config) as session:
+        expected = _sequential_labels(topology, sources, config)
+        with EngineSession(topology, config) as session:
             wave = run_wave(session, np.array(sources))
         _assert_lanes_match(wave, expected)
 
@@ -130,6 +142,79 @@ class TestWaveBitIdentity:
             assert np.array_equal(seq_before, seq_after)
         expected = _sequential_labels(skewed_graph, [0, 1, 2])
         _assert_lanes_match(wave, expected)
+
+
+# ----------------------------------------------------------------------
+# Conservation: a width-1 wave pays exactly the query's topology traffic
+# ----------------------------------------------------------------------
+
+#: Per-iteration topology transfers: zero-copy reads, direct-access
+#: sector reads and UM fault migrations.  The working-array init copies
+#: (``labels-init`` vs ``wave-masks-init``) legitimately differ — 4-byte
+#: labels against 8-byte lane masks — and are excluded.
+_TOPOLOGY_LABELS = ("zerocopy-", "direct-", "iter-")
+
+#: Device capacity below the skewed graph's topology footprint (dense
+#: or compressed) but above its working buffers: UM prefetch
+#: oversubscribes and re-faults adjacency pages every iteration.  The
+#: wave's lane masks take 1 KiB more device memory than the query's
+#: labels; at this capacity both leave the same whole-page UM budget.
+#: (Where that 1 KiB crosses a page boundary the wave legitimately
+#: gets one resident page fewer, and its faults differ.)
+OVERSUBSCRIBED_CAPACITY = 8 * KIB
+
+
+def _topology_traffic(result):
+    return [
+        (iv.label, iv.nbytes, iv.duration_ms)
+        for iv in result.timeline.intervals
+        if iv.kind == "transfer" and iv.label.startswith(_TOPOLOGY_LABELS)
+    ]
+
+
+def _assert_conserved(topology, config, source, device=GTX_1080TI):
+    with EngineSession(topology, config, device) as session:
+        query = session.query("bfs", source)
+    with EngineSession(topology, config, device) as session:
+        wave = run_wave(session, np.array([source]))
+    assert wave.labels_for(0).tobytes() == query.labels.tobytes()
+    assert wave.oversubscribed == query.oversubscribed
+    wave_traffic = _topology_traffic(wave)
+    query_traffic = _topology_traffic(query)
+    assert [t[:2] for t in wave_traffic] == [t[:2] for t in query_traffic]
+    # Durations are read back from intervals placed at different clock
+    # offsets (a wave's kernels gather 8-byte masks), hence approx.
+    assert [t[2] for t in wave_traffic] == \
+        pytest.approx([t[2] for t in query_traffic], rel=1e-9, abs=1e-12)
+    assert wave.profiler.migration_sizes == query.profiler.migration_sizes
+    return query
+
+
+class TestWaveTopologyConservation:
+    @pytest.mark.parametrize("mode,encoding", MODE_ENCODING_CASES)
+    def test_width_one_wave_moves_query_bytes(self, skewed_graph, mode,
+                                             encoding):
+        query = _assert_conserved(
+            _encode(skewed_graph, encoding),
+            EtaGraphConfig(memory_mode=mode), 0,
+        )
+        if mode in (MemoryMode.ZERO_COPY, MemoryMode.DIRECT_ACCESS,
+                    MemoryMode.UM_ON_DEMAND):
+            # Non-vacuous: these placements read topology every iteration.
+            assert _topology_traffic(query)
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_oversubscribed_prefetch_refaults_match(self, skewed_graph,
+                                                    encoding):
+        """UM prefetch past device capacity re-faults evicted adjacency
+        pages every iteration; the wave must re-fault the same pages."""
+        query = _assert_conserved(
+            _encode(skewed_graph, encoding),
+            EtaGraphConfig(memory_mode=MemoryMode.UM_PREFETCH), 0,
+            device=GTX_1080TI.with_capacity(OVERSUBSCRIBED_CAPACITY),
+        )
+        assert query.oversubscribed
+        assert _topology_traffic(query)
 
 
 # ----------------------------------------------------------------------
