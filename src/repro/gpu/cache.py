@@ -23,6 +23,38 @@ from repro.utils.sorting import stable_argsort
 
 _NEVER = -(1 << 62)
 
+#: Sorted sector ids below this are stored as int32.
+_INT32_LIMIT = 1 << 31
+
+
+@dataclass(frozen=True)
+class SortedStream:
+    """A sector stream in stable sorted order.
+
+    ``order`` is the stable argsort of the raw stream and ``sectors`` the
+    raw stream gathered by it, so equal sectors form runs whose
+    positions (``order``) ascend.  Both are int32 where the values fit;
+    ``sectors`` falls back to int64 for ids ``>= 2**31``.
+    """
+
+    order: np.ndarray
+    sectors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+
+def sort_stream(sectors: np.ndarray) -> SortedStream:
+    """Stable-sort a raw sector stream into the form the caches walk."""
+    sectors = np.asarray(sectors, dtype=np.int64)
+    order = stable_argsort(sectors)
+    ordered = sectors.take(order)
+    if len(ordered) == 0 or (ordered[0] >= 0 and ordered[-1] < _INT32_LIMIT):
+        ordered = ordered.astype(np.int32)
+    if len(order) < _INT32_LIMIT:
+        order = order.astype(np.int32)
+    return SortedStream(order, ordered)
+
 
 class ReuseWindowCache:
     """Approximate LRU: hit iff the sector recurs within ``window`` accesses.
@@ -30,57 +62,89 @@ class ReuseWindowCache:
     The reuse *distance in accesses* is a standard surrogate for the LRU
     stack distance; it is exact when every access touches a distinct line
     and optimistic otherwise, which the contention divisor compensates
-    for.  Fully vectorized: one stable argsort per batch.
+    for.
+
+    Fully vectorized over a :class:`SortedStream`.  Within a run of equal
+    sectors a non-first access hits iff its position gap to the previous
+    one is ``<= window``, which does not depend on the cache's state.
+    Only each run's head reads the last-access table and only its tail
+    writes it, so a stream sorted once (a memoized trace plan) replays
+    without sorting again.
     """
 
     def __init__(self, window: int):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = int(window)
+        # Last access position of sector ``_base + i`` is ``_last[i]``.
         self._last = np.empty(0, dtype=np.int64)
+        self._base = 0
         self._clock = 0
         self.accesses = 0
         self.hits = 0
 
-    def _ensure_capacity(self, max_sector: int) -> None:
-        if max_sector >= len(self._last):
-            new_size = max(1024, int(max_sector * 1.5) + 1)
-            grown = np.full(new_size, _NEVER, dtype=np.int64)
-            grown[: len(self._last)] = self._last
-            self._last = grown
+    def _ensure_capacity(self, lo: int, hi: int) -> None:
+        """Grow the last-access table to cover sectors ``lo..hi``.
 
-    def access(self, sectors: np.ndarray) -> np.ndarray:
-        """Process an access stream; returns a boolean hit mask."""
-        sectors = np.asarray(sectors, dtype=np.int64)
-        n = len(sectors)
+        The new table spans the sectors touched so far plus ``lo..hi``,
+        with a quarter of that span as slack on either side.
+        """
+        base, size = self._base, len(self._last)
+        if size and base <= lo and hi < base + size:
+            return
+        touched = np.flatnonzero(self._last != _NEVER)
+        if len(touched):
+            first, last = base + int(touched[0]), base + int(touched[-1])
+            lo, hi = min(lo, first), max(hi, last)
+        slack = (hi - lo) // 4 + 512
+        new_base = max(0, lo - slack)
+        grown = np.full(hi + slack + 1 - new_base, _NEVER, dtype=np.int64)
+        if len(touched):
+            grown[first - new_base: last + 1 - new_base] = \
+                self._last[first - base: last + 1 - base]
+        self._last = grown
+        self._base = new_base
+
+    def walk(self, stream: SortedStream) -> np.ndarray:
+        """Process a sorted stream; returns its hit mask in sorted order."""
+        order, sectors = stream.order, stream.sectors
+        n = len(order)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        if sectors.min() < 0:
+        if sectors[0] < 0:
             raise ValueError("negative sector id")
-        self._ensure_capacity(int(sectors.max()))
+        self._ensure_capacity(int(sectors[0]), int(sectors[-1]))
 
-        positions = self._clock + np.arange(n, dtype=np.int64)
-        # Previous occurrence of each sector: within the batch via a
-        # stable sort (equal sectors stay in stream order), falling back
-        # to the persistent last-access table for first occurrences.
-        order = stable_argsort(sectors)
-        sorted_sectors = sectors[order]
-        sorted_positions = self._clock + order
-        prev_sorted = self._last[sorted_sectors]
-        same_as_left = np.empty(n, dtype=bool)
-        same_as_left[0] = False
-        np.equal(sorted_sectors[1:], sorted_sectors[:-1], out=same_as_left[1:])
-        prev_sorted[same_as_left] = sorted_positions[:-1][same_as_left[1:]]
-        prev = np.empty(n, dtype=np.int64)
-        prev[order] = prev_sorted
-
-        hits = (positions - prev) <= self.window
-        # Fancy assignment applies in index order, so the latest position
-        # of a duplicated sector wins — matching true LRU update order.
-        self._last[sectors] = positions
+        window = self.window
+        hits = np.empty(n, dtype=bool)
+        np.less_equal(np.diff(order), window, out=hits[1:])
+        run_start = np.empty(n, dtype=bool)
+        run_start[0] = True
+        np.not_equal(sectors[1:], sectors[:-1], out=run_start[1:])
+        heads = np.flatnonzero(run_start)
+        tails = np.empty_like(heads)
+        tails[:-1] = heads[1:] - 1
+        tails[-1] = n - 1
+        slots = sectors.take(heads).astype(np.intp)
+        slots -= self._base
+        # A run's head continues from the previous batches; its tail is
+        # the sector's latest position, which the table keeps.
+        head_pos = order.take(heads).astype(np.int64)
+        head_pos += self._clock
+        hits[heads] = head_pos - self._last.take(slots) <= window
+        tail_pos = order.take(tails).astype(np.int64)
+        tail_pos += self._clock
+        self._last[slots] = tail_pos
         self._clock += n
         self.accesses += n
-        self.hits += int(hits.sum())
+        self.hits += int(np.count_nonzero(hits))
+        return hits
+
+    def access(self, sectors: np.ndarray) -> np.ndarray:
+        """Process a raw access stream; returns its hit mask in stream order."""
+        stream = sort_stream(sectors)
+        hits = np.empty(len(stream), dtype=bool)
+        hits[stream.order] = self.walk(stream)
         return hits
 
     @property
@@ -166,18 +230,34 @@ class CacheHierarchy:
         self.unified = ReuseWindowCache(l1_window)
         self.l2 = ReuseWindowCache(l2_window)
 
-    def access(self, sectors: np.ndarray) -> HierarchyResult:
-        sectors = np.asarray(sectors, dtype=np.int64)
-        l1_hits = self.unified.access(sectors)
-        to_l2 = sectors[~l1_hits]
-        l2_hits = self.l2.access(to_l2)
-        dram = int((~l2_hits).sum())
+    def access(self, stream: np.ndarray | SortedStream) -> HierarchyResult:
+        """Route a raw sector array or a :class:`SortedStream` through
+        L1 and L2.
+
+        L2 sees the L1 misses in stream order.  Filtering the sorted
+        L1 stream by its miss mask keeps equal sectors in stream order,
+        and a miss's L2 position is its rank among the misses, so L2's
+        stream arrives sorted: L2 never sorts.
+        """
+        if not isinstance(stream, SortedStream):
+            stream = sort_stream(stream)
+        n = len(stream)
+        l1_miss = ~self.unified.walk(stream)
+        missed = stream.order.compress(l1_miss).astype(np.intp)
+        miss_in_stream = np.zeros(n, dtype=bool)
+        miss_in_stream[missed] = True
+        rank = np.cumsum(miss_in_stream, dtype=stream.order.dtype)
+        l2_order = rank.take(missed)
+        l2_order -= 1
+        to_l2 = SortedStream(l2_order, stream.sectors.compress(l1_miss))
+        l2_accesses = len(to_l2)
+        l2_hits = int(np.count_nonzero(self.l2.walk(to_l2)))
         return HierarchyResult(
-            accesses=len(sectors),
-            unified_hits=int(l1_hits.sum()),
-            l2_accesses=len(to_l2),
-            l2_hits=int(l2_hits.sum()),
-            dram_transactions=dram,
+            accesses=n,
+            unified_hits=n - l2_accesses,
+            l2_accesses=l2_accesses,
+            l2_hits=l2_hits,
+            dram_transactions=l2_accesses - l2_hits,
         )
 
     def reset(self) -> None:

@@ -247,8 +247,8 @@ def simulate_vertex_kernel(
 
     # The cache hierarchy is stateful across launches, so the stream is
     # replayed through it even when the plan itself was memoized.
-    hier = caches.access(plan.stream)
-    load_transactions = len(plan.stream) * scale
+    hier = caches.access(plan.sorted_stream)
+    load_transactions = len(plan.sorted_stream) * scale
     hier_scaled = _ScaledHierarchyResult(
         accesses=hier.accesses * scale,
         unified_hits=hier.unified_hits * scale,

@@ -22,6 +22,10 @@ every stream ran its own sorted dedup inside
   group keys would overflow the packed 64-bit layout the plan falls
   back to per-stream dedup — bit-identical either way.
 
+The plan keeps the stream already stable-sorted for the reuse-window
+caches (:class:`repro.gpu.cache.SortedStream`), so its one argsort runs
+when the plan is built, not on every replay.
+
 Warp sampling (the ``TRACE_CAP`` bound) happens inside the plan, so a
 plan fully describes the traced launch.  Plans are immutable and safe
 to reuse: :class:`repro.core.session.EngineSession` memoizes them per
@@ -37,6 +41,7 @@ import numpy as np
 
 from repro.errors import InvalidLaunchError
 from repro.gpu import coalescing
+from repro.gpu.cache import SortedStream, sort_stream
 from repro.gpu.coalescing import (
     _SECTOR_BITS,
     max_group_key,
@@ -92,15 +97,16 @@ def fuse_packed_streams(segments: list[np.ndarray]) -> np.ndarray:
 class TracePlan:
     """The precomputed memory trace of one vertex-kernel launch.
 
-    ``stream`` is the coalesced sector stream fed to the cache
-    hierarchy; ``degrees``/``n_threads``/``sampled_edges`` describe the
+    ``sorted_stream`` is the coalesced sector stream fed to the cache
+    hierarchy, stored stable-sorted (``stream`` rebuilds issue order);
+    ``degrees``/``n_threads``/``sampled_edges`` describe the
     (possibly warp-sampled) traced subset the instruction model runs
     over; ``scale`` rescales traced counts back to the full launch;
     ``threads_full``/``warps_full`` are the *exact* launched thread and
     warp counts (sampling never distorts them).
     """
 
-    stream: np.ndarray
+    sorted_stream: SortedStream
     scale: float
     degrees: np.ndarray
     n_threads: int
@@ -119,9 +125,17 @@ class TracePlan:
             )
 
     @property
+    def stream(self) -> np.ndarray:
+        """The coalesced sector stream in issue order."""
+        stream = np.empty(len(self.sorted_stream), dtype=np.int64)
+        stream[self.sorted_stream.order] = self.sorted_stream.sectors
+        return stream
+
+    @property
     def nbytes(self) -> int:
-        """Approximate retained memory (for memo budgeting)."""
-        return self.stream.nbytes + self.degrees.nbytes
+        """Retained memory (for memo budgeting)."""
+        return (self.sorted_stream.order.nbytes
+                + self.sorted_stream.sectors.nbytes + self.degrees.nbytes)
 
 
 def plan_fingerprint(
@@ -306,7 +320,7 @@ def build_vertex_trace(
         ))
 
     return TracePlan(
-        stream=fuse_packed_streams(segments),
+        sorted_stream=sort_stream(fuse_packed_streams(segments)),
         scale=scale,
         degrees=degrees,
         n_threads=n_threads,

@@ -5,10 +5,11 @@ Two numpy idioms dominated the simulator's profile:
 * ``np.unique`` on int64 keys (the coalescer's transaction dedup) — the
   hash-based implementation in recent numpy is an order of magnitude
   slower than an explicit sort + run-length mask on these workloads;
-* ``np.argsort(kind="stable")`` on int64 keys (the reuse-window cache's
-  previous-occurrence scan) — a plain quicksort over ``(key << b) | i``
-  packed values yields the identical stable permutation several times
-  faster, because the tie-break is baked into the sort key.
+* ``np.argsort(kind="stable")`` on int64 keys (the order in which the
+  reuse-window caches walk a sector stream, computed once per trace plan
+  or raw stream) — a plain quicksort over ``(key << b) | i`` packed
+  values yields the identical stable permutation several times faster,
+  because the tie-break is baked into the sort key.
 
 Both helpers are *exact*: they return bit-identical results to the numpy
 expressions they replace, for any int64 input within the documented

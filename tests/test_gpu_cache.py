@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gpu.cache import CacheHierarchy, ExactLRUCache, ReuseWindowCache
+from repro.gpu.cache import (
+    CacheHierarchy,
+    ExactLRUCache,
+    ReuseWindowCache,
+    SortedStream,
+    sort_stream,
+)
+from repro.gpu import cache as cache_module
 from repro.gpu.device import GTX_1080TI
 
 
@@ -245,3 +252,179 @@ class TestReuseWindowVsExactLRU:
         rw_hits, lru_hits = self._agree(stream, lines=8, batches=5)
         assert np.array_equal(rw_hits, lru_hits)
         assert rw_hits.sum() == 99
+
+
+# ----------------------------------------------------------------------
+# The sorted-domain walk against a per-access Python loop
+# ----------------------------------------------------------------------
+
+class _NaiveLevel:
+    """One reuse-window level, one access at a time (the model's
+    definition)."""
+
+    def __init__(self, window):
+        self.window = window
+        self.last = {}
+        self.clock = 0
+
+    def access(self, sector):
+        prev = self.last.get(sector)
+        hit = prev is not None and self.clock - prev <= self.window
+        self.last[sector] = self.clock
+        self.clock += 1
+        return hit
+
+
+class _NaiveHierarchy:
+    def __init__(self, hier):
+        self.l1 = _NaiveLevel(hier.unified.window)
+        self.l2 = _NaiveLevel(hier.l2.window)
+
+    def access(self, batch):
+        """The five counts of :class:`HierarchyResult`, in field order."""
+        l1_hits = l2_accesses = l2_hits = 0
+        for sector in batch:
+            if self.l1.access(int(sector)):
+                l1_hits += 1
+            else:
+                l2_accesses += 1
+                l2_hits += self.l2.access(int(sector))
+        return (len(batch), l1_hits, l2_accesses, l2_hits,
+                l2_accesses - l2_hits)
+
+
+def _table(cache):
+    """A reuse-window cache's last-access table as {sector: position}."""
+    touched = np.flatnonzero(cache._last != cache_module._NEVER)
+    return {cache._base + int(i): int(cache._last[i]) for i in touched}
+
+
+def _counts(result):
+    return (result.accesses, result.unified_hits, result.l2_accesses,
+            result.l2_hits, result.dram_transactions)
+
+
+def _batches(rng, low):
+    """Consecutive batches over sectors ``low..low+9000``: random reuse,
+    an empty batch, a batch that hits L1 on every access (L2 sees an
+    empty stream), a replay of the first batch, and batches reaching
+    below and above everything seen so far (the table grows both
+    ways)."""
+    def draw(n, offset=4000, span=600):
+        return low + offset + _duplicate_heavy_stream(rng, n, span)
+
+    first = draw(int(rng.integers(200, 800)))
+    hot = first[-1]
+    return [
+        first,
+        draw(int(rng.integers(1, 400))),
+        np.empty(0, dtype=np.int64),
+        np.full(int(rng.integers(2, 50)), hot, dtype=np.int64),
+        np.full(int(rng.integers(2, 50)), hot, dtype=np.int64),
+        draw(int(rng.integers(500, 1500))),
+        draw(int(rng.integers(100, 400)), offset=0, span=4600),
+        first,
+        draw(int(rng.integers(100, 400)), offset=0, span=9000),
+        draw(int(rng.integers(1, 40))),
+    ]
+
+
+class TestSortedWalkExactness:
+    """Raw arrays and sorted streams (what a trace plan holds) must give
+    the per-access loop's counts and leave its last-access tables, batch
+    after batch."""
+
+    @pytest.mark.parametrize("path", ["raw", "sorted"])
+    @pytest.mark.parametrize("low", [0, 1 << 20, (1 << 31) - 4300],
+                             ids=["small", "mid", "straddles-2**31"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batches_match_naive_loop(self, path, low, seed):
+        rng = np.random.default_rng(seed)
+        hier = CacheHierarchy(GTX_1080TI)
+        # Small windows so both hits and misses occur at both levels.
+        hier.unified.window = int(rng.integers(8, 64))
+        hier.l2.window = int(rng.integers(64, 256))
+        naive = _NaiveHierarchy(hier)
+        saw_l1_only = False
+        for batch in _batches(rng, low):
+            stream = sort_stream(batch) if path == "sorted" else batch
+            got = _counts(hier.access(stream))
+            if path == "sorted":
+                # A stream is reusable: the walk must not consume it.
+                again = sort_stream(batch)
+                assert np.array_equal(stream.order, again.order)
+                assert np.array_equal(stream.sectors, again.sectors)
+            want = naive.access(batch)
+            assert got == want
+            saw_l1_only |= bool(len(batch)) and got[2] == 0
+            assert _table(hier.unified) == naive.l1.last
+            assert _table(hier.l2) == naive.l2.last
+            assert hier.unified._clock == naive.l1.clock
+            assert hier.l2._clock == naive.l2.clock
+        assert saw_l1_only
+
+    def test_replayed_stream_matches_raw_path(self):
+        rng = np.random.default_rng(7)
+        batches = [_duplicate_heavy_stream(rng, 3000, 900) for _ in range(3)]
+        plans = [sort_stream(b) for b in batches]
+        raw, planned = CacheHierarchy(GTX_1080TI), CacheHierarchy(GTX_1080TI)
+        for _ in range(3):
+            for batch, plan in zip(batches, plans):
+                assert _counts(raw.access(batch)) == \
+                    _counts(planned.access(plan))
+        assert _table(raw.unified) == _table(planned.unified)
+        assert _table(raw.l2) == _table(planned.l2)
+
+
+class TestLastAccessTable:
+    def test_spans_only_the_sectors_seen(self):
+        c = ReuseWindowCache(window=4)
+        c.access(np.array([(1 << 40) + 7, (1 << 40) + 3000]))
+        assert len(c._last) < 10_000
+        assert c.access(np.array([(1 << 40) + 7]))[0]
+
+    def test_bounded_under_drifting_streams(self):
+        """A frontier drifting down (or up) the address space must grow
+        the table in proportion to the sectors seen, not compound its
+        slack."""
+        for step in (-64, 64):
+            c = ReuseWindowCache(window=16)
+            for i in range(300):
+                low = 100_000 + step * i
+                c.access(np.arange(low, low + 12_000, 7))
+            extent = 12_000 + 64 * 299
+            assert len(c._last) <= 1.5 * extent + 1024
+
+
+class TestSortStream:
+    def test_is_the_stable_argsort(self):
+        rng = np.random.default_rng(3)
+        raw = _duplicate_heavy_stream(rng, 5000, 700)
+        stream = sort_stream(raw)
+        order = np.argsort(raw, kind="stable")
+        assert np.array_equal(stream.order, order)
+        assert np.array_equal(stream.sectors, raw[order])
+        assert len(stream) == len(raw)
+
+    def test_int32_layout(self):
+        stream = sort_stream(np.array([5, (1 << 31) - 1, 5]))
+        assert stream.order.dtype == np.int32
+        assert stream.sectors.dtype == np.int32
+        assert list(stream.sectors) == [5, 5, (1 << 31) - 1]
+
+    def test_int64_fallback_at_2_pow_31(self):
+        stream = sort_stream(np.array([1 << 31, 3, 1 << 40]))
+        assert stream.order.dtype == np.int32
+        assert stream.sectors.dtype == np.int64
+        assert list(stream.sectors) == [3, 1 << 31, 1 << 40]
+
+    def test_empty(self):
+        stream = sort_stream(np.empty(0, dtype=np.int64))
+        assert len(stream) == 0
+        assert stream.order.dtype == np.int32
+
+    def test_walk_rejects_negative_sorted_stream(self):
+        c = ReuseWindowCache(window=4)
+        with pytest.raises(ValueError):
+            c.walk(SortedStream(np.array([0], dtype=np.int32),
+                                np.array([-2], dtype=np.int64)))

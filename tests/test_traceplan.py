@@ -2,16 +2,21 @@
 single-sort stream fusion, TracePlan reuse, and the warp-sampling counter
 fix."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import EngineSession, EtaGraphConfig
+from repro.core import msbfs
 from repro.errors import InvalidLaunchError
 from repro.gpu import coalescing
 from repro.gpu.cache import CacheHierarchy
 from repro.gpu.device import GTX_1080TI
 from repro.gpu.kernel import TRACE_CAP, simulate_vertex_kernel
 from repro.gpu.memory import DeviceMemory
+from repro.graph import compressed, generators
 from repro.gpu.traceplan import (
     build_vertex_trace,
     fuse_packed_streams,
@@ -362,3 +367,59 @@ class TestWarpSamplingCounters:
             c_f.global_load_transactions, rel=0.25
         )
         assert t_sampled.time_ms == pytest.approx(t_full.time_ms, rel=0.35)
+
+
+# ----------------------------------------------------------------------
+# Memory retention: a memoized plan keeps only what nbytes counts
+# ----------------------------------------------------------------------
+
+def _held_arrays(obj):
+    """Every ndarray a plan holds, through nested dataclass fields."""
+    arrays = []
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif dataclasses.is_dataclass(value):
+            arrays.extend(_held_arrays(value))
+    return arrays
+
+
+def _assert_owns_what_it_counts(plan):
+    arrays = _held_arrays(plan)
+    assert len(arrays) == 3
+    # A view would keep its whole base buffer alive, uncounted.
+    assert all(a.base is None for a in arrays)
+    assert plan.nbytes == sum(a.nbytes for a in arrays)
+    assert plan.sorted_stream.order.dtype == np.int32
+    assert plan.sorted_stream.sectors.dtype == np.int32
+
+
+class TestPlanRetention:
+    @pytest.mark.parametrize("launch", [
+        dict(n_threads=96, degree=6, spread=True, weighted=True),
+        dict(n_threads=1, degree=0),
+        dict(n_threads=400, degree=30, trace_cap=2_000),
+    ], ids=["scattered", "no-edges", "warp-sampled"])
+    def test_built_plan(self, launch):
+        launch = dict(launch)
+        cap = launch.pop("trace_cap", None)
+        kw = make_launch(**launch)
+        plan = _build(kw, trace_cap=cap)
+        if cap is not None:
+            assert plan.scale > 1.0
+        _assert_owns_what_it_counts(plan)
+
+    @pytest.mark.parametrize("encoding", ["dense", "compressed"])
+    def test_memoized_plans(self, encoding):
+        graph = generators.rmat(9, 6000, seed=41)
+        if encoding == "compressed":
+            graph = compressed.compress(graph)
+        with EngineSession(graph, EtaGraphConfig(smp=True)) as session:
+            session.query("bfs", 0)
+            msbfs.run_wave(session, [1, 2, 3])
+            plans = [e.trace_plan for e in session._frontier_memo.values()
+                     if e.trace_plan is not None]
+            assert plans
+            for plan in plans:
+                _assert_owns_what_it_counts(plan)
