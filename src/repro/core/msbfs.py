@@ -25,6 +25,17 @@ vertex kernel, overlap — is the session's own, shared with
 step, so it pays the same topology traffic a query over the same
 frontier pays.
 
+The host computes that step in whichever direction is cheaper, after
+Beamer's direction-optimizing BFS (:mod:`repro.core.dobfs`).  An
+iteration whose frontier edges reach :data:`PULL_EDGE_SHARE` of ``|E|``
+*pulls*: every in-edge of the session's CSC view reads its source's
+mask, and one segmented OR per destination collects them (GraphBLAST's
+masked pull).  Narrower iterations *push* the frontier's edges with a
+scatter-OR, so the many narrow levels of a deep wave do not each pay a
+full ``|E|`` pass.
+Neither direction sorts, and the simulated kernel is the same push over
+the frontier's shadows either way.
+
 Exactness contract: the per-source levels a wave produces are
 **bit-identical** to running each source through
 :meth:`EngineSession.query` sequentially.  BFS levels are small exact
@@ -47,11 +58,64 @@ from repro.core.stats import TraversalStats
 from repro.errors import ConfigError, InvalidLaunchError
 from repro.gpu.profiler import Profiler
 from repro.gpu.timeline import Timeline
+from repro.graph.csc import CSCGraph
 
 #: Lane capacity of one wave: one bit per source in a uint64 mask.
 WAVE_LANES = 64
 
 _ONE = np.uint64(1)
+
+#: A wave iteration pulls over the in-edges once its frontier's edges
+#: reach this share of ``|E|``; narrower iterations push.
+PULL_EDGE_SHARE = 0.25
+
+
+class _PullView:
+    """A graph's in-edges laid out for the wave's pull step: source of
+    every in-edge in destination order, per-vertex in-degrees, and the
+    start and vertex of every non-empty in-edge segment (``reduceat``
+    misreads empty segments)."""
+
+    __slots__ = ("src", "degrees", "heads", "dests")
+
+    def __init__(self, csc: CSCGraph):
+        offsets = csc.col_offsets
+        # intp indices: ``take`` gathers faster than through int32.
+        self.src = csc.row_indices.astype(np.intp)
+        self.degrees = np.diff(offsets)
+        self.dests = np.flatnonzero(self.degrees)
+        self.heads = offsets[self.dests]
+
+
+def _pull_view(session: EngineSession) -> _PullView:
+    """``session``'s pull view, built from one transpose on first use."""
+    if session._pull_view is None:
+        session._pull_view = _PullView(CSCGraph.from_csr(session.csr))
+    return session._pull_view
+
+
+def _unslice_levels(planes: list[np.ndarray], width: int) -> np.ndarray:
+    """Per-lane BFS levels from bit-sliced ``level + 1`` planes.
+
+    ``planes[b]`` holds bit ``b`` of ``level + 1`` for every (vertex,
+    lane); 0 means unreached.  The planes combine vertex-major in the
+    narrowest unsigned type that holds every ``level + 1``, and one
+    transposing cast yields the ``(width, n)`` float32 levels, ``inf``
+    where unreached.  float32 is exact below ``2**24`` levels, the same
+    bound the query's float32 labels have.
+    """
+    n = len(planes[0])
+    acc = np.zeros((n, width), dtype=np.min_scalar_type(2 ** len(planes) - 1))
+    for b, plane in enumerate(planes):
+        # Each mask byte unpacks to its 8 lane flags.
+        as_bytes = plane.astype("<u8", copy=False).view(np.uint8)
+        flags = np.unpackbits(as_bytes.reshape(n, 8), axis=1,
+                              bitorder="little")[:, :width]
+        acc |= flags.astype(acc.dtype) << b
+    levels = acc.T.astype(np.float32, order="C")
+    levels -= 1.0
+    levels[levels < 0] = np.inf
+    return levels
 
 
 @dataclass
@@ -190,45 +254,56 @@ def run_wave(
 
     run = session._open(problem, "wave_query", problem="msbfs",
                         sources=width)
-    # Wave state: bit-packed frontier masks + per-lane levels.
+    # Wave state: bit-packed frontier masks, and the lanes' levels
+    # bit-sliced: ``planes[b]`` is the lane mask of every vertex whose
+    # ``level + 1`` has bit ``b`` set, so recording a level is one OR per
+    # set bit, whatever the width.
     masks_host = np.zeros(n, dtype=np.uint64)
-    levels = np.full((width, n), np.inf, dtype=np.float32)
     for lane, source in enumerate(sources):
         masks_host[source] |= _ONE << np.uint64(lane)
-        levels[lane, source] = 0.0
+    planes = [masks_host.copy()]
     mask_arr = session._wave_mask_buffer(masks_host)
     mask = mask_arr.data
     visited_mask = mask.copy()
+    num_edges = session.csr.num_edges
 
     def propagate(active, entry, iteration):
         # One OR-propagation for all lanes: an edge carries its source's
-        # whole lane mask.
-        nbr = entry.nbr
-        dests = entry.dests
-        masks_per_edge = np.repeat(mask[entry.ids64], entry.shadows.degrees)
-        fresh_per_edge = masks_per_edge & ~visited_mask[nbr]
-        attempted = int(np.count_nonzero(fresh_per_edge))
-
-        delta = np.zeros(n, dtype=np.uint64)
-        np.bitwise_or.at(delta, nbr, masks_per_edge)
-        new_bits = delta & ~visited_mask
-        changed = dests[new_bits[dests] != 0]
+        # whole lane mask, minus the lanes its destination has seen.
+        unseen = ~visited_mask
+        if entry.shadows.total_edges >= PULL_EDGE_SHARE * num_edges:
+            # Pull: every in-edge reads its source's mask.  ``mask`` is
+            # zero off the frontier, and the shadows partition each
+            # active vertex's edges, so the edges outside the frontier
+            # add nothing to the OR or to the count.
+            pull = _pull_view(session)
+            fresh = mask.take(pull.src)
+            fresh &= np.repeat(unseen, pull.degrees)
+            new_bits = np.zeros(n, dtype=np.uint64)
+            if len(pull.heads):
+                new_bits[pull.dests] = np.bitwise_or.reduceat(fresh,
+                                                              pull.heads)
+        else:
+            # Push: scatter the frontier's edges.
+            fresh = np.repeat(mask[entry.ids64], entry.shadows.degrees)
+            fresh &= unseen[entry.nbr]
+            new_bits = np.zeros(n, dtype=np.uint64)
+            np.bitwise_or.at(new_bits, entry.nbr, fresh)
+        attempted = int(np.count_nonzero(fresh))
+        changed = np.flatnonzero(new_bits)
 
         if len(changed):
-            level = np.float32(iteration + 1)
-            changed_bits = new_bits[changed]
-            union = np.bitwise_or.reduce(changed_bits)
-            for lane in range(width):
-                bit = _ONE << np.uint64(lane)
-                if not union & bit:
-                    continue
-                levels[lane, changed[(changed_bits & bit) != 0]] = level
-            visited_mask[changed] |= changed_bits
+            reached_at = iteration + 2  # level + 1
+            while reached_at.bit_length() > len(planes):
+                planes.append(np.zeros(n, dtype=np.uint64))
+            for b, plane in enumerate(planes):
+                if reached_at >> b & 1:
+                    np.bitwise_or(plane, new_bits, out=plane)
+            np.bitwise_or(visited_mask, new_bits, out=visited_mask)
 
-        # The device mask buffer now holds the *next* frontier's lanes.
-        mask[active] = 0
-        if len(changed):
-            mask[changed] = new_bits[changed]
+        # The device mask buffer now holds the *next* frontier's lanes:
+        # it was zero off this frontier, so the next one is ``new_bits``.
+        mask[:] = new_bits
         return attempted, changed, len(changed), False
 
     # Wave memo entries carry the lane count, so wave and sequential
@@ -245,7 +320,7 @@ def run_wave(
     session.queries_served += width
     return WaveResult(
         sources=sources,
-        levels=levels,
+        levels=_unslice_levels(planes, width),
         total_ms=run.total_ms,
         kernel_ms=run.prof.kernels.elapsed_ms,
         transfer_ms=run.prof.h2d_time_ms + run.prof.migration_time_ms,

@@ -58,24 +58,25 @@ from repro.gpu.um import UnifiedMemoryManager
 from repro.graph.compressed import CompressedCSRGraph
 from repro.graph.csr import CSRGraph
 from repro.utils.ragged import ragged_gather_indices
-from repro.utils.sorting import sorted_unique
 
 
 class _FrontierExpansion:
     """Memoized label-independent expansion of one frontier.
 
     Every field is a pure function of (topology, config, active-set
-    content, array placement): the shadow slices, their flat CSR edge
-    indices, neighbor ids, sorted unique destinations, per-edge weights
-    and the kernel's :class:`~repro.gpu.traceplan.TracePlan` — in the
-    spirit of :meth:`~repro.core.udc.ShadowTable.select`, but on demand
-    and for every per-iteration derivation, not just the degree cut.
+    content, array placement): the shadow slices, neighbor ids, sorted
+    unique destinations, per-edge weights and the kernel's
+    :class:`~repro.gpu.traceplan.TracePlan` — in the spirit of
+    :meth:`~repro.core.udc.ShadowTable.select`, but on demand and for
+    every per-iteration derivation, not just the degree cut.
     Label-dependent values (candidates, update counts) are never stored,
     so reusing an entry is bit-identical to recomputing it.
 
-    ``trace_plan`` and ``src_ids`` are filled lazily: the plan on the
-    first kernel launch over this frontier, the per-edge source ids only
-    if a parent-tracking query needs them.
+    ``dests``, ``trace_plan`` and ``src_ids`` are filled lazily: the
+    destinations when a driver first asks for them (the query does, the
+    MSBFS wave never does), the plan on the first kernel launch over
+    this frontier, the per-edge source ids only if a parent-tracking
+    query needs them.
 
     ``active_bytes`` holds the exact bytes of the active set the entry
     was built from: a memo hit is only trusted after these bytes match
@@ -84,34 +85,39 @@ class _FrontierExpansion:
     """
 
     __slots__ = (
-        "shadows", "ids64", "edge_idx", "nbr", "dests", "w_per_edge",
+        "shadows", "ids64", "nbr", "dests", "w_per_edge",
         "trace_plan", "src_ids", "active_bytes",
     )
 
-    def __init__(self, *, shadows, ids64, edge_idx, nbr, dests, w_per_edge,
-                 active_bytes=b""):
+    def __init__(self, *, shadows, ids64, nbr, w_per_edge, active_bytes=b""):
         self.shadows = shadows
         self.ids64 = ids64
-        self.edge_idx = edge_idx
         self.nbr = nbr
-        self.dests = dests
+        self.dests = None
         self.w_per_edge = w_per_edge
         self.trace_plan = None
         self.src_ids = None
         self.active_bytes = active_bytes
 
+    def destinations(self, num_vertices: int) -> np.ndarray:
+        """Sorted unique neighbor ids (exactly ``np.unique(nbr)``), found
+        from a bitmap — one scatter and one scan, no sort — and kept."""
+        if self.dests is None:
+            hit = np.zeros(num_vertices, dtype=bool)
+            hit[self.nbr] = True
+            self.dests = np.flatnonzero(hit)
+        return self.dests
+
     @property
     def nbytes(self) -> int:
         total = (
-            self.shadows.nbytes + self.ids64.nbytes + self.edge_idx.nbytes
-            + self.nbr.nbytes + self.dests.nbytes + len(self.active_bytes)
+            self.shadows.nbytes + self.ids64.nbytes + self.nbr.nbytes
+            + len(self.active_bytes)
         )
-        if self.w_per_edge is not None:
-            total += self.w_per_edge.nbytes
-        if self.trace_plan is not None:
-            total += self.trace_plan.nbytes
-        if self.src_ids is not None:
-            total += self.src_ids.nbytes
+        for lazy in (self.dests, self.w_per_edge, self.trace_plan,
+                     self.src_ids):
+            if lazy is not None:
+                total += lazy.nbytes
         return total
 
 
@@ -244,6 +250,9 @@ class EngineSession:
         self._parents_arr: DeviceArray | None = None
         self._frontier: FrontierBuffers | None = None
         self._shadow_table = None
+        #: The MSBFS wave's in-edge view (``core.msbfs._PullView``),
+        #: built by the first wave iteration that pulls.
+        self._pull_view = None
         self._prefetched: set[str] = set()
         self._closed = False
 
@@ -688,7 +697,7 @@ class EngineSession:
         def relax(active, entry, iteration):
             # Exact label propagation: scatter-reduce every candidate.
             nbr = entry.nbr
-            dests = entry.dests
+            dests = entry.destinations(n)
             degrees = entry.shadows.degrees
             src_per_edge = np.repeat(labels[entry.ids64], degrees)
             cand = problem.candidates(src_per_edge, entry.w_per_edge)
@@ -949,13 +958,10 @@ class EngineSession:
                 edge_idx = ragged_gather_indices(
                     shadows.starts, shadows.degrees
                 )
-                nbr = cols[edge_idx].astype(np.int64)
                 entry = _FrontierExpansion(
                     shadows=shadows,
                     ids64=shadows.ids.astype(np.int64),
-                    edge_idx=edge_idx,
-                    nbr=nbr,
-                    dests=sorted_unique(nbr),
+                    nbr=cols[edge_idx].astype(np.int64),
                     w_per_edge=(
                         weights[edge_idx] if weights is not None else None
                     ),

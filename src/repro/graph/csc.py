@@ -25,7 +25,7 @@ class CSCGraph:
 
     @classmethod
     def from_csr(cls, csr: CSRGraph) -> "CSCGraph":
-        """Build the CSC of ``csr`` (one sort over the edge list)."""
+        """Build the CSC of ``csr`` (one stable sort by destination)."""
         return cls(csr.reverse())
 
     @property

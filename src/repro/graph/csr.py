@@ -22,6 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import GraphFormatError
+from repro.utils.sorting import stable_argsort
 from repro.utils.validation import ensure_array
 
 VERTEX_DTYPE = np.int32
@@ -197,15 +198,23 @@ class CSRGraph:
     # ------------------------------------------------------------------
 
     def reverse(self) -> "CSRGraph":
-        """The transpose graph (CSC of this graph expressed as CSR)."""
-        from repro.graph.builder import build_csr_from_edges
+        """The transpose graph (CSC of this graph expressed as CSR).
 
-        return build_csr_from_edges(
-            self.column_indices,
-            self.edge_sources(),
-            num_vertices=self.num_vertices,
-            weights=self.edge_weights,
-            dedup=False,
+        One stable sort by destination is the whole transpose: CSR edges
+        are already grouped by ascending source, so ties keep source
+        order, exactly as a ``(destination, source)`` lexsort would.
+        """
+        cols = self.column_indices
+        order = stable_argsort(cols)
+        offsets = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=self.num_vertices),
+                  out=offsets[1:])
+        weights = self.edge_weights
+        return CSRGraph(
+            offsets.astype(OFFSET_DTYPE),
+            self.edge_sources()[order],
+            weights[order] if weights is not None else None,
+            validate=False,
         )
 
     def to_scipy(self):

@@ -142,6 +142,45 @@ class TestConversions:
         assert r.edge_weights is not None
         assert r.neighbor_weights(1)[0] == 4.5
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reverse_matches_lexsort_build(self, seed):
+        """The one-sort transpose equals the (destination, source)
+        lexsort build on multigraphs with self-loops, duplicate edges,
+        weights and zero-in-degree vertices."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(0, 400))
+        src = rng.integers(0, n, m)
+        # Destinations avoid the top quarter: those have no in-edges.
+        dst = rng.integers(0, max(1, 3 * n // 4), m)
+        loops = rng.integers(0, n, m // 10)
+        src = np.concatenate([src, loops, src[: m // 5]])
+        dst = np.concatenate([dst, loops, dst[: m // 5]])
+        weights = rng.random(len(src)).astype(np.float32) + 0.5
+        g = CSRGraph.from_edges(src, dst, num_vertices=n,
+                                weights=weights if seed % 2 else None,
+                                dedup=False)
+        if seed % 3 == 0:
+            # Shuffle each adjacency list: the transpose must not rely
+            # on sorted rows, only on rows grouped by source.
+            within = np.lexsort((rng.random(g.num_edges), g.edge_sources()))
+            g = CSRGraph(g.row_offsets, g.column_indices[within],
+                         g.edge_weights[within] if g.is_weighted else None)
+        expected = build_csr_from_edges(
+            g.column_indices, g.edge_sources(), num_vertices=n,
+            weights=g.edge_weights, dedup=False,
+        )
+        r = g.reverse()
+        assert r == expected
+        for got, want in ((r.row_offsets, expected.row_offsets),
+                          (r.column_indices, expected.column_indices),
+                          (r.edge_weights, expected.edge_weights)):
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
     def test_to_scipy_roundtrip(self, skewed_graph):
         m = skewed_graph.to_scipy()
         assert m.nnz == skewed_graph.num_edges

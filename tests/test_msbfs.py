@@ -24,6 +24,7 @@ from repro.errors import (
 )
 from repro.gpu.device import GTX_1080TI, KIB
 from repro.graph.compressed import compress
+from repro.graph.csr import CSRGraph
 from repro.resilience import FaultPlan, FaultSpec, ResilientSession
 from repro.serving import TenantQuota, TraversalService, VisitRequest
 from repro.testing.differential import oracle_labels
@@ -219,6 +220,117 @@ class TestWaveTopologyConservation:
 
 # ----------------------------------------------------------------------
 # WaveResult surface and validation
+# ----------------------------------------------------------------------
+# Push and pull steps are interchangeable
+# ----------------------------------------------------------------------
+
+#: Values of ``msbfs.PULL_EDGE_SHARE`` that force every iteration with
+#: edges onto one side of the switch.
+DIRECTIONS = {"push": float("inf"), "pull": 0.0}
+
+
+def _multigraph(seed: int = 7) -> CSRGraph:
+    """A random multigraph with everything the pull view must handle:
+    zero-in-degree vertices (0-4), an isolated last vertex, self-loops,
+    duplicate edges, and one hub whose out-degree exceeds the degree
+    cut, so its edges split across several shadows."""
+    rng = np.random.default_rng(seed)
+    n = 80
+    src = rng.integers(0, n - 1, 400)
+    dst = rng.integers(5, n - 1, 400)
+    hub = np.full(90, 3)
+    loops = np.arange(10, 20)
+    src = np.concatenate([src, hub, loops, src[:30]])
+    dst = np.concatenate([dst, rng.integers(5, n - 1, 90), loops, dst[:30]])
+    return CSRGraph.from_edges(src, dst, num_vertices=n, dedup=False)
+
+
+def _directed_wave(monkeypatch, graph, sources, direction, encoding,
+                   config=None):
+    monkeypatch.setattr(msbfs, "PULL_EDGE_SHARE", DIRECTIONS[direction])
+    with EngineSession(_encode(graph, encoding),
+                       config or EtaGraphConfig()) as session:
+        return run_wave(session, sources)
+
+
+class TestPushPullEquivalence:
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("sources", [
+        pytest.param([3], id="width1"),
+        pytest.param(list(range(64)), id="width64"),
+        pytest.param([3] * 40 + list(range(40, 64)), id="repeated-source"),
+        pytest.param([79, 0], id="isolated-and-zero-in-degree"),
+    ])
+    def test_directions_agree(self, monkeypatch, sources, encoding):
+        graph = _multigraph()
+        push, pull = (
+            _directed_wave(monkeypatch, graph, sources, d, encoding)
+            for d in DIRECTIONS
+        )
+        assert push.levels.tobytes() == pull.levels.tobytes()
+        for lane, source in enumerate(sources):
+            expected = oracle_labels(graph, "bfs", source)
+            assert pull.levels[lane].tobytes() == expected.tobytes()
+        # Per-iteration updates and newly-visited counts, and every
+        # simulated clock and counter, are the same either way.
+        assert push.stats.iterations == pull.stats.iterations
+        assert push.profiler == pull.profiler
+        assert push.total_ms == pull.total_ms
+
+    def test_directions_agree_with_invariant_checks(self, monkeypatch,
+                                                    skewed_graph):
+        config = EtaGraphConfig(check_invariants=True, degree_limit=4)
+        sources = list(range(0, 128, 2))
+        push, pull = (
+            _directed_wave(monkeypatch, skewed_graph, sources, d, "dense",
+                           config)
+            for d in DIRECTIONS
+        )
+        assert push.levels.tobytes() == pull.levels.tobytes()
+        assert push.stats.iterations == pull.stats.iterations
+        assert push.profiler == pull.profiler
+
+    def test_default_switch_mixes_directions(self, monkeypatch,
+                                             skewed_graph):
+        """The default share sends wide iterations to pull and narrow
+        ones to push within one wave, with the same result."""
+        sources = list(range(64))
+        with EngineSession(skewed_graph) as session:
+            mixed = run_wave(session, sources)
+        share = [it.edges_scanned / skewed_graph.num_edges
+                 for it in mixed.stats.iterations if it.edges_scanned]
+        assert min(share) < msbfs.PULL_EDGE_SHARE <= max(share)
+        push = _directed_wave(monkeypatch, skewed_graph, sources, "push",
+                              "dense")
+        assert mixed.levels.tobytes() == push.levels.tobytes()
+        assert mixed.stats.iterations == push.stats.iterations
+        assert mixed.profiler == push.profiler
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_chain_deeper_than_255_levels(self, monkeypatch, direction):
+        n = 300
+        chain = CSRGraph.from_edges(np.arange(n - 1), np.arange(1, n),
+                                    num_vertices=n)
+        wave = _directed_wave(monkeypatch, chain, [0, 10, 0], direction,
+                              "dense")
+        expected = np.arange(n, dtype=np.float32)
+        assert wave.levels[0].tobytes() == expected.tobytes()
+        assert wave.levels[2].tobytes() == expected.tobytes()
+        lane1 = np.full(n, np.inf, dtype=np.float32)
+        lane1[10:] = np.arange(n - 10)
+        assert wave.levels[1].tobytes() == lane1.tobytes()
+        assert wave.iterations == n
+
+    @pytest.mark.parametrize("sources", [[5], list(range(64))],
+                             ids=["width1", "width64"])
+    def test_levels_layout(self, skewed_graph, sources):
+        with EngineSession(skewed_graph) as session:
+            wave = run_wave(session, sources)
+        assert wave.levels.dtype == np.float32
+        assert wave.levels.shape == (len(sources), skewed_graph.num_vertices)
+        assert wave.levels.flags["C_CONTIGUOUS"]
+
+
 # ----------------------------------------------------------------------
 
 

@@ -176,3 +176,50 @@ class TestMemoAccounting:
         engine = EtaGraphEngine(social, EtaGraphConfig())
         assert np.array_equal(engine.run("bfs", 2).labels, b1.labels)
         assert np.array_equal(engine.run("sssp", 2).labels, s1.labels)
+
+
+def _held_bytes(entry) -> int:
+    """Bytes of every field a memo entry holds, found from its slots."""
+    total = 0
+    for slot in type(entry).__slots__:
+        value = getattr(entry, slot)
+        if isinstance(value, bytes):
+            total += len(value)
+        elif value is not None:
+            total += value.nbytes
+    return total
+
+
+class TestEntryContents:
+    def test_destinations_are_sorted_unique_neighbors(self, social):
+        with EngineSession(social) as ses:
+            ses.query("bfs", 0)
+            ses.query("sssp", 3)
+            entries = list(ses._frontier_memo.values())
+        assert entries
+        for entry in entries:
+            assert entry.dests is not None
+            assert entry.dests.dtype == np.int64
+            assert entry.dests.tobytes() == np.unique(entry.nbr).tobytes()
+
+    def test_nbytes_counts_exactly_what_entries_hold(self, social):
+        from repro.core import msbfs
+
+        with EngineSession(social, EtaGraphConfig(smp=True)) as ses:
+            ses.query("sssp", 0)
+            msbfs.run_wave(ses, [1, 2, 3])
+            entries = list(ses._frontier_memo.values())
+            assert ses.memo_bytes == sum(_held_bytes(e) for e in entries)
+        for entry in entries:
+            assert entry.nbytes == _held_bytes(entry)
+
+    def test_wave_entries_hold_no_destinations(self, social):
+        """The wave finds its changed vertices from its lane masks, so
+        its memo entries never build the destination list."""
+        from repro.core import msbfs
+
+        with EngineSession(social) as ses:
+            msbfs.run_wave(ses, list(range(64)))
+            entries = list(ses._frontier_memo.values())
+        assert entries
+        assert all(entry.dests is None for entry in entries)
