@@ -43,6 +43,10 @@ class SortedStream:
     def __len__(self) -> int:
         return len(self.order)
 
+    @property
+    def nbytes(self) -> int:
+        return self.order.nbytes + self.sectors.nbytes
+
 
 def sort_stream(sectors: np.ndarray) -> SortedStream:
     """Stable-sort a raw sector stream into the form the caches walk."""
@@ -54,6 +58,63 @@ def sort_stream(sectors: np.ndarray) -> SortedStream:
     if len(order) < _INT32_LIMIT:
         order = order.astype(np.int32)
     return SortedStream(order, ordered)
+
+
+def sort_segments(segments: list[np.ndarray]) -> SortedStream:
+    """Exactly ``sort_stream(np.concatenate(segments))``, sorted one
+    *sort unit* at a time instead of as one stream.
+
+    A sort unit is a set of segments whose sector ranges overlap,
+    transitively.  Units cover disjoint sector ranges, so the sorted
+    stream is the units' sorted streams in address order.  Each unit
+    sorts one key per access, ``(sector - unit min, stream position)``:
+    uint32 when it fits in 32 bits, uint64 otherwise.
+    """
+    sizes = [len(s) for s in segments]
+    n = sum(sizes)
+    spans = []
+    offset = 0
+    for seg, size in zip(segments, sizes):
+        if size:
+            spans.append((int(seg.min()), int(seg.max()), offset, seg))
+        offset += size
+    units: list[list] = []
+    for span in sorted(spans, key=lambda s: s[0]):
+        if units and span[0] <= units[-1][1]:
+            units[-1][1] = max(units[-1][1], span[1])
+            units[-1][2].append(span)
+        else:
+            units.append([span[0], span[1], [span]])
+    pos_bits = (n - 1).bit_length() or 1
+    if not units or units[0][0] < 0 or any(
+            (hi - lo).bit_length() + pos_bits > 64 for lo, hi, _ in units):
+        return sort_stream(np.concatenate(segments) if n else [])
+    top = units[-1][1]
+
+    order = np.empty(n, dtype=np.int32 if n < _INT32_LIMIT else np.int64)
+    sectors = np.empty(n, dtype=np.int32 if top < _INT32_LIMIT else np.int64)
+    pos_mask = (1 << pos_bits) - 1
+    done = 0
+    for lo, hi, members in units:
+        key_type = (np.uint32 if (hi - lo).bit_length() + pos_bits <= 32
+                    else np.uint64)
+        size = sum(len(m[3]) for m in members)
+        keys = np.empty(size, dtype=key_type)
+        at = 0
+        for _, _, start, seg in members:
+            part = keys[at:at + len(seg)]
+            np.subtract(seg, lo, out=part, casting="unsafe")
+            part <<= pos_bits
+            part |= np.arange(start, start + len(seg), dtype=key_type)
+            at += len(seg)
+        keys.sort()
+        np.bitwise_and(keys, pos_mask, out=order[done:done + size],
+                       casting="unsafe")
+        out = sectors[done:done + size]
+        np.right_shift(keys, pos_bits, out=out, casting="unsafe")
+        out += lo
+        done += size
+    return SortedStream(order, sectors)
 
 
 class ReuseWindowCache:

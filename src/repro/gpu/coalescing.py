@@ -8,21 +8,22 @@ while a contiguous 128-byte read costs 4.
 The central primitive here is :func:`coalesce`: given per-access byte
 addresses and an integer *group key* identifying which accesses are issued
 simultaneously (same warp, same step — or same warp for an unrolled SMP
-burst), it returns one representative sector per transaction.  Everything
-is one sorted dedup over a packed 64-bit ``(group, sector)`` key, so
-tracing millions of edge accesses stays cheap.
+burst), it returns one representative sector per transaction.  It is one
+sorted dedup over a packed 64-bit ``(group, sector)`` key.
 
-The packing stage is exposed separately (:func:`scatter_packed_keys`,
-:func:`run_packed_keys`, :func:`packed_to_sectors`) so that
-:class:`repro.gpu.traceplan.TracePlan` can fuse the packed keys of *all*
-of a launch's access streams into a single sort instead of one per
-stream.
+:class:`repro.gpu.traceplan.TracePlan` builds a launch's trace one
+accessed array at a time and skips the packed keys: each coalescing
+group (a warp step of a scattered stream, or a warp of a burst) is one
+row of a dense buffer, and :func:`coalesce_rows` dedups the rows after
+a row sort.  :func:`coalesce` and :func:`contiguous_run_sectors` give
+the same transactions from per-access or per-run inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.ragged import ragged_arange
 from repro.utils.sorting import sorted_unique
 
 #: Bits reserved for the sector id inside the packed (group, sector) key.
@@ -34,7 +35,10 @@ _SECTOR_MASK = (1 << _SECTOR_BITS) - 1
 
 def sector_of(addresses: np.ndarray, sector_bytes: int = 32) -> np.ndarray:
     """Sector id for each byte address."""
-    return np.asarray(addresses, dtype=np.int64) // sector_bytes
+    addresses = np.asarray(addresses, dtype=np.int64)
+    if sector_bytes & (sector_bytes - 1) == 0:
+        return addresses >> (sector_bytes.bit_length() - 1)
+    return addresses // sector_bytes
 
 
 def coalesce(
@@ -59,18 +63,6 @@ def coalesce(
     the transaction count; the array doubles as the access stream fed to
     the cache model.
     """
-    packed = scatter_packed_keys(addresses, group_keys, sector_bytes)
-    return packed_to_sectors(sorted_unique(packed))
-
-
-def scatter_packed_keys(
-    addresses: np.ndarray,
-    group_keys: np.ndarray,
-    sector_bytes: int = 32,
-) -> np.ndarray:
-    """The packed ``(group << SECTOR_BITS) | sector`` key of every access
-    (unsorted, undeduplicated) — :func:`coalesce` is a sorted dedup of
-    this array."""
     addresses = np.asarray(addresses, dtype=np.int64)
     group_keys = np.asarray(group_keys, dtype=np.int64)
     if addresses.shape != group_keys.shape:
@@ -80,26 +72,42 @@ def scatter_packed_keys(
         )
     if len(addresses) == 0:
         return np.empty(0, dtype=np.int64)
-    sectors = addresses // sector_bytes
-    if sectors.max() > _SECTOR_MASK:
-        raise ValueError("address exceeds simulated address space")
-    return (group_keys << _SECTOR_BITS) | sectors
+    return _dedup_packed(group_keys, sector_of(addresses, sector_bytes))
 
 
-def packed_to_sectors(packed: np.ndarray) -> np.ndarray:
-    """Strip the group key off packed ``(group, sector)`` keys."""
+def _dedup_packed(groups: np.ndarray, sectors: np.ndarray) -> np.ndarray:
+    """Unique ``(group, sector)`` pairs, ordered by group then sector, as
+    sectors: one sorted dedup over packed ``(group << 38) | sector``
+    keys."""
+    check_address_space(int(sectors.max()))
+    packed = sorted_unique((groups << _SECTOR_BITS) | sectors)
     return packed & _SECTOR_MASK
 
 
-def max_group_key(packed: np.ndarray) -> int:
-    """Largest group key present in a packed-key array (0 when empty).
+def check_address_space(max_sector: int) -> None:
+    """Reject a stream whose sectors do not fit the packed key layout."""
+    if max_sector > _SECTOR_MASK:
+        raise ValueError("address exceeds simulated address space")
 
-    Packed keys are non-negative and group-major, so the maximum packed
-    key carries the maximum group key.
+
+def coalesce_rows(rows: np.ndarray, sentinel: int) -> np.ndarray:
+    """Coalesce a dense buffer with one coalescing group per row.
+
+    ``rows`` is 2-D and C-contiguous: row ``r`` holds the sectors one
+    group reads (a warp's lanes at one loop step, or a warp's bursts),
+    and ``sentinel`` (larger than any sector) fills the slots with no
+    access.  The rows are sorted in place.  Returns the unique sectors
+    of every row, rows in order: exactly :func:`coalesce` over the same
+    accesses with one group key per row, ascending in row order.
     """
-    if len(packed) == 0:
-        return 0
-    return int(packed.max()) >> _SECTOR_BITS
+    rows.sort(axis=1)
+    flat = rows.reshape(-1)
+    keep = np.empty(len(flat), dtype=bool)
+    if len(flat):
+        np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+        keep[::rows.shape[1]] = True
+        keep &= flat != sentinel
+    return flat[keep]
 
 
 def warp_ids(n_threads: int, warp_size: int = 32) -> np.ndarray:
@@ -155,21 +163,6 @@ def contiguous_run_sectors(
     Used for SMP adjacency bursts, where each lane reads its whole CSR
     slice front-to-back.
     """
-    packed = run_packed_keys(
-        start_addresses, lengths_bytes, group_keys, sector_bytes
-    )
-    return packed_to_sectors(sorted_unique(packed))
-
-
-def run_packed_keys(
-    start_addresses: np.ndarray,
-    lengths_bytes: np.ndarray,
-    group_keys: np.ndarray,
-    sector_bytes: int = 32,
-) -> np.ndarray:
-    """Packed ``(group, sector)`` keys of per-lane contiguous runs
-    (unsorted, undeduplicated) — the packing stage of
-    :func:`contiguous_run_sectors`."""
     start = np.asarray(start_addresses, dtype=np.int64)
     length = np.asarray(lengths_bytes, dtype=np.int64)
     group = np.asarray(group_keys, dtype=np.int64)
@@ -179,11 +172,9 @@ def run_packed_keys(
     start, length, group = start[nonzero], length[nonzero], group[nonzero]
     if len(start) == 0:
         return np.empty(0, dtype=np.int64)
-    first = start // sector_bytes
-    last = (start + length - 1) // sector_bytes
-    counts = (last - first + 1).astype(np.int64)
-    from repro.utils.ragged import ragged_arange
-
-    sectors = np.repeat(first, counts) + ragged_arange(counts)
-    groups = np.repeat(group, counts)
-    return (groups << _SECTOR_BITS) | sectors
+    first = sector_of(start, sector_bytes)
+    counts = sector_of(start + length - 1, sector_bytes) - first + 1
+    return _dedup_packed(
+        np.repeat(group, counts),
+        np.repeat(first, counts) + ragged_arange(counts),
+    )

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import InvalidLaunchError
 from repro.gpu import coalescing, sharedmem, warp as warpmod
-from repro.gpu.cache import CacheHierarchy
+from repro.gpu.cache import CacheHierarchy, SortedStream, sort_stream
 from repro.gpu.device import DeviceSpec
 from repro.gpu.memory import DeviceArray
 from repro.gpu.profiler import KernelCounters
@@ -182,7 +182,7 @@ def simulate_vertex_kernel(
         A :class:`TracePlan` previously built for *this exact launch*
         (same arrays, same shapes) by :func:`build_vertex_trace` —
         typically from the engine session's frontier memo.  When given,
-        the whole trace pipeline (sampling, edge expansion, coalescing
+        the whole trace pipeline (sampling, coalescing, the cache-order
         sort) is skipped; only the stateful cache walk and the
         instruction model run.  The plan's fingerprint is checked.
     tracer:
@@ -207,8 +207,8 @@ def simulate_vertex_kernel(
     warp_size = spec.warp_size
 
     # ------------------------------------------------------------------
-    # Memory trace: warp sampling, edge expansion and coalescing all
-    # happen inside the plan (built once here, or reused from a memo).
+    # Memory trace: warp sampling, coalescing and the cache-order sort
+    # all happen inside the plan (built once here, or reused from a memo).
     # ------------------------------------------------------------------
     if plan is None:
         plan = build_vertex_trace(
@@ -347,6 +347,29 @@ def simulate_vertex_kernel(
     return timing
 
 
+def _gather_stride(n: int) -> int:
+    """Sampling stride of a streaming kernel's ``n`` scattered gathers."""
+    return int(np.ceil(n / TRACE_CAP)) if n > TRACE_CAP else 1
+
+
+def gather_stream(
+    spec: DeviceSpec, base_address: int, indices: np.ndarray
+) -> SortedStream:
+    """The coalesced, stable-sorted stream of a streaming kernel's
+    scattered 4-byte gathers at ``base_address + 4 * indices``.
+
+    Gathers past ``TRACE_CAP`` are sampled at a fixed stride; each warp
+    of consecutive gathers coalesces.  The stream depends only on its
+    inputs, so a caller may build it once and pass it to every
+    :func:`simulate_streaming_kernel` over the same gathers.
+    """
+    idx = np.asarray(indices, dtype=np.int64)[::_gather_stride(len(indices))]
+    keys = np.arange(len(idx), dtype=np.int64) // spec.warp_size
+    return sort_stream(coalescing.coalesce(
+        base_address + idx * 4, keys, spec.sector_bytes
+    ))
+
+
 def simulate_streaming_kernel(
     spec: DeviceSpec,
     caches: CacheHierarchy,
@@ -358,6 +381,7 @@ def simulate_streaming_kernel(
     scattered_read_words: int = 0,
     scatter_base_address: int = 0,
     scatter_indices: np.ndarray | None = None,
+    scatter_stream: SortedStream | None = None,
     threads_per_block: int = 256,
     tracer=None,
     trace_name: str = "streaming_kernel",
@@ -369,6 +393,9 @@ def simulate_streaming_kernel(
     streaming data is evicted long before any revisit).  An optional
     scattered-gather component (``scatter_indices`` into a value array)
     goes through the cache hierarchy like any other random stream.
+    ``scatter_stream``, when given, is that component's
+    :func:`gather_stream`, built earlier for the same gathers (the
+    engine session keeps it in its frontier memo).
     """
     if n_threads < 1:
         raise InvalidLaunchError("empty kernel launch")
@@ -377,19 +404,14 @@ def simulate_streaming_kernel(
     scatter_trans = 0
     hier = None
     if scatter_indices is not None and len(scatter_indices):
-        idx = np.asarray(scatter_indices, dtype=np.int64)
-        cap = TRACE_CAP
-        s_scale = 1.0
-        if len(idx) > cap:
-            stride = int(np.ceil(len(idx) / cap))
-            idx = idx[::stride]
-            s_scale = float(len(scatter_indices)) / len(idx)
-        keys = np.arange(len(idx), dtype=np.int64) // spec.warp_size
-        sectors = coalescing.coalesce(
-            scatter_base_address + idx * 4, keys, spec.sector_bytes
-        )
-        raw = caches.access(sectors)
-        scatter_trans = len(sectors) * s_scale
+        if scatter_stream is None:
+            scatter_stream = gather_stream(
+                spec, scatter_base_address, scatter_indices
+            )
+        n = len(scatter_indices)
+        s_scale = float(n) / len(range(0, n, _gather_stride(n)))
+        raw = caches.access(scatter_stream)
+        scatter_trans = len(scatter_stream) * s_scale
         hier = _ScaledHierarchyResult(
             accesses=raw.accesses * s_scale + stream_transactions,
             unified_hits=raw.unified_hits * s_scale,

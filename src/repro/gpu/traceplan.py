@@ -1,30 +1,34 @@
-"""Fused per-launch trace pipeline for the vertex kernel.
+"""Per-launch trace pipeline for the vertex kernel.
 
-Before this module, :func:`repro.gpu.kernel.simulate_vertex_kernel`
-built its memory-access streams piecemeal: the ragged edge expansion
-(``ragged_arange`` + ``np.repeat`` + strided group keys) was computed
-once for the adjacency stream and *again* for the label stream, and
-every stream ran its own sorted dedup inside
-:func:`repro.gpu.coalescing.coalesce` — three to four sorts per launch.
+:func:`build_vertex_trace` turns one vertex-kernel launch into the
+coalesced sector stream the cache hierarchy walks, one accessed array
+at a time, in the kernel's issue order: metadata, adjacency (+weights),
+labels, idle-thread flag checks.
 
-:class:`TracePlan` computes each ingredient exactly once:
+* **Scattered streams** (the label gathers, and the adjacency and weight
+  reads without SMP) coalesce per warp step: the lanes of one warp at
+  one loop step.  Each stream's sectors are written into a dense
+  ``(step, warp, lane)`` buffer, one ``warp_size``-wide row per warp
+  step, and :func:`repro.gpu.coalescing.coalesce_rows` dedups the rows
+  after a row sort.  No per-edge expansion or packed key is built.
+* **Burst streams** (metadata, SMP adjacency and weights, idle flags)
+  coalesce per warp: lane ``t``'s run of sectors fills row ``t`` of a
+  ``(lanes, width)`` buffer, so each warp's runs form one row.
+* **The dense-buffer bound.**  A buffer with more than
+  :data:`DENSE_SLOTS_PER_ACCESS` slots per access it holds (a
+  degree-uncapped hub among short rows, or one long burst among short
+  ones) is not built: that stream keeps the packed ``(group, sector)``
+  sort of :func:`~repro.gpu.coalescing.coalesce` or
+  :func:`~repro.gpu.coalescing.contiguous_run_sectors`.
+* **The cache order** comes from :func:`repro.gpu.cache.sort_segments`:
+  one sort per set of streams whose sector ranges overlap, never one
+  over the whole trace.  Allocations are 256 B aligned, so distinct
+  arrays never share a sector.
 
-* one edge expansion (loop steps, per-edge thread ids, strided group
-  keys, flat CSR edge indices) shared by the adjacency, weight and
-  label streams;
-* one packed ``(group, sector)`` key array per stream, produced by the
-  packing stage of the coalescing model;
-* **at most one sort** over the concatenation of all packed keys.  Each
-  stream's group keys are lifted by a per-stream offset one past the
-  previous stream's maximum, so a single ascending sort + dedup of the
-  combined array reproduces, segment by segment, exactly the
-  concatenation of the per-stream ``coalesce`` results.  If the lifted
-  group keys would overflow the packed 64-bit layout the plan falls
-  back to per-stream dedup — bit-identical either way.
-
-The plan keeps the stream already stable-sorted for the reuse-window
-caches (:class:`repro.gpu.cache.SortedStream`), so its one argsort runs
-when the plan is built, not on every replay.
+The result equals, bit for bit, the per-stream ``coalesce`` results
+concatenated and stable-sorted (:class:`repro.gpu.cache.SortedStream`).
+The plan keeps it sorted, so the sort runs when the plan is built, not
+on every replay.
 
 Warp sampling (the ``TRACE_CAP`` bound) happens inside the plan, so a
 plan fully describes the traced launch.  Plans are immutable and safe
@@ -41,56 +45,15 @@ import numpy as np
 
 from repro.errors import InvalidLaunchError
 from repro.gpu import coalescing
-from repro.gpu.cache import SortedStream, sort_stream
-from repro.gpu.coalescing import (
-    _SECTOR_BITS,
-    max_group_key,
-    packed_to_sectors,
-    run_packed_keys,
-    scatter_packed_keys,
-)
+from repro.gpu.cache import SortedStream, sort_segments
 from repro.utils.ragged import ragged_arange
-from repro.utils.sorting import sorted_unique
 
 #: Maximum traced edge accesses per launch before warp sampling kicks in.
 TRACE_CAP = 400_000
 
-#: Group keys must stay below this after per-stream lifting, or the
-#: packed (group, sector) key no longer fits in a non-negative int64.
-_MAX_GROUP = 1 << (63 - _SECTOR_BITS)
-
-
-def fuse_packed_streams(segments: list[np.ndarray]) -> np.ndarray:
-    """Dedup + order every stream's packed keys with one sort.
-
-    Equivalent to ``concatenate([packed_to_sectors(sorted_unique(s))
-    for s in segments])``: stream ``i``'s group keys are lifted by one
-    past stream ``i-1``'s maximum, making the combined keys
-    segment-major, so one ascending sort + run-length dedup yields each
-    segment's sorted unique transactions in segment order.
-    """
-    segments = [s for s in segments if len(s)]
-    if not segments:
-        return np.empty(0, dtype=np.int64)
-    if len(segments) == 1:
-        return packed_to_sectors(sorted_unique(segments[0]))
-
-    offset = 0
-    lifted = []
-    for seg in segments:
-        lifted.append(seg + (offset << _SECTOR_BITS) if offset else seg)
-        offset += max_group_key(seg) + 1
-    if offset >= _MAX_GROUP:
-        # Lifting would overflow the packed layout: dedup per stream.
-        return np.concatenate(
-            [packed_to_sectors(sorted_unique(s)) for s in segments]
-        )
-    fused = np.concatenate(lifted)
-    fused.sort()
-    keep = np.empty(len(fused), dtype=bool)
-    keep[0] = True
-    np.not_equal(fused[1:], fused[:-1], out=keep[1:])
-    return packed_to_sectors(fused[keep])
+#: A stream is coalesced in a dense buffer while the buffer has at most
+#: this many slots per access it holds.
+DENSE_SLOTS_PER_ACCESS = 8
 
 
 @dataclass(frozen=True)
@@ -134,8 +97,7 @@ class TracePlan:
     @property
     def nbytes(self) -> int:
         """Retained memory (for memo budgeting)."""
-        return (self.sorted_stream.order.nbytes
-                + self.sorted_stream.sectors.nbytes + self.degrees.nbytes)
+        return self.sorted_stream.nbytes + self.degrees.nbytes
 
 
 def plan_fingerprint(
@@ -175,6 +137,109 @@ def plan_fingerprint(
     )
 
 
+def _padded(shape, top: int) -> tuple[np.ndarray, int]:
+    """A buffer for sectors up to ``top``, filled with a sentinel above
+    them: int32 where the sectors fit, int64 otherwise."""
+    coalescing.check_address_space(top)
+    dtype = np.int32 if top < np.iinfo(np.int32).max else np.int64
+    sentinel = int(np.iinfo(dtype).max)
+    return np.full(shape, sentinel, dtype=dtype), sentinel
+
+
+class _WarpSteps:
+    """The ``(step, warp, lane)`` layout of a launch's scattered streams.
+
+    Lane ``t`` reads at steps ``0 .. degrees[t] - 1``; its step-``s``
+    access coalesces with those of the other lanes of its warp at step
+    ``s``.  Row ``s * warps + w`` of the dense buffer holds that warp
+    step, so the rows come out in the issue order of the strided group
+    keys (:func:`repro.gpu.coalescing.strided_group_keys`).
+    """
+
+    def __init__(self, starts, degrees, edges, warp_size, sector_bytes):
+        self.starts, self.degrees = starts, degrees
+        self.sector_bytes = sector_bytes
+        self.depth = int(degrees.max())
+        self.shape = (self.depth, -(-len(degrees) // warp_size), warp_size)
+        self.dense = (self.depth * self.shape[1] * warp_size
+                      <= DENSE_SLOTS_PER_ACCESS * edges)
+        if self.dense:
+            self.mask = np.arange(self.depth) < degrees[:, None]
+        else:
+            self.steps = ragged_arange(degrees)
+            self.keys = coalescing.strided_group_keys(
+                np.repeat(np.arange(len(degrees)), degrees), self.steps,
+                warp_size,
+            )
+
+    def sectors(self, array, index=None) -> np.ndarray:
+        """Coalesced sectors of one scattered stream over ``array``.
+
+        Each access reads element ``index[e]`` (per edge, in CSR order)
+        or, when ``index`` is ``None``, element ``starts[t] + s`` of
+        lane ``t`` at step ``s`` (the adjacency walk).
+        """
+        if not self.dense:
+            if index is None:
+                index = np.repeat(self.starts, self.degrees) + self.steps
+            return coalescing.coalesce(
+                array.addresses_of(index), self.keys, self.sector_bytes
+            )
+        if index is None:
+            index = self.starts[:, None] + np.arange(self.depth)
+            ends = self.starts + self.degrees
+            last = int(ends[self.degrees > 0].max()) - 1
+        else:
+            last = int(index.max())
+        buffer, sentinel = _padded(self.shape, int(coalescing.sector_of(
+            array.addresses_of(last), self.sector_bytes)))
+        # Lane-major view: row t is lane t's steps, the order of the
+        # per-edge index.
+        lanes = buffer.transpose(1, 2, 0).reshape(-1, self.depth)
+        lanes = lanes[:len(self.degrees)]
+        sectors = coalescing.sector_of(
+            array.addresses_of(index), self.sector_bytes)
+        if sectors.ndim == 2:
+            np.copyto(lanes, sectors, where=self.mask, casting="unsafe")
+        else:
+            lanes[self.mask] = sectors
+        return coalescing.coalesce_rows(
+            buffer.reshape(-1, self.shape[2]), sentinel
+        )
+
+
+def _burst_sectors(starts, lengths, warp_size, sector_bytes) -> np.ndarray:
+    """Coalesced sectors of per-lane contiguous runs of ``lengths``
+    bytes from ``starts``, one group per warp: exactly
+    :func:`repro.gpu.coalescing.contiguous_run_sectors` with burst group
+    keys.
+
+    Lane ``t``'s sectors fill row ``t`` of a ``(lanes, width)`` buffer,
+    so each warp's runs form one row of ``warp_size * width`` sectors.
+    """
+    n = len(starts)
+    first = coalescing.sector_of(starts, sector_bytes)
+    last = coalescing.sector_of(starts + lengths - 1, sector_bytes)
+    counts = np.where(lengths > 0, last - first + 1, 0)
+    width = int(counts.max()) if n else 0
+    if width == 0:
+        return np.empty(0, dtype=np.int64)
+    lanes = -(-n // warp_size) * warp_size
+    if lanes * width > DENSE_SLOTS_PER_ACCESS * int(counts.sum()):
+        return coalescing.contiguous_run_sectors(
+            starts, lengths,
+            coalescing.burst_group_keys(np.arange(n), warp_size),
+            sector_bytes,
+        )
+    buffer, sentinel = _padded((lanes, width), int(last[lengths > 0].max()))
+    steps = np.arange(width)
+    np.copyto(buffer[:n], first[:, None] + steps,
+              where=steps < counts[:, None], casting="unsafe")
+    return coalescing.coalesce_rows(
+        buffer.reshape(-1, warp_size * width), sentinel
+    )
+
+
 def build_vertex_trace(
     spec,
     *,
@@ -191,7 +256,7 @@ def build_vertex_trace(
     idle_threads: int = 0,
     trace_cap: int | None = None,
 ) -> TracePlan:
-    """Build the fused trace of one vertex-kernel launch.
+    """Build the trace of one vertex-kernel launch.
 
     Inputs mirror :func:`repro.gpu.kernel.simulate_vertex_kernel`
     (which calls this when no plan is supplied); ``trace_cap`` bounds
@@ -242,32 +307,24 @@ def build_vertex_trace(
     thread_ids = np.arange(n_threads, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # Packed (group, sector) keys, one segment per access stream, in
-    # the kernel's issue order: metadata, adjacency (+weights), labels,
-    # idle-thread flag checks.
+    # Coalesced sectors, one segment per access stream, in the kernel's
+    # issue order: metadata, adjacency (+weights), labels, idle-thread
+    # flag checks.
     # ------------------------------------------------------------------
     segments: list[np.ndarray] = []
     sector_bytes = spec.sector_bytes
 
     if meta_array is not None and meta_words_per_thread > 0 and n_threads:
         meta_item = meta_words_per_thread * meta_array.itemsize
-        segments.append(run_packed_keys(
+        segments.append(_burst_sectors(
             meta_array.base_address + thread_ids * meta_item,
             np.full(n_threads, meta_item, dtype=np.int64),
-            coalescing.burst_group_keys(thread_ids),
-            sector_bytes,
+            warp_size, sector_bytes,
         ))
 
-    strided_keys = None
     if sampled_edges:
-        # The single edge expansion every scattered stream shares.
-        steps = ragged_arange(degrees)
-        edge_thread = np.repeat(thread_ids, degrees)
-        strided_keys = coalescing.strided_group_keys(
-            edge_thread, steps, warp_size
-        )
-
-        itemsize = adj_array.itemsize
+        steps = _WarpSteps(starts, degrees, sampled_edges, warp_size,
+                           sector_bytes)
         if smp:
             # Unrolled burst: the whole warp's prefetch loads coalesce.
             # The burst length is the *planned* K / K-1 bin size, which
@@ -277,50 +334,35 @@ def build_vertex_trace(
                 if smp_planned_words is not None
                 else degrees
             )
-            burst_keys = coalescing.burst_group_keys(thread_ids)
-            adj_addresses = adj_array.addresses_of(starts)
-            segments.append(run_packed_keys(
-                adj_addresses, burst_words * itemsize, burst_keys,
-                sector_bytes,
-            ))
-            if weight_array is not None:
-                segments.append(run_packed_keys(
-                    weight_array.addresses_of(starts),
-                    burst_words * weight_array.itemsize,
-                    burst_keys,
-                    sector_bytes,
-                ))
+            for array in (adj_array, weight_array):
+                if array is not None:
+                    segments.append(_burst_sectors(
+                        array.addresses_of(starts),
+                        burst_words * array.itemsize, warp_size,
+                        sector_bytes,
+                    ))
         else:
             # One scattered warp access per loop step.
-            edge_idx = np.repeat(starts, degrees) + steps
-            segments.append(scatter_packed_keys(
-                adj_array.addresses_of(edge_idx), strided_keys, sector_bytes
-            ))
-            if weight_array is not None:
-                segments.append(scatter_packed_keys(
-                    weight_array.addresses_of(edge_idx), strided_keys,
-                    sector_bytes,
-                ))
+            for array in (adj_array, weight_array):
+                if array is not None:
+                    segments.append(steps.sectors(array))
 
         # Label gathers: scattered by destination id; one per step in
         # both modes (SMP prefetches topology, not labels).
-        segments.append(scatter_packed_keys(
-            label_array.addresses_of(np.asarray(neighbor_ids, dtype=np.int64)),
-            strided_keys,
-            sector_bytes,
+        segments.append(steps.sectors(
+            label_array, np.asarray(neighbor_ids, dtype=np.int64)
         ))
 
     if idle_threads:
         idle_ids = np.arange(idle_threads, dtype=np.int64)
-        segments.append(run_packed_keys(
+        segments.append(_burst_sectors(
             label_array.base_address + idle_ids * 4,
             np.full(idle_threads, 4, dtype=np.int64),
-            coalescing.burst_group_keys(idle_ids) + (1 << 20),
-            sector_bytes,
+            warp_size, sector_bytes,
         ))
 
     return TracePlan(
-        sorted_stream=sort_stream(fuse_packed_streams(segments)),
+        sorted_stream=sort_segments(segments),
         scale=scale,
         degrees=degrees,
         n_threads=n_threads,

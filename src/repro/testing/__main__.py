@@ -9,6 +9,7 @@ Usage::
     python -m repro.testing --engine etagraph-service --cases 25
     python -m repro.testing --chaos --plans 200 # fault-injection fuzzing
     python -m repro.testing --chaos --duration 30
+    python -m repro.testing digest              # fixed-op output digest
 
 Exit status 0 when every engine matched the CPU oracle and no invariant
 was violated; 1 otherwise, with per-case divergence context printed.
@@ -19,6 +20,9 @@ configurations, served through a :class:`~repro.resilience.
 ResilientSession` under random seeded fault plans.  The pass criterion
 becomes the resilience contract — every outcome is a correct result or a
 typed ``ReproError``.
+
+``digest`` runs the fixed-op digest of simulated outputs instead
+(:mod:`repro.testing.digest`) and checks it against its golden file.
 """
 
 from __future__ import annotations
@@ -81,6 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["digest"]:
+        from repro.testing.digest import main as digest_main
+
+        return digest_main(argv[1:])
     args = build_parser().parse_args(argv)
     log = None if args.quiet else (lambda msg: print(msg, flush=True))
 

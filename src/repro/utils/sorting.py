@@ -1,19 +1,24 @@
 """Fast exact replacements for the simulator's sorting hot spots.
 
-Two numpy idioms dominated the simulator's profile:
-
-* ``np.unique`` on int64 keys (the coalescer's transaction dedup) — the
-  hash-based implementation in recent numpy is an order of magnitude
-  slower than an explicit sort + run-length mask on these workloads;
+* ``np.unique`` on int64 keys (the packed ``(group, sector)`` dedup of
+  :func:`repro.gpu.coalescing.coalesce`): the hash-based implementation
+  in recent numpy is an order of magnitude slower than an explicit
+  sort + run-length mask on these workloads;
 * ``np.argsort(kind="stable")`` on int64 keys (the order in which the
-  reuse-window caches walk a sector stream, computed once per trace plan
-  or raw stream) — a plain quicksort over ``(key << b) | i`` packed
-  values yields the identical stable permutation several times faster,
-  because the tie-break is baked into the sort key.
+  reuse-window caches walk a raw sector stream,
+  :func:`repro.gpu.cache.sort_stream`): a plain quicksort over
+  ``(key << b) | i`` packed values yields the identical stable
+  permutation several times faster, because the tie-break is baked into
+  the sort key.
 
 Both helpers are *exact*: they return bit-identical results to the numpy
 expressions they replace, for any int64 input within the documented
 range, falling back to the numpy expression when packing would overflow.
+
+Trace plans need neither on their dense path: they dedup per coalescing
+group with a row sort (:func:`repro.gpu.coalescing.coalesce_rows`) and
+order each sort unit with one narrow packed sort
+(:func:`repro.gpu.cache.sort_segments`).
 """
 
 from __future__ import annotations

@@ -213,6 +213,30 @@ class TestEntryContents:
         for entry in entries:
             assert entry.nbytes == _held_bytes(entry)
 
+    @pytest.mark.parametrize("wave", [False, True])
+    def test_transform_stream_equals_a_fresh_build(self, social, wave):
+        """Each entry keeps the transform kernel's gather stream, built
+        once from the offsets array and the entry's active set."""
+        from repro.core import msbfs
+        from repro.gpu.kernel import gather_stream
+
+        with EngineSession(social) as ses:
+            if wave:
+                msbfs.run_wave(ses, list(range(64)))
+            else:
+                ses.query("bfs", 0)
+            base = ses._offsets_arr.base_address
+            entries = list(ses._frontier_memo.values())
+        assert entries
+        for entry in entries:
+            active = np.frombuffer(entry.active_bytes, dtype=np.int64)
+            fresh = gather_stream(ses.device, base, active)
+            stored = entry.transform_stream
+            assert stored.order.dtype == fresh.order.dtype
+            assert stored.sectors.dtype == fresh.sectors.dtype
+            assert np.array_equal(stored.order, fresh.order)
+            assert np.array_equal(stored.sectors, fresh.sectors)
+
     def test_wave_entries_hold_no_destinations(self, social):
         """The wave finds its changed vertices from its lane masks, so
         its memo entries never build the destination list."""

@@ -1,6 +1,6 @@
-"""Tests for the fused kernel-trace pipeline: the exact sorting helpers,
-single-sort stream fusion, TracePlan reuse, and the warp-sampling counter
-fix."""
+"""Tests for the kernel-trace pipeline: the exact sorting helpers, the
+per-array build (warp-step rows and sort units), TracePlan reuse, and the
+warp-sampling counter fix."""
 
 import dataclasses
 
@@ -12,14 +12,14 @@ from repro import EngineSession, EtaGraphConfig
 from repro.core import msbfs
 from repro.errors import InvalidLaunchError
 from repro.gpu import coalescing
-from repro.gpu.cache import CacheHierarchy
+from repro.gpu.cache import CacheHierarchy, sort_segments, sort_stream
 from repro.gpu.device import GTX_1080TI
 from repro.gpu.kernel import TRACE_CAP, simulate_vertex_kernel
-from repro.gpu.memory import DeviceMemory
+from repro.gpu.memory import DeviceArray, DeviceMemory
 from repro.graph import compressed, generators
 from repro.gpu.traceplan import (
+    DENSE_SLOTS_PER_ACCESS,
     build_vertex_trace,
-    fuse_packed_streams,
     plan_fingerprint,
 )
 from repro.utils.sorting import sorted_unique, stable_argsort
@@ -106,58 +106,96 @@ class TestStableArgsort:
 
 
 # ----------------------------------------------------------------------
-# Single-sort stream fusion
+# Per-array build helpers: warp-step rows and sort units
 # ----------------------------------------------------------------------
 
-def _naive_concat(segments):
-    return np.concatenate(
-        [coalescing.packed_to_sectors(sorted_unique(s)) for s in segments]
-    ) if segments else np.empty(0, dtype=np.int64)
+def _assert_same_sorted(got, want):
+    assert got.order.dtype == want.order.dtype
+    assert got.sectors.dtype == want.sectors.dtype
+    assert np.array_equal(got.order, want.order)
+    assert np.array_equal(got.sectors, want.sectors)
 
 
-def _random_segments(rng, n_segments, max_group):
+def _random_segments(rng, n_segments, span):
+    """Segments at random places in a ``span``-sector window, so some
+    sector ranges overlap and some do not."""
     segments = []
     for _ in range(n_segments):
         n = int(rng.integers(0, 400))
-        groups = rng.integers(0, max_group + 1, size=n)
-        addresses = rng.integers(0, 1 << 20, size=n)
-        segments.append(
-            coalescing.scatter_packed_keys(addresses, groups)
-        )
+        lo = int(rng.integers(0, span))
+        width = int(rng.integers(1, span))
+        segments.append(rng.integers(lo, lo + width, size=n))
     return segments
 
 
-class TestFusePackedStreams:
+class TestSortSegments:
     @pytest.mark.parametrize("seed", range(6))
-    def test_equals_per_stream_dedup(self, seed):
+    def test_equals_one_global_sort(self, seed):
         rng = np.random.default_rng(seed)
         segments = _random_segments(rng, int(rng.integers(1, 6)), 500)
-        expected = _naive_concat([s for s in segments if len(s)])
-        assert np.array_equal(fuse_packed_streams(segments), expected)
+        _assert_same_sorted(sort_segments(segments),
+                            sort_stream(np.concatenate(segments)))
 
     def test_empty_and_single(self):
-        assert len(fuse_packed_streams([])) == 0
-        seg = coalescing.scatter_packed_keys(
-            np.array([64, 0, 64]), np.array([1, 0, 1])
-        )
-        assert np.array_equal(
-            fuse_packed_streams([seg]), _naive_concat([seg])
-        )
+        _assert_same_sorted(sort_segments([]), sort_stream([]))
+        empty = np.empty(0, dtype=np.int64)
+        _assert_same_sorted(sort_segments([empty, empty]), sort_stream([]))
+        seg = np.array([2, 0, 2, 7], dtype=np.int64)
+        _assert_same_sorted(sort_segments([empty, seg, empty]),
+                            sort_stream(seg))
 
-    def test_overflow_falls_back_to_per_stream(self):
-        # Two segments whose lifted group keys would exceed the packed
-        # layout: max group ~2**24 each, so the cumulative offset crosses
-        # 2**25.  The fallback must still match the naive result.
-        big = (1 << 24) + 7
+    def test_overlapping_units_merge_transitively(self):
+        # [5, 9] and [20, 30] are disjoint, but [8, 21] bridges them:
+        # all three must sort as one unit, with positions breaking ties
+        # across segments.  [40, 41] stays a unit of its own.
         segs = [
-            coalescing.scatter_packed_keys(
-                np.array([32, 96, 32]), np.array([big, 0, big])
-            ),
-            coalescing.scatter_packed_keys(
-                np.array([128, 128]), np.array([big, big])
-            ),
+            np.array([9, 5, 9, 5], dtype=np.int64),
+            np.array([41, 40, 41], dtype=np.int32),
+            np.array([30, 20, 30], dtype=np.int64),
+            np.array([21, 8, 9, 21], dtype=np.int32),
         ]
-        assert np.array_equal(fuse_packed_streams(segs), _naive_concat(segs))
+        _assert_same_sorted(sort_segments(segs),
+                            sort_stream(np.concatenate(segs)))
+
+    @pytest.mark.parametrize("key_bits", [31, 32, 33])
+    def test_key_width_boundary(self, key_bits):
+        # One unit whose (sector - min, position) key needs exactly
+        # ``key_bits`` bits: uint32 up to 32, uint64 beyond.
+        rng = np.random.default_rng(key_bits)
+        n = 3000
+        pos_bits = (n - 1).bit_length()
+        top = (1 << (key_bits - pos_bits)) - 1
+        seg = rng.integers(0, 50, size=n - 2)
+        seg = np.concatenate([[top], seg, [0]]) + (1 << 20)
+        parts = [seg[:1000], seg[1000:]]
+        _assert_same_sorted(sort_segments(parts), sort_stream(seg))
+
+    def test_sectors_at_or_above_int32(self):
+        segs = [np.array([1 << 31, 3, 1 << 31]),
+                np.array([(1 << 31) + 5, 1 << 40])]
+        got = sort_segments(segs)
+        assert got.sectors.dtype == np.int64
+        _assert_same_sorted(got, sort_stream(np.concatenate(segs)))
+
+
+class TestCoalesceRows:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_equals_coalesce_per_row(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 40, size=(50, 32)).astype(dtype)
+        empty = rng.random(rows.shape) < 0.4
+        sentinel = np.iinfo(dtype).max
+        rows[empty] = sentinel
+        rows[7] = sentinel  # a warp step with no access at all
+        valid = rows.ravel() != sentinel
+        want = coalescing.coalesce(
+            rows.ravel()[valid].astype(np.int64) * 32,
+            np.repeat(np.arange(50), 32)[valid],
+        )
+        got = coalescing.coalesce_rows(rows, sentinel)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +339,203 @@ class TestTracePlan:
             meta_words_per_thread=3,
         )
         assert _build(kw).fingerprint == fp
+
+
+# ----------------------------------------------------------------------
+# The cache-facing plan: sorted_stream equals one global stable sort
+# ----------------------------------------------------------------------
+
+def _sampled(kw, cap):
+    """The launch as the plan traces it: whole warps kept at a stride
+    once the edges exceed ``cap`` (the reference for sampled plans)."""
+    degrees = np.asarray(kw["degrees"], dtype=np.int64)
+    total, n = int(degrees.sum()), len(degrees)
+    if total <= cap or n <= 32:
+        return kw
+    stride = int(np.ceil(total / cap))
+    keep = (np.arange(n) // 32) % stride == 0
+    kw = dict(kw, starts=np.asarray(kw["starts"])[keep],
+              degrees=degrees[keep],
+              neighbor_ids=np.asarray(kw["neighbor_ids"])[
+                  np.repeat(keep, degrees)])
+    if kw.get("smp_planned_words") is not None:
+        kw["smp_planned_words"] = np.asarray(kw["smp_planned_words"])[keep]
+    return kw
+
+
+def _assert_plan_matches_global_sort(kw, trace_cap=None):
+    plan = _build(kw, trace_cap=trace_cap)
+    ref = _sampled(kw, trace_cap or TRACE_CAP)
+    _assert_same_sorted(plan.sorted_stream,
+                        sort_stream(_legacy_stream(GTX_1080TI, ref)))
+    return plan
+
+
+def _with_smp(kw, extra=None):
+    degrees = np.asarray(kw["degrees"], dtype=np.int64)
+    planned = degrees + degrees % 3 if extra is None else degrees + extra
+    return dict(kw, smp=True, smp_planned_words=planned)
+
+
+def _dense(kw):
+    degrees = np.asarray(kw["degrees"])
+    slots = int(degrees.max()) * -(-len(degrees) // 32) * 32
+    return slots <= DENSE_SLOTS_PER_ACCESS * int(degrees.sum())
+
+
+def _far_labels(base_sector, n_labels=1):
+    """A label array placed at ``base_sector`` (its data need not cover
+    the ids a test gathers: only the addresses matter)."""
+    return DeviceArray("labels", base_sector * 32,
+                       np.zeros(n_labels, dtype=np.float32), "device")
+
+
+class TestPlanMatchesGlobalSort:
+    @pytest.mark.parametrize("smp", [False, True], ids=["scatter", "smp"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("idle", [0, 70])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_streams(self, smp, weighted, idle, seed):
+        kw = make_launch(150, 7, spread=True, weighted=weighted, seed=seed)
+        kw["idle_threads"] = idle
+        if smp:
+            kw = _with_smp(kw)
+        assert _dense(kw)
+        _assert_plan_matches_global_sort(kw)
+
+    @pytest.mark.parametrize("smp", [False, True], ids=["scatter", "smp"])
+    def test_warp_sampled(self, smp):
+        kw = make_launch(400, 30, spread=True, weighted=True, seed=5)
+        if smp:
+            kw = _with_smp(kw)
+        assert _assert_plan_matches_global_sort(kw, trace_cap=2_000).scale > 1
+
+    @pytest.mark.parametrize("smp", [False, True], ids=["scatter", "smp"])
+    def test_uncapped_hub_keeps_packed_keys(self, smp, monkeypatch):
+        # A hub far wider than any warp step (and, under SMP, a burst
+        # far longer than the others) would leave the dense buffers
+        # nearly empty: those streams take the packed-key sort instead.
+        kw = make_launch(200, 2, weighted=True, seed=6)
+        degrees = kw["degrees"].copy()
+        degrees[37] = 3_000
+        mem = DeviceMemory(GTX_1080TI)
+        total = int(degrees.sum())
+        kw.update(
+            degrees=degrees,
+            starts=np.concatenate([[0], np.cumsum(degrees)[:-1]]),
+            neighbor_ids=np.random.default_rng(6).integers(0, 200, total),
+            adj_array=mem.alloc("adj", np.zeros(total, dtype=np.int32)),
+            weight_array=mem.alloc("w", np.zeros(total, dtype=np.float32)),
+            label_array=mem.alloc("labels", np.zeros(200, np.float32)),
+        )
+        if smp:
+            kw = _with_smp(kw)
+        assert not _dense(kw)
+        _assert_plan_matches_global_sort(kw)
+        packed = []
+        for name in ("coalesce", "contiguous_run_sectors"):
+            real = getattr(coalescing, name)
+            monkeypatch.setattr(
+                coalescing, name,
+                lambda *a, _real=real, _name=name, **k:
+                    packed.append(_name) or _real(*a, **k),
+            )
+        _build(kw)
+        assert "coalesce" in packed
+        assert ("contiguous_run_sectors" in packed) == smp
+
+    def test_trailing_zero_degree_threads(self):
+        kw = make_launch(100, 5, spread=True, seed=7)
+        degrees = kw["degrees"].copy()
+        cut = int(degrees[:60].sum())
+        degrees[60:] = 0
+        kw.update(degrees=degrees, neighbor_ids=kw["neighbor_ids"][:cut])
+        _assert_plan_matches_global_sort(kw)
+        _assert_plan_matches_global_sort(_with_smp(kw))
+
+    def test_idle_only_launch(self):
+        kw = make_launch(0, 0, seed=8)
+        kw["idle_threads"] = 50
+        plan = _assert_plan_matches_global_sort(kw)
+        assert len(plan.sorted_stream) > 0
+
+    def test_smp_over_fetch_past_adjacency_end(self):
+        # The last lane's planned burst runs past the adjacency array
+        # into the next allocation (the labels): the two arrays' sector
+        # ranges overlap, so they must sort as one unit.
+        kw = make_launch(64, 6, spread=True, seed=9)
+        extra = np.zeros(64, dtype=np.int64)
+        extra[-1] = 200
+        kw = _with_smp(kw, extra)
+        adj, labels = kw["adj_array"], kw["label_array"]
+        last_word = kw["starts"][-1] + kw["smp_planned_words"][-1] - 1
+        assert adj.addresses_of(last_word) >= labels.base_address
+        _assert_plan_matches_global_sort(kw)
+
+    @pytest.mark.parametrize("idle", [0, 40])
+    def test_label_sectors_at_or_above_int32(self, idle):
+        kw = make_launch(96, 6, spread=True, seed=10)
+        kw.update(label_array=_far_labels((1 << 31) + 7, 96),
+                  idle_threads=idle)
+        plan = _assert_plan_matches_global_sort(kw)
+        assert plan.sorted_stream.sectors.dtype == np.int64
+
+    @pytest.mark.parametrize("key_bits", [31, 32, 33])
+    def test_label_unit_key_width(self, key_bits):
+        # The label unit spans exactly as many sectors as make its
+        # (sector - min, position) key ``key_bits`` wide.
+        kw = make_launch(256, 6, spread=True, seed=11)
+        kw["label_array"] = _far_labels(1 << 24)
+        nbr = kw["neighbor_ids"].copy()
+        nbr[0], nbr[-1] = 0, 1 << 30  # the unit's ends, alone in their rows
+        n = len(_build(dict(kw, neighbor_ids=nbr)).sorted_stream)
+        nbr[-1] = ((1 << (key_bits - (n - 1).bit_length())) - 1) * 8
+        kw["neighbor_ids"] = nbr
+        sectors = _assert_plan_matches_global_sort(kw).sorted_stream.sectors
+        labels = sectors[sectors >= 1 << 24]
+        assert len(sectors) == n
+        assert (int(labels[-1] - labels[0]).bit_length()
+                + (n - 1).bit_length()) == key_bits
+
+
+class TestAddressSpaceGuard:
+    """A stream past the packed key layout's 2**38 sectors raises the
+    same error whichever path builds it."""
+
+    @staticmethod
+    def _far_launch(hub=False):
+        kw = make_launch(96, 4, seed=12)
+        if hub:
+            degrees = kw["degrees"].copy()
+            degrees[3] = 5_000
+            kw.update(degrees=degrees, starts=np.concatenate(
+                [[0], np.cumsum(degrees)[:-1]]),
+                neighbor_ids=np.zeros(int(degrees.sum()), dtype=np.int64))
+        far = 1 << 38
+        kw["adj_array"] = DeviceArray(
+            "adj", far * 32, np.zeros(1, dtype=np.int32), "device")
+        return kw
+
+    @pytest.mark.parametrize("launch", [
+        dict(smp=False, hub=False), dict(smp=True, hub=False),
+        dict(smp=False, hub=True),
+    ], ids=["dense", "burst", "packed"])
+    def test_adjacency_beyond_address_space(self, launch):
+        kw = self._far_launch(hub=launch["hub"])
+        if launch["smp"]:
+            kw = _with_smp(kw)
+        assert _dense(kw) != launch["hub"]
+        with pytest.raises(ValueError, match="simulated address space"):
+            _build(kw)
+
+    def test_labels_beyond_address_space(self):
+        kw = make_launch(96, 4, seed=13)
+        kw["label_array"] = _far_labels(1 << 38)
+        with pytest.raises(ValueError, match="simulated address space"):
+            _build(kw)
+        with pytest.raises(ValueError, match="simulated address space"):
+            _build(dict(kw, idle_threads=10, degrees=kw["degrees"] * 0,
+                        neighbor_ids=kw["neighbor_ids"][:0]))
 
 
 # ----------------------------------------------------------------------
