@@ -1,15 +1,16 @@
-"""CLI for regenerating paper artifacts.
+"""CLI for regenerating paper artifacts and running the harnesses.
 
 Usage::
 
     python -m repro.bench               # list experiments
     python -m repro.bench table3        # run one (full datasets)
-    python -m repro.bench all --quick   # everything, small datasets only
+    python -m repro.bench all --quick   # every paper artifact, small datasets
     python -m repro.bench all --jobs 4  # same results, process-parallel
     python -m repro.bench perf          # simulator wall-clock harness
     python -m repro.bench serve         # closed-loop serving load bench
     python -m repro.bench msbfs         # MSBFS wave vs sequential batch
     python -m repro.bench compress      # compressed topology + placements
+    python -m repro.bench perf --quick --json-dir D   # save D/perf.json
     python -m repro.bench compare A B   # diff two --json-dir outputs
 """
 
@@ -19,7 +20,7 @@ import argparse
 import json
 import sys
 
-from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.bench.experiments import ALL_EXPERIMENTS, HARNESSES, REPORTS
 from repro.bench.runner import run_experiments
 
 
@@ -63,31 +64,16 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv[:1] == ["compare"]:
         return _compare(argv[1:])
-    if argv[:1] == ["perf"]:
-        from repro.perf.harness import main as perf_main
-
-        return perf_main(argv[1:])
-    if argv[:1] == ["serve"]:
-        from repro.serving.loadgen import main as serve_main
-
-        return serve_main(argv[1:])
-    if argv[:1] == ["msbfs"]:
-        from repro.perf.msbfs import main as msbfs_main
-
-        return msbfs_main(argv[1:])
-    if argv[:1] == ["compress"]:
-        from repro.perf.compress import main as compress_main
-
-        return compress_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Regenerate the paper's tables and figures.",
+        description="Regenerate the paper's tables and figures, or run "
+        "a wall-clock harness.",
     )
     parser.add_argument(
         "experiment",
         nargs="?",
-        help=f"one of: {', '.join(sorted(ALL_EXPERIMENTS))}, 'all', "
-        "'perf', 'serve', 'msbfs', 'compress', or 'compare A B'",
+        help=f"one of: {', '.join(sorted(REPORTS))}, 'all' (the paper "
+        "artifacts), or 'compare A B'",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -105,7 +91,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace-dir", default=None,
         help="record a Chrome trace-event file per EtaGraph cell into "
-        "this directory (including O.O.M/ERR cells)",
+        "this directory (including O.O.M/ERR cells); perf writes one "
+        "per graph",
     )
     args = parser.parse_args(argv)
 
@@ -113,14 +100,14 @@ def main(argv: list[str] | None = None) -> int:
         print("available experiments:")
         for name in sorted(ALL_EXPERIMENTS):
             print(f"  {name}")
-        print("  perf  (simulator wall-clock harness)")
-        print("  msbfs (MSBFS wave vs sequential batch)")
-        print("  compress (compressed topology + placement throughput)")
+        print("harnesses (host wall-clock; not part of 'all'):")
+        for name in HARNESSES:
+            print(f"  {name}")
         return 0
 
     if args.experiment == "all":
         names = sorted(ALL_EXPERIMENTS)
-    elif args.experiment in ALL_EXPERIMENTS:
+    elif args.experiment in REPORTS:
         names = [args.experiment]
     else:
         print(f"unknown experiment {args.experiment!r}", file=sys.stderr)

@@ -1,7 +1,9 @@
-"""One module per paper artifact (see DESIGN.md section 4).
+"""One module per paper artifact (see DESIGN.md section 4), plus the
+host wall-clock harnesses.
 
-Every module exposes ``run(quick: bool = False, ctx: BenchContext | None)
--> ExperimentReport``.
+Every entry of :data:`REPORTS` is a ``run(quick: bool = False,
+ctx: BenchContext | None = None) -> ExperimentReport``; the CLI and the
+runner look names up there.  ``all`` runs :data:`ALL_EXPERIMENTS` only.
 """
 
 from repro.bench.experiments import (  # noqa: F401
@@ -17,7 +19,11 @@ from repro.bench.experiments import (  # noqa: F401
     exp_fig6,
     exp_fig7,
     exp_multi,
+    exp_perf,
+    exp_msbfs,
+    exp_compress,
 )
+from repro.serving import loadgen
 
 ALL_EXPERIMENTS = {
     "table1": exp_table1.run,
@@ -33,3 +39,17 @@ ALL_EXPERIMENTS = {
     "fig7": exp_fig7.run,
     "multi": exp_multi.run,
 }
+
+#: Reports that time the simulator on the host (``wall_*`` leaves), run
+#: by name only: ``perf`` (warm-session throughput), ``msbfs`` (wave vs
+#: sequential batch), ``compress`` (density and out-of-core placements)
+#: and ``serve`` (closed-loop multi-tenant load).
+HARNESSES = {
+    "perf": exp_perf.run_perf,
+    "msbfs": exp_msbfs.run_msbfs,
+    "compress": exp_compress.run_compress,
+    "serve": loadgen.run_serve,
+}
+
+#: Every report the bench driver runs by name.
+REPORTS = {**ALL_EXPERIMENTS, **HARNESSES}

@@ -1,7 +1,7 @@
 """Compressed-topology density and out-of-core placement throughput
 (``python -m repro.bench compress``).
 
-Two sections, one report (``BENCH_PR8.json`` by default):
+Two sections, one report:
 
 * **Compression density** — encode each surrogate with
   :class:`~repro.graph.compressed.CompressedCSRGraph` and report measured
@@ -27,20 +27,14 @@ else is deterministic and gated tightly.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from repro.bench.runner import ExperimentReport
-from repro.bench.workloads import bench_device
+from repro.bench.runner import BenchContext, ExperimentReport
+from repro.bench.workloads import time_queries
 from repro.core.config import EtaGraphConfig, MemoryMode
 from repro.core.multi import pick_sources
-from repro.core.session import EngineSession
 from repro.errors import InvariantViolation
 from repro.graph import datasets
 from repro.graph.compressed import CompressedCSRGraph
@@ -89,9 +83,9 @@ def dense_bits_per_edge(csr) -> float:
     return 32.0 * (csr.num_edges + csr.num_vertices) / max(csr.num_edges, 1)
 
 
-def measure_density(name: str) -> dict:
+def measure_density(name: str, ctx: BenchContext) -> dict:
     """Encode one surrogate; returns its density metrics."""
-    csr, _ = datasets.load(name, weighted=False)
+    csr, _ = ctx.load(name, weighted=False)
     compressed = CompressedCSRGraph(csr)
     dense_bits = dense_bits_per_edge(csr)
     ratio = compressed.total_bits_per_edge / dense_bits
@@ -121,19 +115,11 @@ def measure_combo(
     Returns ``(metrics, labels-of-first-source)`` — the labels feed the
     cross-combo bit-identity check.
     """
-    config = EtaGraphConfig(memory_mode=mode)
-    with EngineSession(topology, config, device) as session:
-        # Untimed warm-up: pays placement (and, for the compressed
-        # encodings, the one-time host-side decode).
-        session.query("bfs", int(sources[0]))
-
-        results = []
-        t0 = time.perf_counter()
-        for _ in range(settings.repeats):
-            for s in sources:
-                results.append(session.query("bfs", int(s)))
-        wall_s = max(time.perf_counter() - t0, 1e-9)
-
+    batch = time_queries(
+        topology, EtaGraphConfig(memory_mode=mode), device, sources,
+        repeats=settings.repeats,
+    )
+    results, wall_s = batch.results, batch.wall_s
     edges = sum(r.stats.total_edges_scanned for r in results)
     metrics = {
         # Deterministic (tight compare tolerance).
@@ -150,12 +136,14 @@ def measure_combo(
 
 
 def run_compress(
-    quick: bool = False, settings: CompressSettings | None = None
+    quick: bool = False, ctx: BenchContext | None = None, *,
+    settings: CompressSettings | None = None,
 ) -> ExperimentReport:
     """Run both sections; returns a saveable report."""
+    ctx = ctx or BenchContext()
     if settings is None:
         settings = CompressSettings.quick() if quick else CompressSettings()
-    device = bench_device()
+    device = ctx.device
 
     # --- section 1: compression density -------------------------------
     density: dict = {}
@@ -164,7 +152,7 @@ def run_compress(
     if settings.raised_graph not in graphs:
         graphs = graphs + (settings.raised_graph,)
     for name in graphs:
-        m = measure_density(name)
+        m = measure_density(name, ctx)
         density[name] = m
         density_rows.append([
             name, f"{m['num_edges']:,}", f"{m['bits_per_edge']:.2f}",
@@ -175,7 +163,7 @@ def run_compress(
 
     # --- section 2: out-of-core placement throughput -------------------
     name = settings.raised_graph
-    csr, canonical = datasets.load(name, weighted=False)
+    csr, canonical = ctx.load(name, weighted=False)
     compressed = CompressedCSRGraph(csr)
     extra = pick_sources(csr, settings.sources - 1,
                          seed=settings.source_seed) \
@@ -264,70 +252,3 @@ def run_compress(
             },
         },
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench compress",
-        description="Measure compression density and out-of-core "
-                    "placement throughput.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="smaller raised graph and batch (CI-sized run)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_PR8.json",
-        help="write the report here (default BENCH_PR8.json; '-' skips)",
-    )
-    parser.add_argument(
-        "--json-dir", default=None,
-        help="also write <dir>/compress.json for `repro.bench compare`",
-    )
-    parser.add_argument(
-        "--raised-graph", default=None,
-        help="override the throughput section's graph",
-    )
-    parser.add_argument(
-        "--sources", type=int, default=None,
-        help="override distinct sources per combo",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=None,
-        help="override batch replay count",
-    )
-    args = parser.parse_args(argv)
-
-    settings = CompressSettings.quick() if args.quick else CompressSettings()
-    overrides = {}
-    if args.raised_graph is not None:
-        overrides["raised_graph"] = args.raised_graph
-    if args.sources is not None:
-        overrides["sources"] = args.sources
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if overrides:
-        from dataclasses import replace
-
-        settings = replace(settings, **overrides)
-
-    report = run_compress(quick=args.quick, settings=settings)
-    print(report.text)
-
-    from repro.bench.export import report_to_dict, save_report
-
-    if args.out and args.out != "-":
-        Path(args.out).write_text(
-            json.dumps(report_to_dict(report), indent=2)
-        )
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json_dir:
-        out_dir = Path(args.json_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_report(report, out_dir / "compress.json")
-        print(f"wrote {out_dir / 'compress.json'}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

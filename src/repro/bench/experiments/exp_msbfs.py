@@ -26,20 +26,15 @@ counters) keep the tight tolerance.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.bench.runner import ExperimentReport
-from repro.bench.workloads import bench_device
+from repro.bench.experiments.exp_perf import CANONICAL_GRAPHS
+from repro.bench.runner import BenchContext, ExperimentReport
+from repro.bench.workloads import time_queries
 from repro.core.config import EtaGraphConfig
 from repro.core.multi import pick_sources
 from repro.core.session import EngineSession
-from repro.graph import datasets
-from repro.perf.harness import CANONICAL_GRAPHS
 from repro.utils.tables import render_table
 
 
@@ -61,27 +56,26 @@ class MsbfsSettings:
         return cls(sources=16, wave_width=16)
 
 
-def measure_graph(name: str, settings: MsbfsSettings, device) -> dict:
+def measure_graph(name: str, settings: MsbfsSettings,
+                  ctx: BenchContext) -> dict:
     """Both legs on one graph; returns the metric dict."""
     from repro.core import msbfs
 
-    csr, _ = datasets.load(name, weighted=False)
+    csr, _ = ctx.load(name, weighted=False)
     sources = pick_sources(csr, settings.sources, seed=settings.source_seed)
     config = EtaGraphConfig()
 
     # --- sequential leg ----------------------------------------------
-    with EngineSession(csr, config, device) as session:
-        session.query("bfs", int(sources[0]))  # untimed warm-up
-        t0 = time.perf_counter()
-        seq_results = [session.query("bfs", int(s)) for s in sources]
-        wall_sequential_s = max(time.perf_counter() - t0, 1e-9)
+    sequential = time_queries(csr, config, ctx.device, sources)
+    seq_results = sequential.results
+    wall_sequential_s = sequential.wall_s
     delivered_edges = sum(
         r.stats.total_edges_scanned for r in seq_results
     )
     sequential_simulated_ms = sum(r.total_ms for r in seq_results)
 
     # --- wave leg -----------------------------------------------------
-    with EngineSession(csr, config, device) as session:
+    with EngineSession(csr, config, ctx.device) as session:
         session.query("bfs", int(sources[0]))  # identical warm-up
         t0 = time.perf_counter()
         waves = [
@@ -135,7 +129,8 @@ def measure_graph(name: str, settings: MsbfsSettings, device) -> dict:
 
 
 def run_msbfs(
-    quick: bool = False, settings: MsbfsSettings | None = None
+    quick: bool = False, ctx: BenchContext | None = None, *,
+    settings: MsbfsSettings | None = None,
 ) -> ExperimentReport:
     """Measure wave-vs-sequential throughput; returns a saveable report.
 
@@ -144,9 +139,9 @@ def run_msbfs(
     — the whole-grid wall-time ratio of the sequential batch to the
     wave batch at equal delivered work.
     """
+    ctx = ctx or BenchContext()
     if settings is None:
         settings = MsbfsSettings.quick() if quick else MsbfsSettings()
-    device = bench_device()
 
     data: dict = {}
     total_delivered = 0
@@ -155,7 +150,7 @@ def run_msbfs(
     total_queries = 0
     rows = []
     for name in settings.graphs:
-        metrics = measure_graph(name, settings, device)
+        metrics = measure_graph(name, settings, ctx)
         data[name] = metrics
         total_delivered += metrics["delivered_edges"]
         total_seq_wall += metrics["wall_sequential_s"]
@@ -213,71 +208,3 @@ def run_msbfs(
         text=text,
         data=data,
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench msbfs",
-        description="Measure MSBFS wave vs sequential batch throughput.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="fewer sources and narrower waves (CI-sized run)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_PR7.json",
-        help="write the report here (default BENCH_PR7.json; '-' skips)",
-    )
-    parser.add_argument(
-        "--json-dir", default=None,
-        help="also write <dir>/msbfs.json for `repro.bench compare`",
-    )
-    parser.add_argument(
-        "--sources", type=int, default=None,
-        help="override distinct sources per graph",
-    )
-    parser.add_argument(
-        "--wave-width", type=int, default=None,
-        help="override lanes per wave (1..64)",
-    )
-    parser.add_argument(
-        "--graphs", default=None,
-        help="comma-separated graph list (default: canonical three)",
-    )
-    args = parser.parse_args(argv)
-
-    settings = MsbfsSettings.quick() if args.quick else MsbfsSettings()
-    overrides = {}
-    if args.sources is not None:
-        overrides["sources"] = args.sources
-    if args.wave_width is not None:
-        overrides["wave_width"] = args.wave_width
-    if args.graphs is not None:
-        overrides["graphs"] = tuple(
-            g.strip() for g in args.graphs.split(",") if g.strip()
-        )
-    if overrides:
-        from dataclasses import replace
-
-        settings = replace(settings, **overrides)
-
-    report = run_msbfs(quick=args.quick, settings=settings)
-    print(report.text)
-
-    from repro.bench.export import report_to_dict, save_report
-
-    if args.out and args.out != "-":
-        Path(args.out).write_text(
-            json.dumps(report_to_dict(report), indent=2)
-        )
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json_dir:
-        out_dir = Path(args.json_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_report(report, out_dir / "msbfs.json")
-        print(f"wrote {out_dir / 'msbfs.json'}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,12 +1,20 @@
 """Simulator-throughput measurement (``python -m repro.bench perf``).
 
-The workload is the serving regime the session layer exists for: per
+Everything else in this repository measures *simulated* GPU time; this
+harness measures how fast the **simulator** runs on the host.  The
+workload is the serving regime the session layer exists for: per
 canonical graph, one topology-resident :class:`EngineSession` answers a
 batch of BFS queries — ``sources`` distinct sources, each asked
 ``repeats`` times (popular sources repeat in a serving mix, which is
 exactly what the session's frontier memo amortizes).  One untimed
 warm-up query pays topology placement so the timed region measures
-steady-state query throughput, not setup.
+steady-state query throughput, not setup
+(:func:`~repro.bench.workloads.time_queries`).
+
+With ``--trace-dir`` the timed region runs with spans on, and the last
+query's Chrome trace per graph is written after the region closes;
+comparing ``wall_ms_per_query`` with and without it measures telemetry
+overhead.
 
 Metric naming is load-bearing: keys prefixed ``wall_`` are host
 wall-clock measurements and are gated generously (and direction-aware)
@@ -16,19 +24,13 @@ function of (graph seed, config) and is gated tightly.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bench.runner import ExperimentReport
-from repro.bench.workloads import bench_device
+from repro.bench.runner import BenchContext, ExperimentReport
+from repro.bench.workloads import time_queries
 from repro.core.config import EtaGraphConfig
 from repro.core.multi import pick_sources
-from repro.core.session import EngineSession
-from repro.graph import datasets
 from repro.utils.tables import render_table
 
 #: The three canonical perf graphs: the small-dataset grid every
@@ -48,53 +50,30 @@ class PerfSettings:
     repeats: int = 3
     algorithm: str = "bfs"
     source_seed: int = 3
-    #: Run the timed region with spans enabled.  Off by default so the
-    #: headline numbers measure the untraced engine; turning it on is
-    #: how the <5% telemetry-overhead budget is measured (run both ways
-    #: and compare ``wall_ms_per_query``).
-    telemetry: bool = False
-    #: Write one Chrome trace-event file per graph (the last timed
-    #: query's trace) into this directory.  Implies ``telemetry``.
-    trace_dir: str | None = None
 
     @classmethod
     def quick(cls) -> "PerfSettings":
         return cls(sources=4, repeats=2)
 
 
-def _cache_accesses(session: EngineSession) -> int:
-    """Total sector accesses processed by the session's cache models."""
-    return session.caches.unified.accesses + session.caches.l2.accesses
-
-
-def measure_graph(name: str, settings: PerfSettings, device) -> dict:
+def measure_graph(name: str, settings: PerfSettings,
+                  ctx: BenchContext) -> dict:
     """Run the serving workload on one graph; returns the metric dict."""
-    csr, _ = datasets.load(name, weighted=False)
+    csr, _ = ctx.load(name, weighted=False)
     sources = pick_sources(csr, settings.sources, seed=settings.source_seed)
-    telemetry = settings.telemetry or settings.trace_dir is not None
-    config = EtaGraphConfig(telemetry=telemetry)
+    config = EtaGraphConfig(telemetry=ctx.trace_dir is not None)
+    batch = time_queries(
+        csr, config, ctx.device, sources, repeats=settings.repeats,
+        algorithm=settings.algorithm,
+    )
+    results = batch.results
 
-    with EngineSession(csr, config, device) as session:
-        # Untimed warm-up: pays topology placement + first-query faults.
-        session.query(settings.algorithm, int(sources[0]))
-
-        accesses_before = _cache_accesses(session)
-        results = []
-        t0 = time.perf_counter()
-        for _ in range(settings.repeats):
-            for s in sources:
-                results.append(session.query(settings.algorithm, int(s)))
-        wall_s = time.perf_counter() - t0
-        cache_accesses = _cache_accesses(session) - accesses_before
-        memo_hits = getattr(session, "memo_hits", 0)
-        memo_misses = getattr(session, "memo_misses", 0)
-
-    if settings.trace_dir is not None:
+    if ctx.trace_dir is not None:
         # Written after the timed region closed, so file I/O never
         # perturbs the wall-clock numbers.
         from repro.observability.export import write_chrome_trace
 
-        trace_dir = Path(settings.trace_dir)
+        trace_dir = Path(ctx.trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
         write_chrome_trace(
             results[-1].trace, trace_dir / f"perf-{name}.json"
@@ -105,7 +84,8 @@ def measure_graph(name: str, settings: PerfSettings, device) -> dict:
     iterations = sum(r.iterations for r in results)
     simulated_ms = sum(r.total_ms for r in results)
     queries = len(results)
-    wall_s = max(wall_s, 1e-9)
+    wall_s = batch.wall_s
+    cache_accesses = batch.cache_accesses
 
     return {
         # Deterministic workload invariants (tight compare tolerance).
@@ -117,8 +97,8 @@ def measure_graph(name: str, settings: PerfSettings, device) -> dict:
         "kernel_launches": launches,
         "cache_accesses": cache_accesses,
         "simulated_total_ms": simulated_ms,
-        "memo_hits": memo_hits,
-        "memo_misses": memo_misses,
+        "memo_hits": batch.memo_hits,
+        "memo_misses": batch.memo_misses,
         # Host wall-clock (generous, direction-aware compare tolerance).
         "wall_s": wall_s,
         "wall_ms_per_query": wall_s * 1e3 / queries,
@@ -129,7 +109,8 @@ def measure_graph(name: str, settings: PerfSettings, device) -> dict:
 
 
 def run_perf(
-    quick: bool = False, settings: PerfSettings | None = None
+    quick: bool = False, ctx: BenchContext | None = None, *,
+    settings: PerfSettings | None = None,
 ) -> ExperimentReport:
     """Measure simulator throughput; returns a saveable report.
 
@@ -138,9 +119,9 @@ def run_perf(
     ``canonical.wall_edges_per_sec`` is the number successive PRs are
     compared on.
     """
+    ctx = ctx or BenchContext()
     if settings is None:
         settings = PerfSettings.quick() if quick else PerfSettings()
-    device = bench_device()
 
     data: dict = {}
     total_edges = 0
@@ -150,7 +131,7 @@ def run_perf(
     total_wall = 0.0
     rows = []
     for name in settings.graphs:
-        metrics = measure_graph(name, settings, device)
+        metrics = measure_graph(name, settings, ctx)
         data[name] = metrics
         total_edges += metrics["edges_traced"]
         total_launches += metrics["kernel_launches"]
@@ -185,9 +166,7 @@ def run_perf(
         "sources": settings.sources,
         "repeats": settings.repeats,
         "algorithm": settings.algorithm,
-        "telemetry": bool(
-            settings.telemetry or settings.trace_dir is not None
-        ),
+        "telemetry": ctx.trace_dir is not None,
     }
     rows.append([
         "canonical",
@@ -216,83 +195,3 @@ def run_perf(
         text=text,
         data=data,
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench perf",
-        description="Measure simulator (host wall-clock) throughput.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="fewer sources/repeats (CI-sized run)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_PR3.json",
-        help="write the report here (default BENCH_PR3.json; '-' skips)",
-    )
-    parser.add_argument(
-        "--json-dir", default=None,
-        help="also write <dir>/perf.json for `repro.bench compare`",
-    )
-    parser.add_argument(
-        "--sources", type=int, default=None,
-        help="override distinct sources per graph",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=None,
-        help="override batch replay count",
-    )
-    parser.add_argument(
-        "--graphs", default=None,
-        help="comma-separated graph list (default: canonical three)",
-    )
-    parser.add_argument(
-        "--telemetry", action="store_true",
-        help="enable spans inside the timed region (overhead measurement)",
-    )
-    parser.add_argument(
-        "--trace-dir", default=None,
-        help="write one Chrome trace per graph here (implies --telemetry)",
-    )
-    args = parser.parse_args(argv)
-
-    settings = PerfSettings.quick() if args.quick else PerfSettings()
-    overrides = {}
-    if args.sources is not None:
-        overrides["sources"] = args.sources
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.graphs is not None:
-        overrides["graphs"] = tuple(
-            g.strip() for g in args.graphs.split(",") if g.strip()
-        )
-    if args.telemetry:
-        overrides["telemetry"] = True
-    if args.trace_dir is not None:
-        overrides["trace_dir"] = args.trace_dir
-    if overrides:
-        from dataclasses import replace
-
-        settings = replace(settings, **overrides)
-
-    report = run_perf(quick=args.quick, settings=settings)
-    print(report.text)
-
-    from repro.bench.export import report_to_dict, save_report
-
-    if args.out and args.out != "-":
-        Path(args.out).write_text(
-            json.dumps(report_to_dict(report), indent=2)
-        )
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json_dir:
-        out_dir = Path(args.json_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_report(report, out_dir / "perf.json")
-        print(f"wrote {out_dir / 'perf.json'}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

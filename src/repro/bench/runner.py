@@ -236,11 +236,11 @@ class ExperimentRun:
 def _run_one(name: str, quick: bool, ctx: "BenchContext | None",
              trace_dir=None) -> ExperimentRun:
     # Imported here: the experiment modules import this module.
-    from repro.bench.experiments import ALL_EXPERIMENTS
+    from repro.bench.experiments import REPORTS
     from repro.bench.export import report_to_dict
 
     t0 = time.time()
-    report = ALL_EXPERIMENTS[name](
+    report = REPORTS[name](
         quick=quick, ctx=ctx or BenchContext(trace_dir=trace_dir)
     )
     return ExperimentRun(

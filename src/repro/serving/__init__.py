@@ -27,7 +27,8 @@ The layer stack, bottom up:
 * :mod:`repro.serving.chaos` — the sustained-fault self-healing battery
   behind ``python -m repro.serving chaos``;
 * :mod:`repro.serving.loadgen` — the closed-loop load generator behind
-  ``python -m repro.bench serve``.
+  ``python -m repro.bench serve`` (one of the bench driver's reports:
+  ``--json-dir D`` saves ``D/serve.json``).
 
 See ``docs/serving.md`` for the full tour.
 """

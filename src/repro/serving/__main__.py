@@ -8,7 +8,7 @@ Usage::
     python -m repro.serving identity --health    # health-plane on/off gate
     python -m repro.serving chaos                # self-healing battery
     python -m repro.serving chaos --runs 200 --seed 7
-    python -m repro.bench serve                  # closed-loop load bench
+    python -m repro.bench serve --json-dir D     # closed-loop load bench
 """
 
 from __future__ import annotations

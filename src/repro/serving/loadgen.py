@@ -14,11 +14,15 @@ taxonomy, the tenant's SLO burn rate against its declared
 deadline-hit-rate objective (see :mod:`repro.observability.slo`) and a
 *worst-request trace pointer* — the ``request_id`` of the slowest
 served request, renderable via ``python -m repro.observability
-summarize <trace> --request <id>`` on a traced rerun.  Because every
-quantity is simulated and every choice is seeded, the whole report is
-reproducible bit-for-bit — the numbers in ``BENCH_PR10.json`` are
-facts about the scheduler, not about the host — and CI gates it
-against ``benchmarks/baseline_pr10/``.
+summarize <trace> --request <id>`` on a traced rerun.  Every choice is
+seeded and the latencies, shed rates, burn rates and counters are read
+off the simulated clock, so they repeat exactly run to run — facts
+about the scheduler, not about the host — and CI gates them against
+``benchmarks/baseline_pr10/``.  Two kinds of leaf are not exact: the
+``wall_*`` leaves are host wall-clock, and ``recovery_ms`` is a
+difference of two wall-contaminated instants (see
+:func:`run_recovery_scenario`), equal between runs only up to float
+rounding in its last bits.
 
 The headline invariant (asserted by the chaos tests, visible here):
 **shed rate is monotone in offered load** — more clients can only shed
@@ -33,17 +37,12 @@ arc on the simulated clock.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.runner import ExperimentReport
-from repro.graph import datasets
+from repro.bench.runner import BenchContext, ExperimentReport
 from repro.serving.admission import TenantQuota
 from repro.serving.requests import (
     NeighborhoodRequest,
@@ -122,9 +121,6 @@ class LoadSettings:
     requests_per_client: int = 20
     seed: int = 0
     mix: tuple[TenantProfile, ...] = DEFAULT_MIX
-    #: Host wall-clock budget (s) for the whole sweep (None = unbounded);
-    #: load points past the budget are skipped, never truncated mid-run.
-    max_seconds: float | None = None
 
     @classmethod
     def quick(cls) -> "LoadSettings":
@@ -356,8 +352,10 @@ def run_recovery_scenario(csr, *, pool_size: int = 2) -> dict:
     transfer-fault window: the breaker opens, the lane is quarantined
     and standby-replaced at the open instant, half-open probes re-admit
     it after the quarantine window, and clean probes close it.
-    ``recovery_ms`` is first-close minus first-open — simulated
-    milliseconds, reproducible bit-for-bit.
+    ``recovery_ms`` is first-close minus first-open in simulated
+    milliseconds.  Both instants carry wall-clock fallback durations
+    that cancel in the difference, so ``recovery_ms`` matches between
+    runs up to float rounding in its last bits, not bit-for-bit.
     """
     from repro.resilience.faults import FaultPlan, FaultSpec
     from repro.resilience.session import RetryPolicy
@@ -402,7 +400,8 @@ def run_recovery_scenario(csr, *, pool_size: int = 2) -> dict:
 
 
 def run_serve(
-    quick: bool = False, settings: LoadSettings | None = None,
+    quick: bool = False, ctx: BenchContext | None = None, *,
+    settings: LoadSettings | None = None,
 ) -> ExperimentReport:
     """The full load sweep; returns a saveable report.
 
@@ -411,9 +410,10 @@ def run_serve(
     the monotonicity claim is read off, and ``wall_s`` the host cost of
     the whole run (a ``wall_`` metric: compared only loosely).
     """
+    ctx = ctx or BenchContext()
     if settings is None:
         settings = LoadSettings.quick() if quick else LoadSettings()
-    csr, _ = datasets.load(settings.graph)
+    csr, _ = ctx.load(settings.graph, weighted=False)
     quotas = {p.name: p.quota for p in settings.mix}
 
     data: dict = {"settings": {
@@ -428,10 +428,6 @@ def run_serve(
     rows = []
     wall_total = 0.0
     for clients in settings.client_counts:
-        if settings.max_seconds is not None \
-                and wall_total >= settings.max_seconds:
-            data.setdefault("skipped", []).append(clients)
-            continue
         from repro.observability.slo import SLOMonitor
 
         t0 = time.perf_counter()
@@ -523,83 +519,3 @@ def run_serve(
         text=text,
         data=data,
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench serve",
-        description="Closed-loop multi-tenant load against the "
-        "traversal service.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="fewer clients/requests (CI-sized run)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_PR10.json",
-        help="write the report here (default BENCH_PR10.json; '-' skips)",
-    )
-    parser.add_argument(
-        "--json-dir", default=None,
-        help="also write <dir>/serve.json for `repro.bench compare`",
-    )
-    parser.add_argument(
-        "--graph", default=None, help="dataset to serve (default slashdot)",
-    )
-    parser.add_argument(
-        "--pool-size", type=int, default=None, help="worker lanes",
-    )
-    parser.add_argument(
-        "--clients", default=None,
-        help="comma-separated client counts to sweep (default 3,6,12)",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=None,
-        help="requests per client per load point",
-    )
-    parser.add_argument(
-        "--seconds", type=float, default=None,
-        help="host wall-clock budget for the sweep (smoke runs)",
-    )
-    parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
-
-    settings = LoadSettings.quick() if args.quick else LoadSettings()
-    overrides: dict = {}
-    if args.graph is not None:
-        overrides["graph"] = args.graph
-    if args.pool_size is not None:
-        overrides["pool_size"] = args.pool_size
-    if args.clients is not None:
-        overrides["client_counts"] = tuple(
-            int(c) for c in args.clients.split(",") if c.strip()
-        )
-    if args.requests is not None:
-        overrides["requests_per_client"] = args.requests
-    if args.seconds is not None:
-        overrides["max_seconds"] = args.seconds
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        settings = replace(settings, **overrides)
-
-    report = run_serve(quick=args.quick, settings=settings)
-    print(report.text)
-
-    from repro.bench.export import report_to_dict, save_report
-
-    if args.out and args.out != "-":
-        Path(args.out).write_text(
-            json.dumps(report_to_dict(report), indent=2)
-        )
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json_dir:
-        out_dir = Path(args.json_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_report(report, out_dir / "serve.json")
-        print(f"wrote {out_dir / 'serve.json'}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

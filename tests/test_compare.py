@@ -35,10 +35,19 @@ class TestCompareReports:
         drifts = compare_reports(a, b)
         assert drifts[0].path == "grid.lj[1]"
 
-    def test_missing_keys_ignored(self):
-        a = report("x", {"v": 1.0, "only_a": 5.0})
+    def test_missing_candidate_leaf_flagged(self):
+        """A baseline leaf the candidate lacks is a drift that reads
+        ``missing`` at any tolerance, ``wall_*`` leaves included; a leaf
+        only the candidate has is ignored."""
+        a = report("x", {"v": 1.0, "only_a": 5.0, "wall_s": 1.0})
         b = report("x", {"v": 1.0, "only_b": 9.0})
-        assert compare_reports(a, b) == []
+        drifts = compare_reports(
+            a, b, rel_tolerance=1e9, wall_tolerance=float("inf"),
+        )
+        assert [(d.path, d.after, d.change_text) for d in drifts] == [
+            ("only_a", None, "missing"), ("wall_s", None, "missing"),
+        ]
+        assert "missing" in render(drifts)
 
     def test_booleans_not_numeric(self):
         a = report("x", {"flag": True})
@@ -62,9 +71,14 @@ class TestCompareDirs:
         (dir_a / "t.json").write_text(json.dumps(report("t", {"v": 1.0})))
         (dir_b / "t.json").write_text(json.dumps(report("t", {"v": 2.0})))
         (dir_a / "only_a.json").write_text(json.dumps(report("o", {"v": 1})))
+        (dir_b / "only_b.json").write_text(json.dumps(report("p", {"v": 1})))
         drifts = compare_dirs(dir_a, dir_b)
-        assert len(drifts) == 1
-        assert drifts[0].experiment == "t"
+        # The baseline's only_a.json has no candidate: a report-level
+        # ``missing`` row.  The candidate's extra only_b.json is ignored.
+        assert [(d.experiment, d.path, d.change_text) for d in drifts] == [
+            ("o", "only_a.json", "missing"),
+            ("t", "v", "+100.0%"),
+        ]
 
 
 class TestRender:
@@ -112,6 +126,20 @@ class TestCompareCLI:
         self.write(tmp_path / "b", 2.0)
         assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
         assert "+100.0%" in capsys.readouterr().out
+
+    def test_exit_one_on_missing_report(self, tmp_path, capsys):
+        """A candidate without the baseline's report fails the gate,
+        even when it holds other reports."""
+        from repro.bench.__main__ import main
+
+        self.write(tmp_path / "a", 1.0)
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "other.json").write_text(
+            json.dumps(report("other", {"v": 1.0}))
+        )
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        out = capsys.readouterr().out
+        assert "t.json" in out and "missing" in out
 
     def test_empty_directory_is_an_error_not_a_pass(self, tmp_path, capsys):
         from repro.bench.__main__ import main

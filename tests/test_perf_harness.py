@@ -1,19 +1,22 @@
-"""Tests for the perf harness (repro.perf), the parallel bench runner,
-and the wall-clock-aware compare gating."""
+"""Tests for the perf harness (``repro.bench perf``), the parallel bench
+runner, and the wall-clock-aware compare gating."""
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench.compare import compare_reports, is_wall_metric
-from repro.bench.runner import run_experiments
-from repro.perf.harness import (
+from repro.bench.compare import compare_dirs, compare_reports, is_wall_metric
+from repro.bench.experiments.exp_perf import (
     CANONICAL_GRAPHS,
     PerfSettings,
-    main as perf_main,
     run_perf,
 )
+from repro.bench.runner import run_experiments
+
+BASELINE_PR3 = Path(__file__).resolve().parents[1] / "benchmarks" / \
+    "baseline_pr3"
 
 TINY = PerfSettings(graphs=("livejournal",), sources=2, repeats=2)
 
@@ -55,24 +58,19 @@ class TestPerfHarness:
             else:
                 assert not is_wall_metric(f"livejournal.{key}")
 
-    def test_cli_writes_bench_json(self, tmp_path):
-        out = tmp_path / "BENCH.json"
-        rc = perf_main([
-            "--graphs", "livejournal", "--sources", "1", "--repeats", "1",
-            "--out", str(out), "--json-dir", str(tmp_path / "dir"),
-        ])
-        assert rc == 0
-        payload = json.loads(out.read_text())
-        assert payload["experiment"] == "perf"
-        assert (tmp_path / "dir" / "perf.json").exists()
+    def test_cli_json_dir_matches_committed_baseline(self, tmp_path):
+        """The shared bench driver writes ``<dir>/perf.json``, and its
+        deterministic leaves equal the committed CI baseline exactly.
+        Host speed is not under test: ``wall_*`` leaves may regress by
+        any amount here (CI gates them with ``--wall-tolerance``)."""
+        from repro.bench.__main__ import main
 
-    def test_cli_dash_skips_output(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert perf_main([
-            "--graphs", "livejournal", "--sources", "1", "--repeats", "1",
-            "--out", "-",
-        ]) == 0
-        assert not list(tmp_path.glob("*.json"))
+        assert main(["perf", "--quick", "--json-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "perf.json").exists()
+        assert compare_dirs(
+            BASELINE_PR3, tmp_path, rel_tolerance=0,
+            wall_tolerance=float("inf"),
+        ) == []
 
 
 class TestParallelRunner:
