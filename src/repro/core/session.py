@@ -121,6 +121,10 @@ class _FrontierExpansion:
                      self.trace_plan, self.src_ids):
             if lazy is not None:
                 total += lazy.nbytes
+        if (self.trace_plan is not None
+                and self.trace_plan.degrees is self.shadows.degrees):
+            # An unsampled plan keeps the shadows' degrees themselves.
+            total -= self.shadows.degrees.nbytes
         return total
 
 
@@ -702,13 +706,14 @@ class EngineSession:
             nbr = entry.nbr
             dests = entry.destinations(n)
             degrees = entry.shadows.degrees
-            src_per_edge = np.repeat(labels[entry.ids64], degrees)
+            src_per_edge = np.repeat(labels.take(entry.ids64), degrees)
             cand = problem.candidates(src_per_edge, entry.w_per_edge)
-            attempted = int(problem.improves(cand, labels[nbr]).sum())
+            attempted = int(np.count_nonzero(
+                problem.improves(cand, labels.take(nbr))))
 
-            before = labels[dests].copy()
+            before = labels.take(dests)
             problem.scatter_reduce(labels, nbr, cand)
-            changed = dests[labels[dests] != before]
+            changed = dests[labels.take(dests) != before]
             newly = changed[~visited[changed]]
             visited[changed] = True
 
@@ -718,7 +723,7 @@ class EngineSession:
                 # the update.
                 changed_mask = np.zeros(n, dtype=bool)
                 changed_mask[changed] = True
-                witness = (cand == labels[nbr]) & changed_mask[nbr]
+                witness = (cand == labels.take(nbr)) & changed_mask[nbr]
                 if entry.src_ids is None:
                     entry.src_ids = np.repeat(entry.ids64, degrees)
                 parents[nbr[witness]] = entry.src_ids[witness]

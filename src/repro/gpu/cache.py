@@ -14,7 +14,7 @@ standing in for the thousands of concurrently resident warps.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ _NEVER = -(1 << 62)
 _INT32_LIMIT = 1 << 31
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SortedStream:
     """A sector stream in stable sorted order.
 
@@ -35,17 +35,26 @@ class SortedStream:
     raw stream gathered by it, so equal sectors form runs whose
     positions (``order``) ascend.  Both are int32 where the values fit;
     ``sectors`` falls back to int64 for ids ``>= 2**31``.
+
+    A stream walked through a :class:`CacheHierarchy` a second time
+    keeps its :class:`RunSummary` for the hierarchy's windows in
+    ``summary``; ``nbytes`` counts it.
     """
 
     order: np.ndarray
     sectors: np.ndarray
+    walked: bool = field(default=False, init=False, repr=False)
+    summary: RunSummary | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.order)
 
     @property
     def nbytes(self) -> int:
-        return self.order.nbytes + self.sectors.nbytes
+        total = self.order.nbytes + self.sectors.nbytes
+        if self.summary is not None:
+            total += self.summary.nbytes
+        return total
 
 
 def sort_stream(sectors: np.ndarray) -> SortedStream:
@@ -117,6 +126,94 @@ def sort_segments(segments: list[np.ndarray]) -> SortedStream:
     return SortedStream(order, sectors)
 
 
+@dataclass(frozen=True, eq=False)
+class _Runs:
+    """One cache level's view of a sorted stream: each run's sector and
+    the positions of its head and tail, the stream's length, and its
+    static hits (non-head accesses within the window of the run's
+    previous access, which no cache state can change)."""
+
+    sectors: np.ndarray
+    heads: np.ndarray
+    tails: np.ndarray
+    length: int
+    static_hits: int
+
+
+def _runs(stream: SortedStream, window: int):
+    """Split a non-empty sorted stream into runs for ``window``.
+
+    Returns the static hit mask in sorted order (heads read ``False``),
+    the heads' indices into the sorted stream, and the :class:`_Runs`.
+    """
+    order, sectors = stream.order, stream.sectors
+    n = len(order)
+    if sectors[0] < 0:
+        raise ValueError("negative sector id")
+    hits = np.empty(n, dtype=bool)
+    np.less_equal(np.diff(order), window, out=hits[1:])
+    run_start = np.empty(n, dtype=bool)
+    run_start[0] = True
+    np.not_equal(sectors[1:], sectors[:-1], out=run_start[1:])
+    heads = np.flatnonzero(run_start)
+    hits[heads] = False
+    tails = np.empty_like(heads)
+    tails[:-1] = heads[1:] - 1
+    tails[-1] = n - 1
+    runs = _Runs(sectors.take(heads), order.take(heads), order.take(tails),
+                 n, int(np.count_nonzero(hits)))
+    return hits, heads, runs
+
+
+def _miss_stream(stream: SortedStream, miss: np.ndarray) -> SortedStream:
+    """The sorted stream of ``stream``'s accesses under ``miss`` (a mask
+    in sorted order), as the next level sees them.
+
+    Filtering keeps equal sectors in stream order, and a miss's
+    position is its rank among the misses, so the result is sorted.
+    """
+    missed = stream.order.compress(miss).astype(np.intp)
+    miss_in_stream = np.zeros(len(stream), dtype=bool)
+    miss_in_stream[missed] = True
+    rank = np.cumsum(miss_in_stream, dtype=stream.order.dtype)
+    order = rank.take(missed)
+    order -= 1
+    return SortedStream(order, stream.sectors.compress(miss))
+
+
+@dataclass(frozen=True, eq=False)
+class RunSummary:
+    """What a sorted stream does to an L1/L2 pair of reuse-window caches
+    with windows ``windows``, apart from its run heads' lookups.
+
+    ``l1`` holds the stream's runs.  ``l2`` holds the runs of the
+    *canonical* L2 stream, the L1 misses when every L1 run head misses:
+    every L1 run is then also an L2 run, so ``l2`` shares ``l1``'s
+    sectors and holds each run's L2 head and tail ranks.  A replay in
+    which no L1 head hits is exactly this canonical case and costs
+    O(runs); any other replay takes the full walk.
+    """
+
+    windows: tuple[int, int]
+    l1: _Runs
+    l2: _Runs
+
+    @property
+    def nbytes(self) -> int:
+        return (self.l1.sectors.nbytes + self.l1.heads.nbytes
+                + self.l1.tails.nbytes + self.l2.heads.nbytes
+                + self.l2.tails.nbytes)
+
+
+def summarize(stream: SortedStream, l1_window: int,
+              l2_window: int) -> RunSummary:
+    """The :class:`RunSummary` of a non-empty sorted stream."""
+    hits, _, l1 = _runs(stream, l1_window)
+    _, _, l2 = _runs(_miss_stream(stream, ~hits), l2_window)
+    l2 = _Runs(l1.sectors, l2.heads, l2.tails, l2.length, l2.static_hits)
+    return RunSummary((l1_window, l2_window), l1, l2)
+
+
 class ReuseWindowCache:
     """Approximate LRU: hit iff the sector recurs within ``window`` accesses.
 
@@ -166,39 +263,40 @@ class ReuseWindowCache:
         self._last = grown
         self._base = new_base
 
+    def _lookup(self, runs: _Runs):
+        """The head-hit mask of ``runs`` and their table slots.
+
+        A run's head continues from the previous batches.  Only grows
+        the table; changes no cache state.
+        """
+        self._ensure_capacity(int(runs.sectors[0]), int(runs.sectors[-1]))
+        slots = np.subtract(runs.sectors, self._base, dtype=np.intp)
+        gap = np.add(runs.heads, self._clock, dtype=np.int64)
+        gap -= self._last.take(slots)
+        return gap <= self.window, slots
+
+    def _apply(self, runs: _Runs, head_hits: np.ndarray,
+               slots: np.ndarray) -> int:
+        """Advance the cache over ``runs``; returns their hit count.
+
+        A run's tail is its sector's latest position, which the table
+        keeps.
+        """
+        self._last[slots] = np.add(runs.tails, self._clock, dtype=np.int64)
+        self._clock += runs.length
+        hits = runs.static_hits + int(np.count_nonzero(head_hits))
+        self.accesses += runs.length
+        self.hits += hits
+        return hits
+
     def walk(self, stream: SortedStream) -> np.ndarray:
         """Process a sorted stream; returns its hit mask in sorted order."""
-        order, sectors = stream.order, stream.sectors
-        n = len(order)
-        if n == 0:
+        if len(stream) == 0:
             return np.zeros(0, dtype=bool)
-        if sectors[0] < 0:
-            raise ValueError("negative sector id")
-        self._ensure_capacity(int(sectors[0]), int(sectors[-1]))
-
-        window = self.window
-        hits = np.empty(n, dtype=bool)
-        np.less_equal(np.diff(order), window, out=hits[1:])
-        run_start = np.empty(n, dtype=bool)
-        run_start[0] = True
-        np.not_equal(sectors[1:], sectors[:-1], out=run_start[1:])
-        heads = np.flatnonzero(run_start)
-        tails = np.empty_like(heads)
-        tails[:-1] = heads[1:] - 1
-        tails[-1] = n - 1
-        slots = sectors.take(heads).astype(np.intp)
-        slots -= self._base
-        # A run's head continues from the previous batches; its tail is
-        # the sector's latest position, which the table keeps.
-        head_pos = order.take(heads).astype(np.int64)
-        head_pos += self._clock
-        hits[heads] = head_pos - self._last.take(slots) <= window
-        tail_pos = order.take(tails).astype(np.int64)
-        tail_pos += self._clock
-        self._last[slots] = tail_pos
-        self._clock += n
-        self.accesses += n
-        self.hits += int(np.count_nonzero(hits))
+        hits, heads, runs = _runs(stream, self.window)
+        head_hits, slots = self._lookup(runs)
+        hits[heads] = head_hits
+        self._apply(runs, head_hits, slots)
         return hits
 
     def access(self, sectors: np.ndarray) -> np.ndarray:
@@ -295,27 +393,46 @@ class CacheHierarchy:
         """Route a raw sector array or a :class:`SortedStream` through
         L1 and L2.
 
-        L2 sees the L1 misses in stream order.  Filtering the sorted
-        L1 stream by its miss mask keeps equal sectors in stream order,
-        and a miss's L2 position is its rank among the misses, so L2's
-        stream arrives sorted: L2 never sorts.
+        L2 sees the L1 misses in stream order, which
+        :func:`_miss_stream` gives already sorted: L2 never sorts.  A
+        stream walked before replays from its :class:`RunSummary`
+        (built on its second walk) when no L1 run head hits.
         """
         if not isinstance(stream, SortedStream):
             stream = sort_stream(stream)
         n = len(stream)
-        l1_miss = ~self.unified.walk(stream)
-        missed = stream.order.compress(l1_miss).astype(np.intp)
-        miss_in_stream = np.zeros(n, dtype=bool)
-        miss_in_stream[missed] = True
-        rank = np.cumsum(miss_in_stream, dtype=stream.order.dtype)
-        l2_order = rank.take(missed)
-        l2_order -= 1
-        to_l2 = SortedStream(l2_order, stream.sectors.compress(l1_miss))
-        l2_accesses = len(to_l2)
-        l2_hits = int(np.count_nonzero(self.l2.walk(to_l2)))
+        if n == 0:
+            return HierarchyResult(0, 0, 0, 0, 0)
+        summary = self._summary(stream)
+        if summary is not None:
+            l1_heads = self.unified._lookup(summary.l1)
+            if not l1_heads[0].any():
+                self.unified._apply(summary.l1, *l1_heads)
+                l2_hits = self.l2._apply(summary.l2,
+                                         *self.l2._lookup(summary.l2))
+                return self._result(n, summary.l2.length, l2_hits)
+        to_l2 = _miss_stream(stream, ~self.unified.walk(stream))
+        return self._result(n, len(to_l2),
+                            int(np.count_nonzero(self.l2.walk(to_l2))))
+
+    def _summary(self, stream: SortedStream) -> RunSummary | None:
+        """``stream``'s summary for the current windows; ``None`` on its
+        first walk, so a stream walked once never pays for one."""
+        windows = (self.unified.window, self.l2.window)
+        if stream.summary is not None and stream.summary.windows == windows:
+            return stream.summary
+        if not stream.walked:
+            stream.walked = True
+            return None
+        stream.summary = summarize(stream, *windows)
+        return stream.summary
+
+    @staticmethod
+    def _result(accesses: int, l2_accesses: int,
+                l2_hits: int) -> HierarchyResult:
         return HierarchyResult(
-            accesses=n,
-            unified_hits=n - l2_accesses,
+            accesses=accesses,
+            unified_hits=accesses - l2_accesses,
             l2_accesses=l2_accesses,
             l2_hits=l2_hits,
             dram_transactions=l2_accesses - l2_hits,

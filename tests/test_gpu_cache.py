@@ -329,12 +329,40 @@ def _batches(rng, low):
     ]
 
 
-class TestSortedWalkExactness:
-    """Raw arrays and sorted streams (what a trace plan holds) must give
-    the per-access loop's counts and leave its last-access tables, batch
-    after batch."""
+class _PathSpy:
+    """Counts which way each :meth:`CacheHierarchy.access` of a stream
+    holding a summary went: the summary apply, or the full walk taken
+    when an L1 run head hits."""
 
-    @pytest.mark.parametrize("path", ["raw", "sorted"])
+    def __init__(self, hier):
+        self.hier = hier
+        self.applied = self.fallbacks = self.full_walks = 0
+        walk = hier.unified.walk
+
+        def counting_walk(stream):
+            self.full_walks += 1
+            return walk(stream)
+
+        hier.unified.walk = counting_walk
+
+    def access(self, stream):
+        before = self.full_walks
+        result = self.hier.access(stream)
+        if stream.summary is not None:
+            if self.full_walks == before:
+                self.applied += 1
+            else:
+                self.fallbacks += 1
+        return result
+
+
+class TestSortedWalkExactness:
+    """Raw arrays, sorted streams (what a trace plan holds) and sorted
+    streams replayed round after round (so they walk from their run
+    summaries) must give the per-access loop's counts and leave its
+    last-access tables and clocks, batch after batch."""
+
+    @pytest.mark.parametrize("path", ["raw", "sorted", "replayed"])
     @pytest.mark.parametrize("low", [0, 1 << 20, (1 << 31) - 4300],
                              ids=["small", "mid", "straddles-2**31"])
     @pytest.mark.parametrize("seed", range(4))
@@ -345,23 +373,95 @@ class TestSortedWalkExactness:
         hier.unified.window = int(rng.integers(8, 64))
         hier.l2.window = int(rng.integers(64, 256))
         naive = _NaiveHierarchy(hier)
+        spy = _PathSpy(hier)
+        batches = _batches(rng, low)
+        streams = [sort_stream(b) for b in batches]
+        rounds = 3 if path == "replayed" else 1
         saw_l1_only = False
-        for batch in _batches(rng, low):
-            stream = sort_stream(batch) if path == "sorted" else batch
-            got = _counts(hier.access(stream))
-            if path == "sorted":
-                # A stream is reusable: the walk must not consume it.
-                again = sort_stream(batch)
-                assert np.array_equal(stream.order, again.order)
-                assert np.array_equal(stream.sectors, again.sectors)
-            want = naive.access(batch)
-            assert got == want
-            saw_l1_only |= bool(len(batch)) and got[2] == 0
-            assert _table(hier.unified) == naive.l1.last
-            assert _table(hier.l2) == naive.l2.last
-            assert hier.unified._clock == naive.l1.clock
-            assert hier.l2._clock == naive.l2.clock
+        for _ in range(rounds):
+            for batch, stream in zip(batches, streams):
+                if path == "raw":
+                    got = _counts(hier.access(batch))
+                elif path == "sorted":
+                    got = _counts(hier.access(sort_stream(batch)))
+                else:
+                    got = _counts(spy.access(stream))
+                    # A stream is reusable: the walk must not consume it.
+                    again = sort_stream(batch)
+                    assert np.array_equal(stream.order, again.order)
+                    assert np.array_equal(stream.sectors, again.sectors)
+                want = naive.access(batch)
+                assert got == want
+                saw_l1_only |= bool(len(batch)) and got[2] == 0
+                assert _table(hier.unified) == naive.l1.last
+                assert _table(hier.l2) == naive.l2.last
+                assert hier.unified._clock == naive.l1.clock
+                assert hier.l2._clock == naive.l2.clock
         assert saw_l1_only
+        if path == "replayed":
+            # Every non-empty stream walked from its summary from the
+            # second round on, and both branches ran.
+            assert spy.applied + spy.fallbacks == \
+                2 * sum(1 for b in batches if len(b))
+            assert spy.applied and spy.fallbacks
+        else:
+            assert spy.applied == spy.fallbacks == 0
+
+    def test_replay_summary_is_built_on_the_second_walk(self):
+        rng = np.random.default_rng(3)
+        stream = sort_stream(_duplicate_heavy_stream(rng, 2000, 600))
+        hier = CacheHierarchy(GTX_1080TI)
+        hier.access(stream)
+        assert stream.summary is None
+        once = stream.nbytes
+        assert once == stream.order.nbytes + stream.sectors.nbytes
+        hier.access(stream)
+        summary = stream.summary
+        assert summary is not None
+        assert summary.windows == (hier.unified.window, hier.l2.window)
+        assert stream.nbytes == once + summary.nbytes > once
+        hier.access(stream)
+        assert stream.summary is summary
+
+    def test_replay_summary_keeps_the_streams_dtypes(self):
+        rng = np.random.default_rng(4)
+        for low in (0, 1 << 40):
+            stream = sort_stream(low + _duplicate_heavy_stream(rng, 900, 300))
+            hier = CacheHierarchy(GTX_1080TI)
+            hier.access(stream)
+            hier.access(stream)
+            summary = stream.summary
+            assert summary.l2.sectors is summary.l1.sectors
+            assert summary.l1.sectors.dtype == stream.sectors.dtype
+            for level in (summary.l1, summary.l2):
+                assert level.heads.dtype == stream.order.dtype
+                assert level.tails.dtype == stream.order.dtype
+
+    @pytest.mark.parametrize("level", ["unified", "l2"])
+    def test_window_change_rebuilds_the_replay_summary(self, level):
+        rng = np.random.default_rng(5)
+        batches = [_duplicate_heavy_stream(rng, 1500, 5000)
+                   for _ in range(3)]
+        streams = [sort_stream(b) for b in batches]
+        hier = CacheHierarchy(GTX_1080TI)
+        hier.unified.window, hier.l2.window = 24, 160
+        naive = _NaiveHierarchy(hier)
+        for _ in range(2):
+            for batch, stream in zip(batches, streams):
+                assert _counts(hier.access(stream)) == naive.access(batch)
+        old = streams[0].summary
+        assert old.windows == (24, 160)
+        setattr(getattr(hier, level), "window", 48 if level == "unified"
+                else 320)
+        naive.l1.window, naive.l2.window = \
+            hier.unified.window, hier.l2.window
+        for batch, stream in zip(batches, streams):
+            assert _counts(hier.access(stream)) == naive.access(batch)
+            assert stream.summary.windows == \
+                (hier.unified.window, hier.l2.window)
+        assert streams[0].summary is not old
+        assert _table(hier.unified) == naive.l1.last
+        assert _table(hier.l2) == naive.l2.last
 
     def test_replayed_stream_matches_raw_path(self):
         rng = np.random.default_rng(7)

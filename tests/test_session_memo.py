@@ -1,6 +1,8 @@
 """Tests for the session-level frontier memo: bit-identity with the memo
 on or off, hit/miss accounting, boundedness, and entry reuse."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,16 +180,33 @@ class TestMemoAccounting:
         assert np.array_equal(engine.run("sssp", 2).labels, s1.labels)
 
 
+def _arrays(value, found):
+    """Every distinct array reachable from a memo field, by identity."""
+    if isinstance(value, np.ndarray):
+        found[id(value)] = value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _arrays(getattr(value, f.name), found)
+
+
 def _held_bytes(entry) -> int:
-    """Bytes of every field a memo entry holds, found from its slots."""
+    """Bytes of every array and byte string a memo entry holds, found
+    from its slots and the dataclasses in them (a shared array once)."""
     total = 0
+    found = {}
     for slot in type(entry).__slots__:
         value = getattr(entry, slot)
         if isinstance(value, bytes):
             total += len(value)
-        elif value is not None:
-            total += value.nbytes
-    return total
+        else:
+            _arrays(value, found)
+    return total + sum(a.nbytes for a in found.values())
+
+
+def _streams(entry):
+    return [s for s in (entry.transform_stream,
+                        entry.trace_plan and entry.trace_plan.sorted_stream)
+            if s is not None]
 
 
 class TestEntryContents:
@@ -203,15 +222,25 @@ class TestEntryContents:
             assert entry.dests.tobytes() == np.unique(entry.nbr).tobytes()
 
     def test_nbytes_counts_exactly_what_entries_hold(self, social):
+        """Replayed query and wave frontiers walk their streams again,
+        so their entries then hold run summaries, which ``nbytes``
+        counts; a stream walked once holds none."""
         from repro.core import msbfs
 
         with EngineSession(social, EtaGraphConfig(smp=True)) as ses:
-            ses.query("sssp", 0)
-            msbfs.run_wave(ses, [1, 2, 3])
-            entries = list(ses._frontier_memo.values())
-            assert ses.memo_bytes == sum(_held_bytes(e) for e in entries)
-        for entry in entries:
-            assert entry.nbytes == _held_bytes(entry)
+            for replayed in (False, True):
+                ses.query("sssp", 0)
+                msbfs.run_wave(ses, [1, 2, 3])
+                entries = list(ses._frontier_memo.values())
+                assert ses.memo_bytes == \
+                    sum(_held_bytes(e) for e in entries)
+                for entry in entries:
+                    assert entry.nbytes == _held_bytes(entry)
+                summaries = [s.summary for e in entries for s in _streams(e)]
+                if replayed:
+                    assert any(s is not None for s in summaries)
+                else:
+                    assert all(s is None for s in summaries)
 
     @pytest.mark.parametrize("wave", [False, True])
     def test_transform_stream_equals_a_fresh_build(self, social, wave):
