@@ -73,11 +73,18 @@ class _FrontierExpansion:
     Label-dependent values (candidates, update counts) are never stored,
     so reusing an entry is bit-identical to recomputing it.
 
-    ``dests``, ``trace_plan`` and ``src_ids`` are filled lazily: the
-    destinations when a driver first asks for them (the query does, the
-    MSBFS wave never does), the plan on the first kernel launch over
-    this frontier, the per-edge source ids only if a parent-tracking
-    query needs them.
+    ``dests``, ``trace_plan``, ``src_ids``, ``dest_edges`` and
+    ``dest_last_src`` are filled lazily: the destinations when a step
+    first asks for them (the query does, the MSBFS wave never does), the
+    plan on the first kernel launch over this frontier, the per-edge
+    source ids only if a parent-tracking per-edge step needs them.  The
+    query's per-destination step (every frontier edge carrying one
+    candidate) reads two per-destination arrays aligned with ``dests``:
+    ``dest_edges``, each destination's number of frontier edges, built
+    on the entry's second such step (``stepped`` marks the first), so a
+    frontier seen once never pays for it; and ``dest_last_src``, the
+    source of the last frontier edge into each destination, built when
+    a parent-tracking query first needs it.
 
     ``active_bytes`` holds the exact bytes of the active set the entry
     was built from: a memo hit is only trusted after these bytes match
@@ -88,6 +95,7 @@ class _FrontierExpansion:
     __slots__ = (
         "shadows", "ids64", "nbr", "dests", "w_per_edge",
         "transform_stream", "trace_plan", "src_ids", "active_bytes",
+        "stepped", "dest_edges", "dest_last_src",
     )
 
     def __init__(self, *, shadows, ids64, nbr, w_per_edge,
@@ -101,6 +109,9 @@ class _FrontierExpansion:
         self.trace_plan = None
         self.src_ids = None
         self.active_bytes = active_bytes
+        self.stepped = False
+        self.dest_edges = None
+        self.dest_last_src = None
 
     def destinations(self, num_vertices: int) -> np.ndarray:
         """Sorted unique neighbor ids (exactly ``np.unique(nbr)``), found
@@ -111,6 +122,35 @@ class _FrontierExpansion:
             self.dests = np.flatnonzero(hit)
         return self.dests
 
+    def edge_sources(self) -> np.ndarray:
+        """Source id of every frontier edge, aligned with ``nbr``."""
+        if self.src_ids is not None:
+            return self.src_ids
+        return np.repeat(self.ids64, self.shadows.degrees)
+
+    def destination_edges(self, num_vertices: int) -> np.ndarray | None:
+        """Each destination's number of frontier edges (int32, aligned
+        with :meth:`destinations`); ``None`` on the entry's first
+        per-destination step, so a frontier seen once never counts."""
+        if self.dest_edges is None:
+            if not self.stepped:
+                self.stepped = True
+                return None
+            counts = np.bincount(self.nbr, minlength=num_vertices)
+            self.dest_edges = counts.take(self.dests).astype(np.int32)
+        return self.dest_edges
+
+    def last_sources(self, num_vertices: int, dtype) -> np.ndarray:
+        """Source of the last frontier edge into each destination (in
+        ``dtype``, aligned with :meth:`destinations`): the witness a
+        push records when every edge into a destination witnesses."""
+        if self.dest_last_src is None:
+            last = np.empty(num_vertices, dtype=dtype)
+            # Repeated indices: the last edge's value is the one kept.
+            last[self.nbr] = self.edge_sources()
+            self.dest_last_src = last.take(self.dests)
+        return self.dest_last_src
+
     @property
     def nbytes(self) -> int:
         total = (
@@ -118,7 +158,8 @@ class _FrontierExpansion:
             + len(self.active_bytes)
         )
         for lazy in (self.dests, self.w_per_edge, self.transform_stream,
-                     self.trace_plan, self.src_ids):
+                     self.trace_plan, self.src_ids, self.dest_edges,
+                     self.dest_last_src):
             if lazy is not None:
                 total += lazy.nbytes
         if (self.trace_plan is not None
@@ -702,31 +743,55 @@ class EngineSession:
         visited[seeds] = True
 
         def relax(active, entry, iteration):
-            # Exact label propagation: scatter-reduce every candidate.
             nbr = entry.nbr
             dests = entry.destinations(n)
-            degrees = entry.shadows.degrees
-            src_per_edge = np.repeat(labels.take(entry.ids64), degrees)
-            cand = problem.candidates(src_per_edge, entry.w_per_edge)
-            attempted = int(np.count_nonzero(
-                problem.improves(cand, labels.take(nbr))))
-
+            src_labels = labels.take(entry.ids64)
             before = labels.take(dests)
-            problem.scatter_reduce(labels, nbr, cand)
-            changed = dests[labels.take(dests) != before]
+            uniform = entry.w_per_edge is None and \
+                bool((src_labels == src_labels[0]).all())
+            if uniform:
+                # Every frontier edge carries the same candidate (every
+                # BFS level): the reduction is one per destination.
+                cand = problem.candidates(src_labels[:1], None)
+                dest_edges = entry.destination_edges(n)
+                if dest_edges is not None:
+                    attempted = int(
+                        dest_edges[problem.improves(cand, before)].sum())
+                else:
+                    attempted = int(np.count_nonzero(
+                        problem.improves(cand, labels.take(nbr))))
+                problem.scatter_reduce(
+                    labels, dests, np.broadcast_to(cand, dests.shape))
+            else:
+                # Exact label propagation: scatter-reduce the candidate
+                # of every frontier edge.
+                cand = problem.candidates(
+                    np.repeat(src_labels, entry.shadows.degrees),
+                    entry.w_per_edge,
+                )
+                attempted = int(np.count_nonzero(
+                    problem.improves(cand, labels.take(nbr))))
+                problem.scatter_reduce(labels, nbr, cand)
+            changed_sel = labels.take(dests) != before
+            changed = dests[changed_sel]
             newly = changed[~visited[changed]]
             visited[changed] = True
 
             if parents is not None and len(changed):
                 # The winning atomic's thread records its own id: any
                 # edge whose candidate equals the final label witnesses
-                # the update.
-                changed_mask = np.zeros(n, dtype=bool)
-                changed_mask[changed] = True
-                witness = (cand == labels.take(nbr)) & changed_mask[nbr]
-                if entry.src_ids is None:
-                    entry.src_ids = np.repeat(entry.ids64, degrees)
-                parents[nbr[witness]] = entry.src_ids[witness]
+                # the update, and the last witnessing edge wins.
+                if uniform:
+                    # Every edge into a changed destination witnesses.
+                    parents[changed] = entry.last_sources(
+                        n, parents.dtype)[changed_sel]
+                else:
+                    changed_mask = np.zeros(n, dtype=bool)
+                    changed_mask[changed] = True
+                    witness = (cand == labels.take(nbr)) & changed_mask[nbr]
+                    if entry.src_ids is None:
+                        entry.src_ids = entry.edge_sources()
+                    parents[nbr[witness]] = entry.src_ids[witness]
             stop = target is not None and bool(visited[target])
             return attempted, changed, len(newly), stop
 

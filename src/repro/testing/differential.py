@@ -205,7 +205,11 @@ def session_engine(
     sources, so the differential case exercises reused UM residency,
     warm caches and recycled per-query buffers — the state a serving
     deployment actually runs in — before the labels under test are
-    produced.
+    produced.  The probe is then answered twice and the second answer's
+    labels are returned: the replay reuses the frontier memo's entries
+    (the query step's per-destination edge counts, the cache model's
+    run summaries), and it must reproduce the first answer's labels and
+    per-iteration counts exactly, or the engine raises.
     """
     from repro.core.session import EngineSession
 
@@ -217,9 +221,28 @@ def session_engine(
                     session.query(
                         problem, (source + 1 + i) % csr.num_vertices
                     )
-            return session.query(problem, source).labels
+            first = session.query(problem, source)
+            replay = session.query(problem, source)
+        if not np.array_equal(first.labels, replay.labels):
+            raise AssertionError("replayed probe query changed its labels")
+        if _step_counts(first) != _step_counts(replay):
+            raise AssertionError(
+                "replayed probe query changed its per-iteration counts: "
+                f"{_step_counts(first)} then {_step_counts(replay)}"
+            )
+        return replay.labels
 
     return run
+
+
+def _step_counts(result) -> list[tuple[int, ...]]:
+    """A query's label-determined per-iteration counts (its simulated
+    times legitimately change once the caches are warm)."""
+    return [
+        (s.active_vertices, s.shadow_vertices, s.edges_scanned,
+         s.updates, s.newly_visited)
+        for s in result.stats.iterations
+    ]
 
 
 def service_engine(

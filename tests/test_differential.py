@@ -151,6 +151,26 @@ class TestInjectedBug:
         assert "crashy" in report.summary()
 
 
+    def test_session_engine_checks_its_replay(self, skewed_graph,
+                                              monkeypatch):
+        """The session engine answers its probe twice; a replay whose
+        per-iteration counts drift from the first answer raises, even
+        with identical labels."""
+        from repro.core.session import _FrontierExpansion
+        from repro.testing.differential import session_engine
+
+        engine = session_engine()
+        labels = engine(skewed_graph, "bfs", 0)
+        assert np.array_equal(labels, oracle_labels(skewed_graph, "bfs", 0))
+
+        counts = _FrontierExpansion.destination_edges
+        monkeypatch.setattr(
+            _FrontierExpansion, "destination_edges",
+            lambda self, n: None if (c := counts(self, n)) is None else c + 1)
+        with pytest.raises(AssertionError, match="per-iteration counts"):
+            engine(skewed_graph, "bfs", 0)
+
+
 class TestCCOracle:
     def test_cc_reference_matches_scipy(self, skewed_graph):
         """Directed min-flood fixed point agrees with scipy on a

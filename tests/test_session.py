@@ -268,3 +268,131 @@ class TestApiPlumbing:
         names = {e.engine for e in report.engines}
         assert "etagraph-session" in names
         assert report.ok, report.summary()
+
+
+# ----------------------------------------------------------------------
+# The query step against a naive per-edge push
+# ----------------------------------------------------------------------
+
+def _multigraph(weighted: bool):
+    """A graph with parallel edges, self-loops, a vertex above the degree
+    limit and a sink, so per-destination edge counts differ from one."""
+    from repro.graph.builder import build_csr_from_edges
+    from repro.graph.weights import uniform_int_weights
+
+    rng = np.random.default_rng(17)
+    n = 40
+    src = rng.integers(0, n - 1, 160)
+    dst = rng.integers(0, n - 1, 160)
+    extra = [(0, 1), (0, 1), (0, 1), (1, 1), (2, 2), (2, 3), (2, 3),
+             (3, 0), (0, 0)] + [(4, v) for v in range(5, 25)]
+    src = np.concatenate([src, [s for s, _ in extra]])
+    dst = np.concatenate([dst, [d for _, d in extra]])
+    weights = uniform_int_weights(len(src), high=6, seed=3) if weighted \
+        else None
+    # Vertex n-1 only receives edges: a sink.
+    src[:5] = np.arange(5)
+    dst[:5] = n - 1
+    return build_csr_from_edges(src, dst, num_vertices=n, weights=weights,
+                                dedup=False)
+
+
+def _naive_push(g, problem, source, target=None):
+    """Labels, parents and per-iteration (attempted, newly visited) of a
+    synchronous push over every frontier edge, one edge at a time, in the
+    engine's order (ascending frontier ids, CSR order within each): an
+    edge's candidate improving the old label counts as attempted, a
+    changed destination's parent is its last edge whose candidate equals
+    the final label."""
+    from repro.algorithms.paths import NO_PARENT
+
+    n = g.num_vertices
+    offsets, cols, weights = g.row_offsets, g.column_indices, g.edge_weights
+    labels = problem.initial_labels(n, source)
+    parents = np.full(n, NO_PARENT, dtype=np.int64)
+    frontier = sorted(int(v) for v in problem.initial_frontier(n, source))
+    visited = set(frontier)
+    steps = []
+    while frontier:
+        old = labels.copy()
+        edges = []
+        for v in frontier:
+            for e in range(offsets[v], offsets[v + 1]):
+                w = weights[e:e + 1] if problem.needs_weights else None
+                edges.append(
+                    (v, int(cols[e]), problem.candidates(old[v:v + 1], w)))
+        attempted = sum(bool(problem.improves(c, old[d:d + 1])[0])
+                        for _, d, c in edges)
+        for _, d, c in edges:
+            if problem.improves(c, labels[d:d + 1])[0]:
+                labels[d] = c[0]
+        changed = sorted({d for _, d, _ in edges if labels[d] != old[d]})
+        for v, d, c in edges:
+            if d in changed and c[0] == labels[d]:
+                parents[d] = v
+        steps.append((attempted, len(set(changed) - visited)))
+        visited.update(changed)
+        frontier = changed
+        if target is not None and target in visited:
+            break
+    return labels, parents, steps
+
+
+class TestPerDestinationStep:
+    @pytest.mark.parametrize("problem_name,target", [
+        ("bfs", None), ("bfs", "deep"), ("cc", None), ("sssp", None),
+        ("sswp", None),
+    ])
+    def test_matches_a_naive_per_edge_push(self, monkeypatch, problem_name,
+                                           target):
+        """First use, multiplicity build and replay (three queries on one
+        session) and a memo-off session all equal the naive push: labels,
+        parents, per-iteration updates and newly visited counts, and the
+        early exit at a target."""
+        from repro.algorithms.base import get_problem
+        from repro.core.session import _FrontierExpansion
+
+        g = _multigraph(weighted=problem_name in ("sssp", "sswp"))
+        problem = get_problem(problem_name)
+        source = 0
+        if target == "deep":
+            levels, _, _ = _naive_push(g, problem, source)
+            target = int(np.flatnonzero(levels == levels[
+                np.isfinite(levels)].max())[0])
+            assert levels[target] >= 2
+        labels, parents, steps = _naive_push(g, problem, source, target)
+
+        uniform_steps = []
+        reductions = []
+        counts = _FrontierExpansion.destination_edges
+        monkeypatch.setattr(
+            _FrontierExpansion, "destination_edges",
+            lambda self, n: uniform_steps.append(1) or counts(self, n))
+        reduce_ = problem.scatter_reduce
+        problem.scatter_reduce = \
+            lambda *a: reductions.append(1) or reduce_(*a)
+
+        cfg = EtaGraphConfig(degree_limit=4, track_parents=True)
+        results = []
+        with EngineSession(g, cfg) as session:
+            for _ in range(3):
+                results.append(session.query(problem, source, target=target))
+            replayed = [e for e in session._frontier_memo.values()
+                        if e.dest_edges is not None]
+        with EngineSession(
+                g, EtaGraphConfig(degree_limit=4, track_parents=True,
+                                  frontier_memo_entries=0)) as session:
+            results.append(session.query(problem, source, target=target))
+
+        for r in results:
+            assert r.labels.tobytes() == labels.tobytes()
+            assert np.array_equal(r.extras["parents"], parents)
+            assert [(s.updates, s.newly_visited)
+                    for s in r.stats.iterations] == steps
+        per_edge = len(reductions) - len(uniform_steps)
+        if problem_name == "bfs":
+            assert uniform_steps and per_edge == 0 and replayed
+        elif problem_name == "cc":
+            assert uniform_steps and per_edge
+        else:
+            assert not uniform_steps and per_edge

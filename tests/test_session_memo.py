@@ -224,12 +224,16 @@ class TestEntryContents:
     def test_nbytes_counts_exactly_what_entries_hold(self, social):
         """Replayed query and wave frontiers walk their streams again,
         so their entries then hold run summaries, which ``nbytes``
-        counts; a stream walked once holds none."""
+        counts; a stream walked once holds none.  A replayed
+        parent-tracking BFS also holds its destinations' edge counts
+        and last sources."""
         from repro.core import msbfs
 
-        with EngineSession(social, EtaGraphConfig(smp=True)) as ses:
+        cfg = EtaGraphConfig(smp=True, track_parents=True)
+        with EngineSession(social, cfg) as ses:
             for replayed in (False, True):
                 ses.query("sssp", 0)
+                ses.query("bfs", 5)
                 msbfs.run_wave(ses, [1, 2, 3])
                 entries = list(ses._frontier_memo.values())
                 assert ses.memo_bytes == \
@@ -237,10 +241,14 @@ class TestEntryContents:
                 for entry in entries:
                     assert entry.nbytes == _held_bytes(entry)
                 summaries = [s.summary for e in entries for s in _streams(e)]
+                both = [e for e in entries if e.dest_edges is not None
+                        and e.dest_last_src is not None]
                 if replayed:
                     assert any(s is not None for s in summaries)
+                    assert both
                 else:
                     assert all(s is None for s in summaries)
+                    assert not both
 
     @pytest.mark.parametrize("wave", [False, True])
     def test_transform_stream_equals_a_fresh_build(self, social, wave):
