@@ -72,7 +72,6 @@ class FlightRecorder:
         #: Dumps suppressed by the ``max_dumps`` cap.
         self.suppressed = 0
         self._service = None
-        self._last_counts = (0, 0)
 
     def __repr__(self) -> str:
         return (
@@ -90,7 +89,6 @@ class FlightRecorder:
             from repro.observability.spans import Tracer
 
             service.tracer = Tracer()
-        self._last_counts = (service.requests_served, service.requests_shed)
 
     # ------------------------------------------------------------------
     # Observation feed (called by the service)
@@ -98,15 +96,12 @@ class FlightRecorder:
 
     def observe_response(self, response) -> None:
         """Record one terminal response; a typed-error response (not a
-        shed — sheds are SLO outcomes, not incidents) triggers a dump."""
-        service = self._service
-        served = shed = 0
-        if service is not None:
-            served = service.requests_served - self._last_counts[0]
-            shed = service.requests_shed - self._last_counts[1]
-            self._last_counts = (
-                service.requests_served, service.requests_shed,
-            )
+        shed — sheds are SLO outcomes, not incidents) triggers a dump.
+
+        The entry's ``delta_served`` / ``delta_shed`` are the counter
+        steps the response causes: an admitted request (``seq >= 0``)
+        moves exactly one of them, an admission refusal neither."""
+        admitted = response.seq >= 0
         error_type = None
         if response.error is not None:
             error_type = response.error.split(":", 1)[0]
@@ -125,8 +120,8 @@ class FlightRecorder:
             "attempts": response.attempts,
             "hedged": response.hedged,
             "latency_ms": response.latency_ms,
-            "delta_served": served,
-            "delta_shed": shed,
+            "delta_served": int(admitted and not response.shed),
+            "delta_shed": int(admitted and response.shed),
         })
         # Admission refusals (seq -1) are backpressure, not incidents —
         # they stay in the ring but don't trigger (a brownout-driven

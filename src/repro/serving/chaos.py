@@ -9,7 +9,10 @@ and asserts the serving contract under sustained faults:
 
 * **Conservation** — every submitted request gets exactly one terminal
   response (served, typed error, or typed shed); no losses, no
-  duplicates, and the admission queue drains empty.
+  duplicates, and the admission queue drains empty.  The served + shed
+  counters total the admitted requests, and the ``service.requests`` /
+  ``service.sheds`` / ``service.errors`` metrics total the admitted
+  answers, the sheds and the other failures among the responses.
 * **Correct-or-typed** — every ``ok`` visit response carries labels
   bit-identical to the CPU oracle; every failure is a typed
   :class:`~repro.errors.ReproError` string, never a bare traceback.
@@ -353,8 +356,11 @@ def run_heal_chaos(
         ) as service:
             plane = service.health
             violation = False
-            answered = 0
             run_errors = 0
+            # What the service's counters and metrics must total, as the
+            # responses account for it.
+            tally = {"served+shed": 0, "service.requests": 0,
+                     "service.sheds": 0, "service.errors": 0}
             for batch in range(int(rng.integers(3, 6))):
                 n = int(rng.integers(10, 26))
                 requests = _random_requests(rng, graph, problem, n)
@@ -390,7 +396,7 @@ def run_heal_chaos(
                     violation = True
                     break
                 seqs = [r.seq for r in responses if r.seq >= 0]
-                answered += len(seqs)
+                tally["served+shed"] += len(seqs)
                 if len(seqs) != len(set(seqs)):
                     report.failures.append(
                         f"{coords} batch {batch}: duplicate sequence "
@@ -399,21 +405,34 @@ def run_heal_chaos(
                     violation = True
                     break
                 for response in responses:
-                    if not response.ok and not response.shed \
-                            and response.seq >= 0:
+                    failed = not response.ok and not response.shed
+                    tally["service.requests"] += response.seq >= 0 \
+                        and not response.shed
+                    tally["service.sheds"] += response.shed
+                    tally["service.errors"] += failed
+                    if failed and response.seq >= 0:
                         run_errors += 1
                     _check_response(
                         response, graph, problem, report, coords,
                     )
             if not violation:
                 # Conservation: every admitted request lands in exactly
-                # one of the served / shed counters.
-                accounted = service.requests_served + service.requests_shed
-                if accounted != answered:
-                    report.failures.append(
-                        f"{coords}: {answered} admitted requests but "
-                        f"served+shed accounts for {accounted}"
-                    )
+                # one of the served / shed counters, and the metrics
+                # agree with the responses — service.requests counts the
+                # admitted non-shed answers, service.sheds every shed and
+                # service.errors every other failure (refusals included).
+                got = {"served+shed": service.requests_served
+                       + service.requests_shed}
+                for key, value in service.metrics.snapshot()[
+                        "counters"].items():
+                    name = key.partition("{")[0]
+                    got[name] = got.get(name, 0) + value
+                for name, want in tally.items():
+                    if got.get(name, 0) != want:
+                        report.failures.append(
+                            f"{coords}: {name} totals {got.get(name, 0):g}"
+                            f" but the responses account for {want}"
+                        )
                 # Breaker bookkeeping: opens pair with same-instant
                 # replaces; lane generations equal their open counts.
                 events = plane.events

@@ -228,9 +228,10 @@ class TraversalResponse:
     #: Injected faults observed while serving (resilient worker path).
     faults_seen: list = field(default_factory=list)
     #: Whether the self-healing plane launched a hedge leg for this
-    #: request, and whether that leg's finish won the race (the response
-    #: then carries the hedge lane's schedule and result — labels are
-    #: identical either way, by asserted contract).
+    #: request, and whether that leg's finish won the race.  A won hedge
+    #: moves only ``finish_ms`` to the leg's earlier finish: worker,
+    #: placement, attempts and ``result`` stay the primary's (the legs'
+    #: labels are identical, by asserted contract).
     hedged: bool = False
     hedge_won: bool = False
 

@@ -50,12 +50,17 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
+from repro.core import msbfs
 from repro.core.config import EtaGraphConfig
-from repro.errors import ConfigError, DataCorruptionError, \
-    DeadlineExceededError, QuotaExceededError, ReproError, SessionClosedError
+from repro.errors import ConfigError, ConvergenceError, \
+    DataCorruptionError, DeadlineExceededError, QuotaExceededError, \
+    ReproError, SessionClosedError
 from repro.gpu.device import DeviceSpec, GTX_1080TI
 from repro.graph.csr import CSRGraph
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import MetricsRegistry, unified_snapshot
+from repro.observability.recorder import FlightRecorder
+from repro.observability.slo import SLOMonitor, SLOPolicy
+from repro.observability.spans import Tracer
 from repro.resilience.faults import FaultPlan
 from repro.resilience.session import _MODE_RUNGS, RetryPolicy
 from repro.serving.admission import AdmissionQueue, AdmittedRequest, \
@@ -129,14 +134,10 @@ class TraversalService:
         self.requests_shed = 0
         self.tracer = None
         if telemetry:
-            from repro.observability.spans import Tracer
-
             self.tracer = Tracer()
-        from repro.core.msbfs import WAVE_LANES
-
-        if wave_width != 0 and not 2 <= wave_width <= WAVE_LANES:
+        if wave_width != 0 and not 2 <= wave_width <= msbfs.WAVE_LANES:
             raise ConfigError(
-                f"wave_width must be 0 (off) or in [2, {WAVE_LANES}], "
+                f"wave_width must be 0 (off) or in [2, {msbfs.WAVE_LANES}], "
                 f"got {wave_width}"
             )
         #: MSBFS coalescing width: when >= 2, :meth:`drain` merges runs
@@ -168,8 +169,6 @@ class TraversalService:
         #: the default policy.
         self.slo = None
         if slo:
-            from repro.observability.slo import SLOMonitor, SLOPolicy
-
             if isinstance(slo, SLOMonitor):
                 self.slo = slo
             elif isinstance(slo, SLOPolicy):
@@ -183,8 +182,6 @@ class TraversalService:
         #: brownout escalations; ``None`` = off.
         self.recorder = None
         if recorder:
-            from repro.observability.recorder import FlightRecorder
-
             self.recorder = (
                 recorder if isinstance(recorder, FlightRecorder)
                 else FlightRecorder()
@@ -247,8 +244,6 @@ class TraversalService:
     def metrics_snapshot(self) -> dict:
         """Everything the service measures, as one
         :meth:`~repro.observability.MetricsRegistry.snapshot` dict."""
-        from repro.observability.metrics import unified_snapshot
-
         return unified_snapshot(service=self)
 
     @property
@@ -299,18 +294,16 @@ class TraversalService:
         """
         if self._closed:
             raise SessionClosedError("traversal service is closed")
-        slots: list[tuple[int | None, TraversalResponse | None]] = []
-        batch_seqs: set[int] = set()
+        # One slot per batch request: its admission seq, or the terminal
+        # response of its refusal.
+        slots: list[int | TraversalResponse] = []
         for request in requests:
             try:
-                admitted = self.submit(request)
+                slots.append(self.submit(request).seq)
             except SessionClosedError:
                 raise
             except ReproError as exc:
-                slots.append((None, self._refused(request, exc)))
-            else:
-                batch_seqs.add(admitted.seq)
-                slots.append((admitted.seq, None))
+                slots.append(self._refused(request, exc))
         try:
             drained = {r.seq: r for r in self.drain()}
         except ReproError as exc:
@@ -321,13 +314,10 @@ class TraversalService:
                 self.recorder.record_escape(exc, self.clock_ms)
             raise
         out = [
-            response if response is not None else drained[seq]
-            for seq, response in slots
+            drained.pop(slot) if isinstance(slot, int) else slot
+            for slot in slots
         ]
-        out.extend(
-            drained[seq] for seq in sorted(drained)
-            if seq not in batch_seqs
-        )
+        out.extend(drained[seq] for seq in sorted(drained))
         return out
 
     def call(self, request: TraversalRequest) -> TraversalResponse:
@@ -353,220 +343,34 @@ class TraversalService:
             width = self.wave_width
             if self.health is not None:
                 width = self.health.effective_wave_width(width)
-            adm = self.queue.pop()
-            if width >= 2 and self._wave_eligible(adm) \
-                    and not self._brownout_shed(adm):
-                group = [adm]
+            group = [self.queue.pop()]
+            if width >= 2 and self._joins_wave(group[0]):
                 while len(group) < width:
                     head = self.queue.peek()
-                    if head is None or not self._wave_eligible(head) \
-                            or self._brownout_shed(head):
+                    if head is None or not self._joins_wave(head):
                         break
                     group.append(self.queue.pop())
-                if len(group) >= 2:
-                    responses.extend(self._dispatch_wave(group))
-                    continue
-            responses.append(self._dispatch(adm))
+            responses.extend(self._dispatch(group))
         return responses
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _wave_eligible(adm: AdmittedRequest) -> bool:
+    def _joins_wave(self, adm: AdmittedRequest) -> bool:
         """Whether a request can join an MSBFS wave: a plain BFS visit —
         no early-exit target (lanes cannot stop the shared traversal
         individually) and no iteration budget (the wave runs to the
-        deepest lane's convergence)."""
+        deepest lane's convergence) — that brownout is not about to
+        shed."""
         request = adm.request
         return (
             type(request) is VisitRequest
             and request.problem == "bfs"
             and request.target is None
             and adm.iteration_budget is None
+            and not self._brownout_shed(adm)
         )
-
-    def _dispatch_wave(
-        self, group: list[AdmittedRequest],
-    ) -> list[TraversalResponse]:
-        """Serve a coalesced group on one lane as one wave.
-
-        The wave starts when the lane is free *and* every member has
-        arrived; members whose deadline can't survive that start are
-        shed individually (at their own earliest-start instant) and the
-        wave re-plans around them.  Survivors finish together.
-        """
-        worker = self.pool.checkout()
-        responses: list[TraversalResponse] = []
-        try:
-            remaining = list(group)
-            while True:
-                start = max(
-                    [worker.busy_until_ms]
-                    + [a.arrival_ms for a in remaining]
-                )
-                late = [a for a in remaining if start >= a.deadline_abs]
-                if not late:
-                    break
-                late_seqs = {a.seq for a in late}
-                for adm in late:
-                    responses.append(self._shed(
-                        adm, worker,
-                        max(worker.busy_until_ms, adm.arrival_ms),
-                    ))
-                remaining = [
-                    a for a in remaining if a.seq not in late_seqs
-                ]
-                if not remaining:
-                    return responses
-            if self.health is not None:
-                self.health.on_dispatch(worker, start)
-            if len(remaining) == 1:
-                responses.append(self._run(remaining[0], worker, start))
-                return responses
-            responses.extend(self._run_wave(remaining, worker, start))
-            return responses
-        finally:
-            self.pool.checkin(worker)
-
-    def _run_wave(
-        self, group: list[AdmittedRequest], worker: PoolWorker,
-        start: float,
-    ) -> list[TraversalResponse]:
-        from repro.core import msbfs
-
-        sources = [a.request.source for a in group]
-        responses: list[TraversalResponse] = []
-        placement = _MODE_RUNGS[self.config.memory_mode]
-        degraded = False
-        attempts = 1
-        faults: list[str] = []
-        error: str | None = None
-        lane_results: list = []
-        service_ms = 0.0
-        backoff_ms = 0.0
-        tr = self.tracer
-        wtr = None
-        if tr is not None:
-            from repro.observability.spans import Tracer
-
-            wtr = Tracer()
-        try:
-            session = worker.session
-            prev_tracer = session.tracer
-            if wtr is not None:
-                session.tracer = wtr
-            try:
-                if worker.resilient:
-                    outcome = worker.session.run_wave(sources)
-                    wave = outcome.result
-                    placement = outcome.final_placement
-                    degraded = outcome.degraded
-                    attempts = outcome.num_attempts
-                    faults = list(outcome.faults_seen)
-                    backoff_ms = outcome.backoff_ms
-                else:
-                    wave = msbfs.run_wave(worker.session, sources)
-            finally:
-                if wtr is not None:
-                    session.tracer = prev_tracer
-            # Retry backoff is real lane time: requests queued behind a
-            # flaky serve wait through its backoffs too.
-            service_ms = wave.total_ms + wave.d2h_ms + backoff_ms
-            lane_results = wave.to_results()
-        except ReproError as exc:
-            # One traversal, one fate: a typed failure fails every lane
-            # (same lane-release rule as _run — failed work spends no
-            # simulated time later requests would queue behind).
-            error = f"{type(exc).__name__}: {exc}"
-            if wtr is not None:
-                wtr.unwind(wtr.max_end_ms, error=True)
-        finish = start + service_ms
-        # One shared wave span carries the traversal's sub-trace; each
-        # member request span points at it through its ``wave_sid``
-        # attr, so the per-request tree can pull in the shared work.
-        wave_sid = None
-        if tr is not None:
-            w_span = tr.start(
-                "wave", "service", start, worker=worker.index,
-                width=len(group),
-            )
-            if wtr.records:
-                tr.graft(wtr.records, base_ms=start, parent=w_span.sid,
-                         lane=worker.index)
-            wave_sid = tr.end(w_span, finish, ok=error is None).sid
-        for lane, adm in enumerate(group):
-            request = adm.request
-            response = TraversalResponse(
-                request=request, seq=adm.seq, ok=error is None,
-                request_id=adm.request_id,
-                arrival_ms=adm.arrival_ms, start_ms=start,
-                worker=worker.index,
-                placement="" if error is not None else placement,
-                attempts=attempts,
-            )
-            response.finish_ms = finish
-            if error is not None:
-                response.error = error
-                self.metrics.inc(
-                    "service.errors", tenant=request.tenant,
-                    type=error.split(":", 1)[0],
-                )
-            else:
-                result = lane_results[lane]
-                response.degraded = degraded
-                response.faults_seen = list(faults)
-                response.result = result
-                response.value = result.labels
-                if degraded:
-                    self.metrics.inc("service.degraded",
-                                     tenant=request.tenant)
-            self.requests_served += 1
-            self.metrics.inc("service.requests", tenant=request.tenant,
-                             endpoint=request.endpoint)
-            self.metrics.observe(
-                "service.latency_ms", response.latency_ms,
-                tenant=request.tenant, endpoint=request.endpoint,
-            )
-            self.metrics.observe("service.queue_ms", response.queue_ms,
-                                 tenant=request.tenant)
-            if tr is not None:
-                r_span = tr.start(
-                    "request", "service", adm.arrival_ms,
-                    request_id=adm.request_id, tenant=request.tenant,
-                    endpoint=request.endpoint, seq=adm.seq,
-                    wave=len(group), wave_lane=lane, wave_sid=wave_sid,
-                )
-                tr.emit("queue", "service", start - adm.arrival_ms,
-                        t_ms=adm.arrival_ms, request_id=adm.request_id)
-                tr.end(
-                    r_span, finish, worker=worker.index,
-                    ok=response.ok, placement=response.placement,
-                    queue_ms=response.queue_ms,
-                )
-            self._slo_record(
-                request.tenant, finish,
-                response.ok and finish <= adm.deadline_abs,
-            )
-            if self.recorder is not None:
-                self.recorder.observe_response(response)
-            responses.append(response)
-        worker.busy_until_ms = max(worker.busy_until_ms, finish)
-        worker.served += len(group)
-        self.clock_ms = max(self.clock_ms, finish)
-        if self.health is not None:
-            # One traversal, one observation: a wave is a single serve
-            # on its lane, however many requests rode it.
-            self._health_observe(
-                worker, ok=error is None,
-                error_type=(
-                    error.split(":", 1)[0] if error is not None else None
-                ),
-                faults=len(faults), attempts=attempts, degraded=degraded,
-                t_ms=finish,
-            )
-        return responses
 
     def _brownout_shed(self, adm: AdmittedRequest) -> bool:
         """Brownout level 3: best-effort work is shed at dispatch so the
@@ -577,127 +381,174 @@ class TraversalService:
             and adm.best_effort
         )
 
-    def _dispatch(self, adm: AdmittedRequest) -> TraversalResponse:
+    def _dispatch(
+        self, group: list[AdmittedRequest],
+    ) -> list[TraversalResponse]:
+        """Serve an EDF group on one lane: a single request is a group
+        of one, two or more ride one MSBFS wave.
+
+        The group starts when the lane is free *and* every member has
+        arrived; members whose deadline can't survive that start, or
+        that brownout drops, are shed individually (at their own
+        earliest-start instant) and the group re-plans around them.
+        Survivors finish together.
+        """
         worker = self.pool.checkout()
+        responses: list[TraversalResponse] = []
         try:
-            start = max(worker.busy_until_ms, adm.arrival_ms)
-            if self._brownout_shed(adm):
-                return self._shed(adm, worker, start, brownout=True)
-            if start >= adm.deadline_abs:
-                return self._shed(adm, worker, start)
+            while True:
+                start = max(
+                    [worker.busy_until_ms] + [a.arrival_ms for a in group]
+                )
+                late = [
+                    a for a in group
+                    if self._brownout_shed(a) or start >= a.deadline_abs
+                ]
+                if not late:
+                    break
+                for adm in late:
+                    responses.append(self._shed(
+                        adm, worker,
+                        max(worker.busy_until_ms, adm.arrival_ms),
+                    ))
+                group = [a for a in group if a not in late]
+                if not group:
+                    return responses
             if self.health is not None:
                 self.health.on_dispatch(worker, start)
-            return self._run(adm, worker, start)
+            if len(group) == 1:
+                responses.append(self._run(group[0], worker, start))
+            else:
+                responses.extend(self._run_wave(group, worker, start))
+            return responses
         finally:
             self.pool.checkin(worker)
 
+    def _run_wave(
+        self, group: list[AdmittedRequest], worker: PoolWorker,
+        start: float,
+    ) -> list[TraversalResponse]:
+        sources = [a.request.source for a in group]
+        session = worker.session
+        wtr = Tracer() if self.tracer is not None else None
+        error = None
+        service_ms = 0.0
+        try:
+            wave, outcome = self._on_lane(
+                worker, wtr,
+                resilient=lambda: session.run_wave(sources),
+                bare=lambda: msbfs.run_wave(session, sources),
+            )
+            service_ms = _service_ms(wave, outcome)
+            lane_results = wave.to_results()
+        except ReproError as exc:
+            # One traversal, one fate: a typed failure fails every lane
+            # (same lane-release rule as _run — failed work spends no
+            # simulated time later requests would queue behind).
+            error = f"{type(exc).__name__}: {exc}"
+        finish = start + service_ms
+        # One shared wave span carries the traversal's sub-trace; each
+        # member request span points at it through its ``wave_sid``
+        # attr, so the per-request tree can pull in the shared work.
+        tr = self.tracer
+        wave_sid = None
+        if tr is not None:
+            w_span = tr.start(
+                "wave", "service", start, worker=worker.index,
+                width=len(group),
+            )
+            if wtr.records:
+                tr.graft(wtr.records, base_ms=start, parent=w_span.sid,
+                         lane=worker.index)
+            wave_sid = tr.end(w_span, finish, ok=error is None).sid
+        worker.busy_until_ms = max(worker.busy_until_ms, finish)
+        worker.served += len(group)
+        responses = []
+        for lane, adm in enumerate(group):
+            span = self._open_request(
+                adm, start, wave=len(group), wave_lane=lane,
+                wave_sid=wave_sid,
+            )
+            response = self._lane_response(adm, worker, start)
+            response.finish_ms = finish
+            if error is None:
+                _record(response, lane_results[lane], outcome)
+            else:
+                _fail(response, error)
+            responses.append(self._finish(response, adm, span))
+        if self.health is not None:
+            # One traversal, one observation: a wave is a single serve
+            # on its lane, however many requests rode it.
+            self._health_observe(worker, responses[-1], finish)
+        return responses
+
     def _shed(
         self, adm: AdmittedRequest, worker: PoolWorker, at_ms: float,
-        *, brownout: bool = False,
     ) -> TraversalResponse:
         """Load shedding: the deadline expired while queued (or brownout
         dropped best-effort work) — record a typed refusal without
         spending any worker time."""
+        brownout = self._brownout_shed(adm)
         if brownout:
             error = DeadlineExceededError(
                 f"request {adm.request.describe()} shed: service "
                 f"brownout level {self.health.level} is dropping "
                 f"best-effort work"
             )
+            self.metrics.inc("service.brownout_sheds", tenant=adm.tenant)
         else:
             error = DeadlineExceededError(
                 f"request {adm.request.describe()} shed: deadline "
                 f"{adm.deadline_abs:.3f} ms passed before dispatch "
                 f"(earliest start {at_ms:.3f} ms)"
             )
-        self.requests_shed += 1
-        self.clock_ms = max(self.clock_ms, at_ms)
-        self.metrics.inc("service.sheds", tenant=adm.tenant,
-                         endpoint=adm.request.endpoint)
-        if brownout:
-            self.metrics.inc("service.brownout_sheds", tenant=adm.tenant)
-        tr = self.tracer
-        if tr is not None:
-            # Even a shed request gets its request-scoped tree: the
-            # queue wait plus the shed instant that ended it.
-            r_span = tr.start(
-                "request", "service", adm.arrival_ms,
-                request_id=adm.request_id, tenant=adm.tenant,
-                endpoint=adm.request.endpoint, seq=adm.seq, shed=True,
-            )
-            tr.emit("queue", "service", at_ms - adm.arrival_ms,
-                    t_ms=adm.arrival_ms, request_id=adm.request_id)
-            tr.emit(
+        # Even a shed request gets its request-scoped tree: the queue
+        # wait plus the shed instant that ended it.
+        span = self._open_request(adm, at_ms, shed=True)
+        if span is not None:
+            self.tracer.emit(
                 "shed", "service", 0.0, t_ms=at_ms,
                 tenant=adm.tenant, endpoint=adm.request.endpoint,
                 seq=adm.seq, worker=worker.index,
                 request_id=adm.request_id, brownout=brownout,
             )
-            tr.end(r_span, at_ms, ok=False, worker=worker.index)
-        response = TraversalResponse(
+        return self._finish(TraversalResponse(
             request=adm.request, seq=adm.seq, ok=False,
             request_id=adm.request_id,
             error=f"{type(error).__name__}: {error}", shed=True,
             arrival_ms=adm.arrival_ms, start_ms=at_ms, finish_ms=at_ms,
             worker=worker.index,
-        )
-        self._slo_record(adm.tenant, at_ms, False)
-        if self.recorder is not None:
-            self.recorder.observe_response(response)
-        return response
+        ), adm, span)
 
     def _refused(
         self, request: TraversalRequest, exc: ReproError,
     ) -> TraversalResponse:
-        """An admission-time refusal as a terminal response (batch path)."""
-        shed = isinstance(exc, DeadlineExceededError)
-        if shed:
-            self.requests_shed += 1
-            self.metrics.inc("service.sheds", tenant=request.tenant,
-                             endpoint=request.endpoint)
-        else:
-            self.metrics.inc("service.errors", tenant=request.tenant,
-                             type=type(exc).__name__)
+        """An admission-time refusal as a terminal response (batch path):
+        never admitted, so it has no span and moves neither the served
+        nor the shed counter."""
         now = self.clock_ms
-        response = TraversalResponse(
+        return self._finish(TraversalResponse(
             request=request, seq=-1, ok=False,
-            error=f"{type(exc).__name__}: {exc}", shed=shed,
+            error=f"{type(exc).__name__}: {exc}",
+            shed=isinstance(exc, DeadlineExceededError),
             arrival_ms=now, start_ms=now, finish_ms=now,
-        )
-        self._slo_record(request.tenant, now, False)
-        if self.recorder is not None:
-            self.recorder.observe_response(response)
-        return response
+        ))
 
     def _run(
         self, adm: AdmittedRequest, worker: PoolWorker, start: float,
     ) -> TraversalResponse:
         request = adm.request
-        response = TraversalResponse(
-            request=request, seq=adm.seq, ok=True,
-            request_id=adm.request_id,
-            arrival_ms=adm.arrival_ms, start_ms=start,
-            worker=worker.index,
-            placement=_MODE_RUNGS[self.config.memory_mode],
-            attempts=1,
-        )
+        response = self._lane_response(adm, worker, start)
+        # The request-scoped tree: request (arrival -> terminal answer)
+        # > queue wait + dispatch (lane occupancy).  Span ids are taken
+        # at start(), so the request span opens first.  The engine runs
+        # on a fresh per-request tracer whose clock starts at the
+        # dispatch instant's zero; its records are grafted under the
+        # dispatch span afterwards.
+        span = self._open_request(adm, start)
         tr = self.tracer
-        rtr = req_span = d_span = None
-        if tr is not None:
-            from repro.observability.spans import Tracer
-
-            # The request-scoped tree: request (arrival -> terminal
-            # answer) > queue wait + dispatch (lane occupancy).  The
-            # engine runs on a fresh per-request tracer whose clock
-            # starts at the dispatch instant's zero; its records are
-            # grafted under the dispatch span afterwards.
-            req_span = tr.start(
-                "request", "service", adm.arrival_ms,
-                request_id=adm.request_id, tenant=request.tenant,
-                endpoint=request.endpoint, seq=adm.seq,
-            )
-            tr.emit("queue", "service", start - adm.arrival_ms,
-                    t_ms=adm.arrival_ms, request_id=adm.request_id)
+        rtr = d_span = None
+        if span is not None:
             d_span = tr.start("dispatch", "service", start,
                               request_id=adm.request_id,
                               worker=worker.index)
@@ -709,48 +560,28 @@ class TraversalService:
             # A typed failure is a terminal answer: the lane is released
             # at its dispatch position (failed work spends no simulated
             # device time that a later request would queue behind).
-            response.ok = False
-            response.error = f"{type(exc).__name__}: {exc}"
-            response.placement = ""
-            self.metrics.inc("service.errors", tenant=request.tenant,
-                             type=type(exc).__name__)
-            if rtr is not None:
-                rtr.unwind(rtr.max_end_ms, error=True)
+            _fail(response, f"{type(exc).__name__}: {exc}")
         finish = start + service_ms
         response.finish_ms = finish
         # The health plane only attributes outcomes that actually ran on
         # this lane's session (pagerank, stats and shortest_path run
-        # elsewhere).  Primary-leg facts are captured before hedging may
-        # overwrite the response with the winning leg's metadata.
+        # elsewhere).  Hedging moves only the response's finish, so the
+        # primary leg's facts stay on the response.
         observed = self.health is not None and isinstance(
             request, (VisitRequest, NeighborhoodRequest)
-        )
-        primary_attempts = response.attempts
-        primary_degraded = response.degraded
-        primary_faults = len(response.faults_seen)
-        primary_clean = not (
-            primary_degraded or primary_attempts > 1 or primary_faults
         )
         hedge_trace = None
         if observed and response.ok:
             hedge_trace = self._maybe_hedge(
                 adm, worker, response, start, service_ms,
             )
-            if primary_clean:
+            if not (response.degraded or response.attempts > 1
+                    or response.faults_seen):
                 self.health.record_latency(request.endpoint, service_ms)
         worker.busy_until_ms = max(worker.busy_until_ms, finish)
         worker.served += 1
-        self.clock_ms = max(self.clock_ms, finish, response.finish_ms)
-        self.requests_served += 1
-        self.metrics.inc("service.requests", tenant=request.tenant,
-                         endpoint=request.endpoint)
-        self.metrics.observe("service.latency_ms", response.latency_ms,
-                             tenant=request.tenant, endpoint=request.endpoint)
-        self.metrics.observe("service.queue_ms", response.queue_ms,
-                             tenant=request.tenant)
-        if response.degraded:
-            self.metrics.inc("service.degraded", tenant=request.tenant)
-        if tr is not None:
+        self.clock_ms = max(self.clock_ms, finish)
+        if span is not None:
             if rtr.records:
                 tr.graft(rtr.records, base_ms=start, parent=d_span.sid,
                          lane=worker.index, request_id=adm.request_id)
@@ -774,31 +605,95 @@ class TraversalService:
                     category="hedge", lane=hedge_trace["lane"],
                     request_id=adm.request_id,
                 )
-            attrs = {}
+        self._finish(response, adm, span)
+        if observed:
+            self._health_observe(worker, response, finish)
+        return response
+
+    # ------------------------------------------------------------------
+    # Terminal accounting
+    # ------------------------------------------------------------------
+
+    def _lane_response(
+        self, adm: AdmittedRequest, worker: PoolWorker, start: float,
+    ) -> TraversalResponse:
+        """A fresh response for ``adm`` served on ``worker`` from
+        ``start``: ok, on the configured rung, until its lane run (or
+        failure) says otherwise."""
+        return TraversalResponse(
+            request=adm.request, seq=adm.seq, ok=True,
+            request_id=adm.request_id, arrival_ms=adm.arrival_ms,
+            start_ms=start, worker=worker.index,
+            placement=_MODE_RUNGS[self.config.memory_mode], attempts=1,
+        )
+
+    def _open_request(self, adm: AdmittedRequest, start: float, **attrs):
+        """Open ``adm``'s ``request`` span (arrival -> terminal answer)
+        and emit its EDF ``queue`` wait up to ``start``; ``None`` with
+        telemetry off.  :meth:`_finish` ends the span."""
+        tr = self.tracer
+        if tr is None:
+            return None
+        span = tr.start(
+            "request", "service", adm.arrival_ms,
+            request_id=adm.request_id, tenant=adm.tenant,
+            endpoint=adm.request.endpoint, seq=adm.seq, **attrs,
+        )
+        tr.emit("queue", "service", start - adm.arrival_ms,
+                t_ms=adm.arrival_ms, request_id=adm.request_id)
+        return span
+
+    def _finish(
+        self, response: TraversalResponse,
+        adm: AdmittedRequest | None = None, span=None,
+    ) -> TraversalResponse:
+        """The one terminal sink.  Every response — served, failed, shed
+        or refused at admission — is counted here, then ends its request
+        span, feeds the SLO monitor and lands in the flight recorder, in
+        that order.
+
+        ``adm`` is given for admitted requests only: they move exactly
+        one of ``requests_served`` / ``requests_shed``, and the served
+        ones feed ``service.requests`` and the latency histograms.
+        ``service.sheds`` and ``service.errors`` count every terminal
+        response, admission refusals included.
+        """
+        request = response.request
+        tenant, endpoint = request.tenant, request.endpoint
+        metrics = self.metrics
+        if response.shed:
+            metrics.inc("service.sheds", tenant=tenant, endpoint=endpoint)
+        elif response.error is not None:
+            metrics.inc("service.errors", tenant=tenant,
+                        type=response.error.split(":", 1)[0])
+        if response.degraded:
+            metrics.inc("service.degraded", tenant=tenant)
+        if adm is not None:
+            if response.shed:
+                self.requests_shed += 1
+            else:
+                self.requests_served += 1
+                metrics.inc("service.requests", tenant=tenant,
+                            endpoint=endpoint)
+                metrics.observe("service.latency_ms", response.latency_ms,
+                                tenant=tenant, endpoint=endpoint)
+                metrics.observe("service.queue_ms", response.queue_ms,
+                                tenant=tenant)
+        self.clock_ms = max(self.clock_ms, response.finish_ms)
+        if span is not None:
+            attrs = {"worker": response.worker, "ok": response.ok}
+            if not response.shed:
+                attrs.update(placement=response.placement,
+                             queue_ms=response.queue_ms)
             if response.hedged:
-                attrs = {"hedged": True, "hedge_won": response.hedge_won}
-            tr.end(
-                req_span, response.finish_ms,
-                worker=worker.index, ok=response.ok,
-                placement=response.placement,
-                queue_ms=response.queue_ms, **attrs,
-            )
+                attrs.update(hedged=True, hedge_won=response.hedge_won)
+            self.tracer.end(span, response.finish_ms, **attrs)
         self._slo_record(
-            request.tenant, response.finish_ms,
+            tenant, response.finish_ms,
             response.ok and response.finish_ms <= adm.deadline_abs,
         )
         if self.recorder is not None:
             self.recorder.observe_response(response)
-        if observed:
-            self._health_observe(
-                worker, ok=response.ok,
-                error_type=(
-                    response.error.split(":", 1)[0]
-                    if response.error is not None else None
-                ),
-                faults=primary_faults, attempts=primary_attempts,
-                degraded=primary_degraded, t_ms=finish,
-            )
         return response
 
     # ------------------------------------------------------------------
@@ -820,12 +715,23 @@ class TraversalService:
                     fast_burn=alert.fast_burn, slow_burn=alert.slow_burn,
                 )
 
-    def _health_observe(self, worker: PoolWorker, **outcome) -> list:
-        """Feed one lane serve to the health plane; mirror the resulting
-        score/level into metrics and any breaker transitions into the
-        metrics registry and the service trace."""
+    def _health_observe(
+        self, worker: PoolWorker, response: TraversalResponse, t_ms: float,
+    ) -> list:
+        """Feed one lane serve, as its response records it, to the health
+        plane; mirror the resulting score/level into metrics and any
+        breaker transitions into the metrics registry and the service
+        trace."""
         plane = self.health
-        events = plane.observe(worker, **outcome)
+        events = plane.observe(
+            worker, ok=response.ok,
+            error_type=(
+                response.error.split(":", 1)[0]
+                if response.error is not None else None
+            ),
+            faults=len(response.faults_seen), attempts=response.attempts,
+            degraded=response.degraded, t_ms=t_ms,
+        )
         self.metrics.set_gauge(
             "service.lane_health", plane.lanes[worker.index].score,
             lane=str(worker.index),
@@ -888,38 +794,15 @@ class TraversalService:
         plane.hedges += 1
         self.metrics.inc("service.hedges", tenant=request.tenant,
                          endpoint=request.endpoint)
-        hedge = TraversalResponse(
-            request=request, seq=adm.seq, ok=True,
-            arrival_ms=adm.arrival_ms, start_ms=start,
-            worker=standby.index,
-            placement=_MODE_RUNGS[self.config.memory_mode],
-            attempts=1,
-        )
         # The hedge launches once the primary has overshot the
         # threshold — not at dispatch (that would double every suspect
         # serve's work) — and no earlier than the standby is free (a
         # backed-up standby simply loses the race).
         hedge_start = max(standby.busy_until_ms, start + threshold)
-        hedge.start_ms = hedge_start
-        htr = None
-        if self.tracer is not None:
-            from repro.observability.spans import Tracer
-
-            htr = Tracer()
+        hedge = self._lane_response(adm, standby, hedge_start)
+        htr = Tracer() if self.tracer is not None else None
         try:
-            if isinstance(request, VisitRequest):
-                hedge_ms = self._run_visit(
-                    standby, hedge, request.problem, request.source,
-                    target=request.target,
-                    iteration_budget=adm.iteration_budget,
-                    tracer=htr,
-                )
-            else:
-                hedge_ms = self._run_visit(
-                    standby, hedge, "bfs", request.source,
-                    target=None, iteration_budget=adm.iteration_budget,
-                    tracer=htr,
-                )
+            hedge_ms = self._execute(adm, standby, hedge, tracer=htr)
         except ReproError:
             # A failed hedge leg never touches the request: the primary
             # already answered.  The standby is clean by construction
@@ -1000,64 +883,70 @@ class TraversalService:
             f"no endpoint for request type {type(request).__name__}"
         )
 
-    def _run_visit(
-        self, worker: PoolWorker, response: TraversalResponse,
-        problem: str, source: int, *, target: int | None,
-        iteration_budget: int | None, tracer=None,
-    ) -> float:
-        """The traversal core shared by visit and neighborhood: one
-        engine query on the worker's resident session, bit-identical to
-        the same query on a bare session.  ``tracer`` (when given) is
-        attached to the session for the duration of the query, so the
-        engine's spans land on the request-local timeline."""
+    @staticmethod
+    def _on_lane(worker: PoolWorker, tracer, resilient, bare):
+        """One traversal on ``worker``'s resident session:
+        ``resilient()`` (returning a ``RunOutcome``) on a resilient lane,
+        ``bare()`` otherwise.  Returns ``(result, outcome | None)``.
+
+        ``tracer`` (when given) is attached to the session for the
+        duration of the call, so the engine's spans land on the
+        request-local timeline; a typed failure closes whatever spans
+        the engine left open on it."""
         session = worker.session
         prev_tracer = session.tracer
         if tracer is not None:
             session.tracer = tracer
         try:
             if worker.resilient:
-                policy = worker.session.policy
-                if iteration_budget is not None:
-                    policy = replace(policy, max_iterations=iteration_budget)
-                outcome = worker.session.run(
-                    problem, source, target=target, policy=policy,
-                )
-                result = outcome.result
-                response.placement = outcome.final_placement
-                response.degraded = outcome.degraded
-                response.attempts = outcome.num_attempts
-                response.faults_seen = list(outcome.faults_seen)
-                response.result = outcome.result
-                response.value = outcome.result.labels
-                # Retry backoff is real lane time: a flaky serve makes
-                # the requests queued behind it wait through its
-                # backoffs too.
-                return (outcome.result.total_ms + outcome.result.d2h_ms
-                        + outcome.backoff_ms)
-            else:
-                from repro.errors import ConvergenceError
-
-                try:
-                    result = worker.session.query(
-                        problem, source, target=target,
-                        max_iterations=iteration_budget,
-                    )
-                except ConvergenceError as exc:
-                    if iteration_budget is not None:
-                        # Budget exhaustion is an SLO outcome, not an
-                        # engine defect — same mapping the resilient
-                        # path applies.
-                        raise DeadlineExceededError(
-                            f"query exceeded its iteration budget of "
-                            f"{iteration_budget}"
-                        ) from exc
-                    raise
+                outcome = resilient()
+                return outcome.result, outcome
+            return bare(), None
+        except ReproError:
+            if tracer is not None:
+                tracer.unwind(tracer.max_end_ms, error=True)
+            raise
         finally:
             if tracer is not None:
                 session.tracer = prev_tracer
-        response.result = result
-        response.value = result.labels
-        return result.total_ms + result.d2h_ms
+
+    def _run_visit(
+        self, worker: PoolWorker, response: TraversalResponse,
+        problem: str, source: int, *, target: int | None,
+        iteration_budget: int | None, tracer=None,
+    ) -> float:
+        """The traversal core shared by visit, neighborhood, shortest
+        path and the hedge leg: one engine query on the worker's
+        resident session, bit-identical to the same query on a bare
+        session."""
+        session = worker.session
+
+        def resilient():
+            policy = session.policy
+            if iteration_budget is not None:
+                policy = replace(policy, max_iterations=iteration_budget)
+            return session.run(problem, source, target=target,
+                               policy=policy)
+
+        def bare():
+            try:
+                return session.query(
+                    problem, source, target=target,
+                    max_iterations=iteration_budget,
+                )
+            except ConvergenceError as exc:
+                if iteration_budget is not None:
+                    # Budget exhaustion is an SLO outcome, not an engine
+                    # defect — same mapping the resilient path applies.
+                    raise DeadlineExceededError(
+                        f"query exceeded its iteration budget of "
+                        f"{iteration_budget}"
+                    ) from exc
+                raise
+
+        result, outcome = self._on_lane(worker, tracer, resilient, bare)
+        _record(response, result, outcome)
+        return _service_ms(result, outcome)
 
     def _run_neighborhood(
         self, worker: PoolWorker, response: TraversalResponse,
@@ -1164,6 +1053,34 @@ class TraversalService:
         response.value = value
         # Served from precomputed metadata: no simulated device time.
         return 0.0
+
+
+def _record(response: TraversalResponse, result, outcome) -> None:
+    """Put a lane run's result on ``response``, plus — from a resilient
+    lane — its ladder outcome (final placement, degradation, attempts,
+    faults)."""
+    response.result = result
+    response.value = result.labels
+    if outcome is not None:
+        response.placement = outcome.final_placement
+        response.degraded = outcome.degraded
+        response.attempts = outcome.num_attempts
+        response.faults_seen = list(outcome.faults_seen)
+
+
+def _fail(response: TraversalResponse, error: str) -> None:
+    """Mark ``response`` as a typed failure that no ladder rung served."""
+    response.ok = False
+    response.error = error
+    response.placement = ""
+
+
+def _service_ms(result, outcome) -> float:
+    """A lane run's simulated lane time.  Retry backoff is real lane
+    time: the requests queued behind a flaky serve wait through its
+    backoffs too."""
+    backoff_ms = outcome.backoff_ms if outcome is not None else 0.0
+    return result.total_ms + result.d2h_ms + backoff_ms
 
 
 def _path_from_levels(

@@ -8,6 +8,12 @@ fault bursts on lane 1 (drives hedged requests), serving a three-tenant
 BFS mix — hedging AND a breaker trip, with ``allow_cpu_fallback=False``
 so no wall-clock ``cpu_oracle`` span can leak into the golden bytes.
 
+A second golden pins the terminal paths that scenario never reaches:
+MSBFS waves (one of them failing), a late wave member, dispatch-time
+and brownout sheds, quota and deadline refusals at admission, and typed
+errors on bare and resilient lanes — trace bytes, per-response facts,
+the metrics snapshot and the flight recorder's ring.
+
 Regenerate the golden files with ``REGEN_GOLDEN=1 python -m pytest
 tests/test_observability_serving.py``.
 """
@@ -40,7 +46,13 @@ from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.session import RetryPolicy
 from repro.serving.admission import TenantQuota
 from repro.serving.health import HealthPolicy
-from repro.serving.requests import VisitRequest
+from repro.serving.identity import _response_facts
+from repro.serving.requests import (
+    NeighborhoodRequest,
+    ShortestPathRequest,
+    StatsRequest,
+    VisitRequest,
+)
 from repro.serving.service import TraversalService
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -80,6 +92,91 @@ def golden_scenario(recorder=None):
                 for i in range(9)
             ])
     return service, responses
+
+
+def terminal_paths_scenario():
+    """Two traced services that between them reach every terminal
+    response shape; returns ``[(name, service, responses), ...]``."""
+    csr = erdos_renyi(48, 200, seed=3)
+    out = []
+    # Bare lanes: two waves (the second re-plans around a late member),
+    # a dispatch-time shed, an iteration-budget error, and one deadline
+    # and one quota refusal at admission.
+    with TraversalService(
+        csr, pool_size=2, telemetry=True, wave_width=4,
+        health=HealthPolicy(brownout=False),
+        slo=SLOMonitor(SLOPolicy(min_samples=2)),
+        recorder=FlightRecorder(),
+        quotas={"capped": TenantQuota(max_pending=1)},
+    ) as service:
+        responses = service.serve([
+            VisitRequest(source=0, tenant="a", arrival_ms=5.0),
+            VisitRequest(source=1, tenant="a", arrival_ms=0.0,
+                         deadline_ms=1.0),
+            VisitRequest(source=2, tenant="b", deadline_ms=40.0),
+            VisitRequest(source=3, tenant="b", deadline_ms=40.0),
+            VisitRequest(source=4, tenant="b", deadline_ms=40.0),
+            VisitRequest(source=5, tenant="a", deadline_ms=41.0),
+            VisitRequest(problem="cc", source=6, tenant="a",
+                         deadline_ms=0.001),
+            VisitRequest(problem="cc", source=7, tenant="b",
+                         deadline_ms=0.001),
+            VisitRequest(problem="cc", source=8, tenant="a",
+                         deadline_ms=0.001),
+            VisitRequest(source=8, tenant="b", iteration_budget=1),
+            VisitRequest(source=9, tenant="capped"),
+            VisitRequest(source=10, tenant="capped"),
+            NeighborhoodRequest(source=11, hops=2, tenant="a"),
+            ShortestPathRequest(source=0, target=20, tenant="b"),
+            StatsRequest(tenant="a"),
+        ])
+        responses += service.serve([
+            VisitRequest(source=12, tenant="a", arrival_ms=20.0,
+                         deadline_ms=0.5),
+            VisitRequest(source=13, tenant="a", arrival_ms=21.0),
+            VisitRequest(source=14, tenant="b", arrival_ms=21.0),
+            VisitRequest(source=15, tenant="b", deadline_ms=30.0),
+        ])
+        out.append(("bare", service, responses))
+    # One resilient lane: sustained transfer faults fail singles and a
+    # wave with typed errors until brownout level 3 sheds best-effort
+    # work; a later lone fault is absorbed by a retry.
+    with TraversalService(
+        csr, pool_size=1, telemetry=True, wave_width=4,
+        fault_plans={0: FaultPlan(specs=(
+            FaultSpec(kind="transfer_fault", at=0, count=24),
+            FaultSpec(kind="transfer_fault", at=40, count=1),
+        ))},
+        policy=RetryPolicy(max_retries=1, backoff_base_ms=1.0,
+                           jitter=0.0, allow_cpu_fallback=False),
+        health=HealthPolicy(breakers=False, brownout_admission=0.01),
+        slo=SLOMonitor(SLOPolicy(min_samples=2)),
+        recorder=FlightRecorder(),
+        default_quota=TenantQuota(max_pending=64),
+    ) as service:
+        responses = []
+        for batch in range(4):
+            responses += service.serve([
+                VisitRequest(source=(5 * batch + i) % 48,
+                             tenant=("a", "b")[i % 2],
+                             deadline_ms=(None, 60.0)[i % 2])
+                for i in range(5)
+            ] + [
+                VisitRequest(problem="cc", source=batch, tenant="a",
+                             deadline_ms=60.0),
+                VisitRequest(source=batch, tenant="b",
+                             iteration_budget=1, deadline_ms=60.0),
+            ])
+        out.append(("resilient", service, responses))
+    return out
+
+
+@pytest.fixture(scope="module")
+def terminal_runs():
+    return {
+        name: (service, responses, service.trace())
+        for name, service, responses in terminal_paths_scenario()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -521,6 +618,53 @@ class TestGoldenBytes:
     def test_golden_trace_validates(self, golden_run):
         _, _, trace = golden_run
         assert validate_chrome_trace(to_chrome_trace(trace)) == []
+
+
+class TestTerminalPathsGolden:
+
+    def test_scenario_reaches_every_terminal_path(self, terminal_runs):
+        service, responses, trace = terminal_runs["bare"]
+        waves = [s for s in trace.spans() if s.name == "wave"]
+        assert len(waves) == 2 and all(s.attrs["ok"] for s in waves)
+        assert any(s.attrs["width"] == 3 for s in waves)  # re-planned
+        assert sum(r.shed and r.seq >= 0 for r in responses) == 2
+        refused = [r for r in responses if r.seq < 0]
+        assert [r.shed for r in refused] == [True, False]
+        assert refused[1].error.startswith("QuotaExceededError")
+        assert any(
+            not r.ok and not r.shed and r.seq >= 0 for r in responses
+        )
+        service, responses, trace = terminal_runs["resilient"]
+        assert any(
+            s.name == "wave" and not s.attrs["ok"] for s in trace.spans()
+        )
+        assert sum("brownout" in (r.error or "") for r in responses) == 3
+        assert any(
+            (r.error or "").startswith("TransferError") for r in responses
+        )
+        assert any(r.ok and r.attempts == 2 for r in responses)
+
+    def test_terminal_paths_jsonl_golden_bytes(self, terminal_runs):
+        _check_golden(
+            "serve_terminal_paths_events.jsonl",
+            "".join(to_jsonl(trace) for _, _, trace in
+                    terminal_runs.values()),
+        )
+
+    def test_terminal_paths_facts_golden(self, terminal_runs):
+        facts = {
+            name: {
+                "responses": [list(_response_facts(r)) for r in responses],
+                "metrics": service.metrics_snapshot(),
+                "ring": list(service.recorder.ring),
+                "dumps": [m["trigger"] for m in service.recorder.dumps],
+            }
+            for name, (service, responses, _) in terminal_runs.items()
+        }
+        _check_golden(
+            "serve_terminal_paths_facts.json",
+            json.dumps(facts, sort_keys=True, indent=1) + "\n",
+        )
 
 
 class TestTraceIdentity:

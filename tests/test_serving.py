@@ -586,3 +586,31 @@ class TestLaneAccounting:
             assert shed
             assert service.requests_shed == len(shed)
             assert all(not r.ok and r.error for r in shed)
+
+    @pytest.mark.parametrize("wave_width", [0, 4])
+    def test_admission_refusals_are_not_counted(
+        self, skewed_graph, wave_width,
+    ):
+        # The served/shed counters account for admitted requests only:
+        # a deadline spent before admission and a quota refusal are
+        # terminal responses (seq -1), never served or shed.
+        with TraversalService(
+            skewed_graph, pool_size=2, wave_width=wave_width,
+            quotas={"capped": TenantQuota(max_pending=1)},
+        ) as service:
+            responses = service.serve([
+                VisitRequest(source=0, arrival_ms=10.0),
+                VisitRequest(source=1, arrival_ms=0.0, deadline_ms=1.0),
+                VisitRequest(source=2, tenant="capped"),
+                VisitRequest(source=3, tenant="capped"),
+                VisitRequest(source=4),
+                NeighborhoodRequest(source=5, hops=1),
+            ])
+            refused = [r for r in responses if r.seq < 0]
+            assert len(refused) == 2
+            assert any(r.shed for r in refused)
+            assert any(
+                r.error.startswith("QuotaExceededError") for r in refused
+            )
+            assert service.requests_served + service.requests_shed == \
+                sum(r.seq >= 0 for r in responses) == 4
