@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Beyond the paper's three algorithms: CC, delta-PageRank, DOBFS.
+"""Beyond the paper's three algorithms: CC and delta-PageRank.
 
 The framework generalizes past BFS/SSSP/SSWP:
 
@@ -7,18 +7,15 @@ The framework generalizes past BFS/SSSP/SSWP:
   family (every vertex starts in the frontier);
 * **delta PageRank** — Section II-C's contrast case ("PageRank-like
   algorithms update all vertices every iteration") turned into an
-  active-set algorithm via residual pushing;
-* **direction-optimized BFS** — Beamer's push/pull hybrid on UDC
-  machinery, with pull phases over the CSC.
+  active-set algorithm via residual pushing, run through the same
+  iteration pipeline as a traversal query.
 
 Run: ``python examples/analytics_extensions.py``
 """
 
 import numpy as np
 
-from repro import EtaGraph
 from repro.algorithms.cc import weakly_connected_components
-from repro.core.dobfs import direction_optimized_bfs
 from repro.core.pagerank import delta_pagerank
 from repro.graph import generators
 from repro.utils.units import format_ms
@@ -26,7 +23,6 @@ from repro.utils.units import format_ms
 
 def main() -> None:
     graph = generators.social_network(20_000, 300_000, seed=9)
-    hub = int(np.argmax(graph.out_degrees()))
     print(f"graph: {graph}\n")
 
     # --- connected components -----------------------------------------
@@ -43,15 +39,6 @@ def main() -> None:
           f"{format_ms(pr.total_ms)} simulated")
     print(f"  top vertices: {top.tolist()}")
     print(f"  active-set decay: {pr.active_history[:6]} ...")
-
-    # --- direction-optimized BFS ----------------------------------------
-    plain = EtaGraph(graph).bfs(hub)
-    hybrid = direction_optimized_bfs(graph, hub)
-    assert np.array_equal(plain.labels, hybrid.labels)
-    print(f"\nBFS from hub {hub}: plain kernels {format_ms(plain.kernel_ms)}, "
-          f"hybrid {format_ms(hybrid.kernel_ms)} "
-          f"({plain.kernel_ms / hybrid.kernel_ms:.2f}x)")
-    print(f"  schedule: {hybrid.directions}")
 
 
 if __name__ == "__main__":

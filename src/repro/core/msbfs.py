@@ -26,7 +26,7 @@ step, so it pays the same topology traffic a query over the same
 frontier pays.
 
 The host computes that step in whichever direction is cheaper, after
-Beamer's direction-optimizing BFS (:mod:`repro.core.dobfs`).  An
+Beamer, Asanović and Patterson's direction-optimizing BFS (SC'12).  An
 iteration whose frontier edges reach :data:`PULL_EDGE_SHARE` of ``|E|``
 *pulls*: every in-edge of the session's CSC view reads its source's
 mask, and one segmented OR per destination collects them (GraphBLAST's

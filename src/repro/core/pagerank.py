@@ -6,33 +6,37 @@ each vertex accumulates a residual, and only vertices whose residual
 exceeds a threshold push ``damping * residual / out_degree`` to their
 neighbors — an active-set algorithm with EtaGraph's exact shape, except
 the reduction is **additive** (atomicAdd) rather than a min/max, so it
-runs through its own driver instead of a :class:`TraversalProblem`.
+supplies its own step instead of a :class:`TraversalProblem`.
 
-The driver reuses everything that makes EtaGraph EtaGraph: UDC shadow
-vertices for load balance, SMP for the adjacency bursts, the same kernel
-cost model, frontier buffers and device accounting.
+:func:`pagerank` drives that step through an
+:class:`~repro.core.session.EngineSession`, the way
+:func:`repro.core.msbfs.run_wave` drives the wave's lane-mask OR: the
+iteration pipeline — frontier memo, UDC transform kernel, topology
+charges under the session's placement, SMP vertex kernel, overlap — is
+the session's own, shared with :meth:`EngineSession.query`.  So
+PageRank pays what a query over the same frontier pays, and gets the
+session's shared-memory fit for SMP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from repro.core.config import EtaGraphConfig, MemoryMode
-from repro.core.frontier import FrontierBuffers
-from repro.core.smp import plan_prefetch
-from repro.core.udc import degree_cut
-from repro.errors import ConfigError, ConvergenceError
-from repro.gpu.cache import CacheHierarchy
+from repro.core.config import EtaGraphConfig
+from repro.core.session import EngineSession
+from repro.core.stats import TraversalStats
+from repro.errors import ConfigError
 from repro.gpu.device import DeviceSpec, GTX_1080TI
-from repro.gpu.kernel import simulate_vertex_kernel
-from repro.gpu.memory import DeviceMemory
 from repro.gpu.profiler import Profiler
-from repro.gpu.transfer import d2h_copy, h2d_copy
-from repro.gpu.um import UnifiedMemoryManager
+from repro.gpu.timeline import Timeline
 from repro.graph.csr import CSRGraph
-from repro.utils.ragged import ragged_gather_indices
+
+#: What the session's pipeline reads of a problem to place and cost
+#: PageRank: an unweighted push, one atomicAdd per edge.
+_DELTA_PUSH = SimpleNamespace(needs_weights=False, instr_per_edge=9.0)
 
 
 @dataclass
@@ -40,14 +44,89 @@ class PageRankResult:
     """Ranks plus the simulated measurement record."""
 
     ranks: np.ndarray
-    iterations: int
     total_ms: float
     kernel_ms: float
-    active_history: list[int] = field(default_factory=list)
+    stats: TraversalStats
+    timeline: Timeline
     profiler: Profiler | None = None
+    trace: object | None = None
+
+    @property
+    def iterations(self) -> int:
+        return self.stats.num_iterations
+
+    @property
+    def active_history(self) -> list[int]:
+        """Active-set size at each iteration."""
+        return [s.active_vertices for s in self.stats.iterations]
 
     def top_vertices(self, k: int = 10) -> np.ndarray:
         return np.argsort(self.ranks)[::-1][:k]
+
+
+def pagerank(
+    session: EngineSession,
+    *,
+    damping: float = 0.85,
+    tolerance: float = 1e-4,
+    max_iterations: int = 1000,
+) -> PageRankResult:
+    """Push-based delta PageRank on ``session``'s resident topology.
+
+    ``tolerance`` is the per-vertex residual threshold below which a
+    vertex stops pushing; the returned ranks satisfy the PageRank
+    recurrence to within the total leftover residual.
+    """
+    session._check_open()
+    if not 0.0 < damping < 1.0:
+        raise ConfigError(f"damping must be in (0, 1), got {damping}")
+    if tolerance <= 0:
+        raise ConfigError(f"tolerance must be > 0, got {tolerance}")
+    csr = session.csr
+    n = csr.num_vertices
+    if n == 0:
+        raise ConfigError("empty graph")
+
+    run = session._open(_DELTA_PUSH, "pagerank", damping=damping)
+    residual_arr = session._labels_buffer(
+        np.full(n, 1.0 - damping, dtype=np.float64)
+    )
+    residual = residual_arr.data
+    ranks = np.zeros(n, dtype=np.float64)
+    degrees = csr.out_degrees().astype(np.int64)
+
+    def push(active, entry, iteration):
+        # Settle the active residuals into the ranks, then push
+        # damping * residual / degree along out-edges.  Sinks have no
+        # shadows: their mass simply stops (standard delta-PR).
+        src = entry.ids64
+        share = damping * residual[src] / degrees[src]
+        ranks[active] += residual[active]
+        residual[active] = 0.0
+        np.add.at(residual, entry.nbr,
+                  np.repeat(share, entry.shadows.degrees))
+        return len(entry.nbr), np.flatnonzero(residual > tolerance), 0, False
+
+    session._traverse(
+        run, _DELTA_PUSH, residual_arr, np.arange(n, dtype=np.int64), push,
+        name="pagerank", label="residual", max_iterations=max_iterations,
+        trace_meta={"problem": "pagerank"},
+    )
+    # The pipeline skips the step for a frontier of sinks alone, which
+    # ends the loop with their residuals unsettled.
+    left = residual > tolerance
+    ranks[left] += residual[left]
+
+    session.queries_served += 1
+    return PageRankResult(
+        ranks=ranks,
+        total_ms=run.total_ms,
+        kernel_ms=run.prof.kernels.elapsed_ms,
+        stats=run.stats,
+        timeline=run.timeline,
+        profiler=run.prof,
+        trace=run.trace,
+    )
 
 
 def delta_pagerank(
@@ -59,124 +138,11 @@ def delta_pagerank(
     config: EtaGraphConfig | None = None,
     device: DeviceSpec = GTX_1080TI,
 ) -> PageRankResult:
-    """Push-based delta PageRank with UDC/SMP execution.
-
-    ``tolerance`` is the per-vertex residual threshold below which a
-    vertex stops pushing; the returned ranks satisfy the PageRank
-    recurrence to within the total leftover residual.
-    """
-    if not 0.0 < damping < 1.0:
-        raise ConfigError(f"damping must be in (0, 1), got {damping}")
-    if tolerance <= 0:
-        raise ConfigError(f"tolerance must be > 0, got {tolerance}")
-    cfg = config or EtaGraphConfig()
-    n = csr.num_vertices
-    if n == 0:
-        raise ConfigError("empty graph")
-
-    spec = device
-    mem = DeviceMemory(spec)
-    caches = CacheHierarchy(spec)
-    prof = Profiler()
-    um = UnifiedMemoryManager(spec, mem) if cfg.memory_mode.uses_um else None
-    clock = 0.0
-
-    topo_kind = "um" if um is not None else (
-        "zerocopy" if cfg.memory_mode is MemoryMode.ZERO_COPY else "device"
-    )
-    offsets_arr = mem.alloc("row_offsets", csr.row_offsets, kind=topo_kind)
-    cols_arr = mem.alloc("column_indices", csr.column_indices, kind=topo_kind)
-    if um is not None:
-        um.register(offsets_arr)
-        um.register(cols_arr)
-        clock += 2 * spec.um_alloc_overhead_us * 1e-3
-        if cfg.memory_mode is MemoryMode.UM_PREFETCH:
-            for arr in (offsets_arr, cols_arr):
-                clock += um.prefetch(arr, prof).time_ms
-    elif topo_kind == "device":
-        for arr in (offsets_arr, cols_arr):
-            clock += h2d_copy(spec, prof, arr.nbytes)
-
-    ranks_arr = mem.alloc("ranks", np.zeros(n, dtype=np.float64))
-    residual_arr = mem.alloc(
-        "residual", np.full(n, 1.0 - damping, dtype=np.float64)
-    )
-    frontier = FrontierBuffers(mem, n, csr.num_edges, cfg.degree_limit)
-    clock += h2d_copy(spec, prof, ranks_arr.nbytes + residual_arr.nbytes)
-
-    ranks = ranks_arr.data
-    residual = residual_arr.data
-    offsets = csr.row_offsets
-    cols = csr.column_indices
-    degrees_all = csr.out_degrees().astype(np.int64)
-
-    kernel_ms = 0.0
-    active_history: list[int] = []
-    active = np.arange(n, dtype=np.int64)
-    iteration = 0
-    while len(active):
-        if iteration >= max_iterations:
-            raise ConvergenceError(
-                f"pagerank did not converge within {max_iterations} iterations"
-            )
-        active_history.append(len(active))
-
-        # Settle the active residuals into the ranks.
-        pushed = residual[active].copy()
-        ranks[active] += pushed
-        residual[active] = 0.0
-
-        # Push damping * residual / degree along out-edges; sinks keep
-        # their mass (standard delta-PR sink handling: it simply stops).
-        has_edges = degrees_all[active] > 0
-        pushers = active[has_edges]
-        amount = damping * pushed[has_edges] / degrees_all[pushers]
-        shadows = degree_cut(pushers, offsets, cfg.degree_limit)
-        if len(shadows):
-            edge_idx = ragged_gather_indices(shadows.starts, shadows.degrees)
-            nbr = cols[edge_idx].astype(np.int64)
-            # Per-shadow push amount: shadows of a vertex share its rate.
-            per_vertex_amount = np.zeros(n, dtype=np.float64)
-            per_vertex_amount[pushers] = amount
-            contrib = np.repeat(
-                per_vertex_amount[shadows.ids.astype(np.int64)], shadows.degrees
-            )
-            np.add.at(residual, nbr, contrib)
-
-            plan = plan_prefetch(shadows, offsets, cfg.degree_limit) \
-                if cfg.smp else None
-            timing = simulate_vertex_kernel(
-                spec, caches,
-                starts=shadows.starts,
-                degrees=shadows.degrees,
-                adj_array=cols_arr,
-                neighbor_ids=nbr,
-                label_array=residual_arr,
-                meta_array=frontier.virt_act_set,
-                meta_words_per_thread=3,
-                smp=cfg.smp and plan is not None,
-                smp_planned_words=plan.planned_words if plan else None,
-                degree_limit=cfg.degree_limit,
-                updates=len(nbr),  # atomicAdd per edge
-                instr_per_edge=9.0,
-                threads_per_block=cfg.threads_per_block,
-            )
-            prof.record_kernel(timing.counters)
-            kernel_ms += timing.time_ms
-            clock += timing.time_ms
-
-        active = np.flatnonzero(residual > tolerance)
-        iteration += 1
-
-    d2h_copy(spec, prof, ranks_arr.nbytes)
-    return PageRankResult(
-        ranks=ranks.copy(),
-        iterations=iteration,
-        total_ms=clock,
-        kernel_ms=kernel_ms,
-        active_history=active_history,
-        profiler=prof,
-    )
+    """:func:`pagerank` on a session of one: ``total_ms`` includes the
+    full topology placement, as :meth:`EtaGraphEngine.run` does."""
+    with EngineSession(csr, config, device) as session:
+        return pagerank(session, damping=damping, tolerance=tolerance,
+                        max_iterations=max_iterations)
 
 
 def pagerank_reference(

@@ -5,7 +5,8 @@ the *service plane*.  Each run draws a random graph, a pool of 2–3
 resilient lanes, sustained per-lane fault plans, a random retry policy
 and a random :class:`~repro.serving.health.HealthPolicy`, then serves
 several mixed request batches (deadlined, best-effort, waves, stats)
-and asserts the serving contract under sustained faults:
+under a tight per-tenant quota, with some deadlined visits arriving
+late, and asserts the serving contract under sustained faults:
 
 * **Conservation** — every submitted request gets exactly one terminal
   response (served, typed error, or typed shed); no losses, no
@@ -143,10 +144,14 @@ def _sustained_plan(rng: np.random.Generator) -> FaultPlan:
 
 def _random_requests(
     rng: np.random.Generator, graph, problem: str, n: int,
+    now_ms: float = 0.0,
 ) -> list:
     """A mixed batch: mostly visits (some deadlined, some best-effort,
     runs of identical-problem plain BFS that wave batching can merge),
-    a sprinkle of neighborhood and stats requests."""
+    a sprinkle of neighborhood and stats requests.  Some deadlined
+    visits arrive late, stamped between 0 and the service clock
+    ``now_ms``: one whose budget is already spent is refused at
+    admission."""
     requests = []
     for _ in range(n):
         tenant = _TENANTS[int(rng.integers(len(_TENANTS)))]
@@ -169,11 +174,15 @@ def _random_requests(
             # Nearly-spent budgets: EDF serves these first, so only a
             # hair-trigger deadline actually exercises the shed path.
             deadline = float(rng.uniform(0.0, 0.25))
+        arrival = None
+        if deadline is not None and rng.random() < 0.25:
+            arrival = float(rng.uniform(0.0, now_ms))
         requests.append(VisitRequest(
             tenant=tenant,
             problem=problem,
             source=int(rng.integers(graph.num_vertices)),
             deadline_ms=deadline,
+            arrival_ms=arrival,
         ))
     return requests
 
@@ -331,11 +340,15 @@ def run_heal_chaos(
             brownout=bool(rng.integers(0, 2)),
         )
         wave_width = int(rng.choice((0, 2, 4)))
+        # A tight per-tenant quota: a batch's requests all wait at once,
+        # so some tenants exceed it and are refused at admission.
+        max_pending = int(rng.integers(3, 13))
         coords = (
             f"run {case} (seed {seed}, {problem}, "
             f"|V|={graph.num_vertices}, pool={pool_size}, "
             f"plans={sorted(fault_plans)}, retries={policy.max_retries}, "
-            f"wave={wave_width}, open_ms={health.open_ms:.2f})"
+            f"wave={wave_width}, open_ms={health.open_ms:.2f}, "
+            f"quota={max_pending})"
         )
         report.runs += 1
 
@@ -351,7 +364,7 @@ def run_heal_chaos(
         with TraversalService(
             graph, pool_size=pool_size, fault_plans=fault_plans,
             policy=policy, health=health, wave_width=wave_width,
-            default_quota=TenantQuota(max_pending=256),
+            default_quota=TenantQuota(max_pending=max_pending),
             recorder=recorder,
         ) as service:
             plane = service.health
@@ -363,7 +376,8 @@ def run_heal_chaos(
                      "service.sheds": 0, "service.errors": 0}
             for batch in range(int(rng.integers(3, 6))):
                 n = int(rng.integers(10, 26))
-                requests = _random_requests(rng, graph, problem, n)
+                requests = _random_requests(rng, graph, problem, n,
+                                            service.clock_ms)
                 report.requests += n
                 try:
                     responses = service.serve(requests)

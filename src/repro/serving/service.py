@@ -52,6 +52,8 @@ import numpy as np
 
 from repro.core import msbfs
 from repro.core.config import EtaGraphConfig
+from repro.core.pagerank import pagerank
+from repro.core.session import EngineSession
 from repro.errors import ConfigError, ConvergenceError, \
     DataCorruptionError, DeadlineExceededError, QuotaExceededError, \
     ReproError, SessionClosedError
@@ -1013,30 +1015,27 @@ class TraversalService:
         self, response: TraversalResponse, request: PageRankRequest,
         adm: AdmittedRequest, tracer=None,
     ) -> float:
-        from repro.core.pagerank import delta_pagerank
-
-        pr = delta_pagerank(
-            self.csr,
-            damping=request.damping,
-            tolerance=request.tolerance,
-            max_iterations=(
-                adm.iteration_budget
-                if adm.iteration_budget is not None
-                else self.config.max_iterations
-            ),
-            config=self.config,
-            device=self.device,
-        )
+        # A session of one: the request's spans land on ``tracer``, as a
+        # lane query's do.
+        with EngineSession(self.csr, self.config, self.device) as session:
+            session.tracer = tracer
+            try:
+                pr = pagerank(
+                    session,
+                    damping=request.damping,
+                    tolerance=request.tolerance,
+                    max_iterations=(
+                        adm.iteration_budget
+                        if adm.iteration_budget is not None
+                        else self.config.max_iterations
+                    ),
+                )
+            except ReproError:
+                if tracer is not None:
+                    tracer.unwind(tracer.max_end_ms, error=True)
+                raise
         response.result = pr
         response.value = pr.ranks
-        if tracer is not None:
-            # PageRank runs outside the session pool, so no kernel-level
-            # sub-trace exists; a single engine span still gives the
-            # request tree its compute leaf.
-            tracer.emit(
-                "pagerank", "engine", pr.total_ms, t_ms=0.0,
-                damping=request.damping,
-            )
         return pr.total_ms
 
     def _run_stats(self, response: TraversalResponse) -> float:

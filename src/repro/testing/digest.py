@@ -6,7 +6,7 @@ simulated clocks, the per-iteration statistics and the profiler's
 counters.  A change that only makes the simulator faster must leave the
 digest unchanged.
 
-The four shapes of operation:
+The five shapes of operation:
 
 * ``bfs-replay``: BFS from four ``com-orkut`` sources on one session,
   then the same four again (the frontier memo answers the replays);
@@ -14,6 +14,7 @@ The four shapes of operation:
 * ``serve``: a fixed mix of visit, neighborhood, shortest-path and
   stats requests through a two-lane ``TraversalService`` on
   ``livejournal``;
+* ``pagerank``: one-shot delta PageRank on ``livejournal``;
 * ``crawl``: a BFS on compressed ``uk-2005`` under direct access, then
   a BFS that stops at a target up to 12 hops away.
 
@@ -84,6 +85,7 @@ def run_ops() -> dict[str, str]:
     """Run every op; returns ``{op name: hash}`` in run order."""
     from repro import EngineSession, EtaGraphConfig, GTX_1080TI, MemoryMode
     from repro.core import msbfs
+    from repro.core.pagerank import delta_pagerank
     from repro.graph import compressed, datasets
     from repro.serving import (
         NeighborhoodRequest,
@@ -119,6 +121,7 @@ def run_ops() -> dict[str, str]:
         for i, request in enumerate(requests):
             hashes[f"serve/{i}/{request.endpoint}"] = _hash(
                 service.call(request))
+    hashes["pagerank"] = _hash(delta_pagerank(journal, device=device))
 
     crawl = datasets.get_spec("uk-2005").build()
     source = _sources(crawl, 1, seed=4)[0]

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from repro import EtaGraph
 from repro.algorithms.cc import ConnectedComponents, weakly_connected_components
 from repro.algorithms.validate import validate_labels
+from repro.core.config import EtaGraphConfig, MemoryMode
 from repro.core.engine import EtaGraphEngine
-from repro.core.pagerank import delta_pagerank, pagerank_reference
+from repro.core.pagerank import delta_pagerank, pagerank, pagerank_reference
+from repro.core.session import EngineSession
 from repro.errors import ConfigError
 from repro.graph import generators
 from repro.graph.weights import attach_weights
@@ -143,7 +145,6 @@ class TestDeltaPageRank:
         assert fast.total_ms < slow.total_ms
 
     def test_smp_config_does_not_change_ranks(self, graph):
-        from repro.core.config import EtaGraphConfig
         a = delta_pagerank(graph, config=EtaGraphConfig(smp=False))
         b = delta_pagerank(graph)
         assert np.allclose(a.ranks, b.ranks)
@@ -153,3 +154,45 @@ class TestDeltaPageRank:
             delta_pagerank(graph, damping=1.5)
         with pytest.raises(ConfigError):
             delta_pagerank(graph, tolerance=0)
+
+    def test_smp_shared_memory_fit_applies(self, graph):
+        """A degree limit whose SMP buffers overflow an SM falls back to
+        the plain kernel, as a query does, instead of failing the
+        launch."""
+        wide = delta_pagerank(graph, config=EtaGraphConfig(degree_limit=1024))
+        plain = delta_pagerank(
+            graph, config=EtaGraphConfig(degree_limit=1024, smp=False))
+        assert wide.total_ms == plain.total_ms
+        assert np.array_equal(wide.ranks, plain.ranks)
+
+    @pytest.mark.parametrize("mode", list(MemoryMode))
+    def test_topology_charges_match_query(self, graph, mode):
+        """Iteration 0 of PageRank and of a CC query expand the same
+        all-vertex frontier on fresh sessions, so they pay the same
+        transform kernel and the same topology charge."""
+        config = EtaGraphConfig(memory_mode=mode)
+        with EngineSession(graph, config) as session:
+            pr = pagerank(session)
+        with EngineSession(graph, config) as session:
+            cc = session.query("cc", 0)
+        first_pr, first_cc = pr.stats.iterations[0], cc.stats.iterations[0]
+        assert first_pr.active_vertices == graph.num_vertices
+        assert first_cc.active_vertices == graph.num_vertices
+        assert first_pr.transform_ms == first_cc.transform_ms
+        assert first_pr.transfer_ms == first_cc.transfer_ms
+
+        def first_bytes(timeline):
+            return {iv.label: iv.nbytes for iv in timeline.intervals
+                    if iv.label in ("iter-0", "zerocopy-0", "direct-0")}
+
+        assert first_bytes(pr.timeline) == first_bytes(cc.timeline)
+        if mode in (MemoryMode.ZERO_COPY, MemoryMode.DIRECT_ACCESS,
+                    MemoryMode.UM_ON_DEMAND):
+            assert first_bytes(pr.timeline)  # the charge was paid
+
+    def test_query_after_pagerank_starts_warm(self, graph):
+        with EngineSession(graph) as session:
+            pagerank(session)
+            bfs = session.query("bfs", 0)
+        assert bfs.setup_ms == 0.0
+        assert bfs.extras["warm_start"]

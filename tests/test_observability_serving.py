@@ -49,6 +49,7 @@ from repro.serving.health import HealthPolicy
 from repro.serving.identity import _response_facts
 from repro.serving.requests import (
     NeighborhoodRequest,
+    PageRankRequest,
     ShortestPathRequest,
     StatsRequest,
     VisitRequest,
@@ -264,6 +265,21 @@ class TestRequestSpanTree:
         assert request_ids(trace) == sorted(
             r.request_id for r in responses
         )
+
+    def test_pagerank_carries_engine_spans(self):
+        csr = erdos_renyi(40, 160, seed=1)
+        with TraversalService(csr, pool_size=1, telemetry=True) as service:
+            response = service.call(PageRankRequest(tenant="t"))
+        trace = service.trace()
+        dispatch = next(iter(trace.spans("service", "dispatch")))
+        (run,) = trace.children_of(dispatch.sid)
+        assert run.name == "pagerank" and run.category == "engine"
+        iterations = [c for c in trace.children_of(run.sid)
+                      if c.name == "iteration"]
+        assert len(iterations) == response.result.iterations
+        kernels = {c.name for it in iterations
+                   for c in trace.children_of(it.sid)}
+        assert {"transform", "vertex_kernel"} <= kernels
 
 
 class TestWaveLinking:

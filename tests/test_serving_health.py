@@ -397,3 +397,22 @@ class TestHealChaosBattery:
         assert report.opens > 0
         assert report.replaces == report.opens
         assert report.recoveries >= 1
+
+    def test_battery_reaches_admission_refusals(self, monkeypatch):
+        """Late arrivals and tight quotas put the refusal path under the
+        battery's served + shed conservation check."""
+        from repro.serving.chaos import run_heal_chaos
+        from repro.serving.service import TraversalService
+
+        refused = []
+        real = TraversalService._refused
+
+        def spy(self, request, exc):
+            refused.append(type(exc).__name__)
+            return real(self, request, exc)
+
+        monkeypatch.setattr(TraversalService, "_refused", spy)
+        report = run_heal_chaos(runs=20, seed=0)
+        assert report.ok, report.summary()
+        assert "QuotaExceededError" in refused
+        assert "DeadlineExceededError" in refused
