@@ -56,6 +56,11 @@ class PageRankResult:
         return self.stats.num_iterations
 
     @property
+    def d2h_ms(self) -> float:
+        """The residual readback after the loop (not in ``total_ms``)."""
+        return self.profiler.d2h_time_ms if self.profiler is not None else 0.0
+
+    @property
     def active_history(self) -> list[int]:
         """Active-set size at each iteration."""
         return [s.active_vertices for s in self.stats.iterations]

@@ -53,8 +53,10 @@ from repro.gpu.kernel import simulate_streaming_kernel, simulate_vertex_kernel
 from repro.gpu.memory import DeviceArray, DeviceMemory
 from repro.gpu.profiler import Profiler
 from repro.gpu.timeline import Timeline
-from repro.gpu.transfer import d2h_copy, direct_access_read, h2d_copy
-from repro.gpu.um import UnifiedMemoryManager
+from repro.gpu.transfer import (
+    DIRECT_ACCESS_SECTOR_BYTES, d2h_copy, direct_access_read, h2d_copy,
+)
+from repro.gpu.um import MigrationBatch, UnifiedMemoryManager
 from repro.graph.compressed import CompressedCSRGraph
 from repro.graph.csr import CSRGraph
 from repro.utils.ragged import ragged_gather_indices
@@ -172,7 +174,12 @@ class _FrontierExpansion:
 class _TraversalRun:
     """Measurement state of one query or wave: opened by
     :meth:`EngineSession._open`, advanced and filled in by
-    :meth:`EngineSession._traverse`."""
+    :meth:`EngineSession._traverse`.
+
+    The run owns the simulated clock: the ``gpu`` cost models only
+    return durations, and :meth:`record` places each activity on the
+    span trace and, for Fig. 4's transfers, on the :class:`Timeline`.
+    """
 
     __slots__ = (
         "prof", "timeline", "tr", "span", "clock", "setup_before",
@@ -192,6 +199,34 @@ class _TraversalRun:
         self.stats: TraversalStats | None = None
         self.setup_ms = 0.0
         self.trace = None
+
+    def record(self, name: str, category: str, start_ms: float,
+               dur_ms: float, *, nbytes: int | None = None,
+               fig4: str | None = None, **attrs) -> None:
+        """Record one activity over ``[start_ms, start_ms + dur_ms)``: a
+        ``name`` span on ``category`` when traced and, when ``fig4``
+        labels it a Fig. 4 transfer, the timeline interval with the same
+        bounds and ``nbytes``."""
+        if fig4 is not None:
+            self.timeline.add("transfer", start_ms, start_ms + dur_ms,
+                              nbytes=nbytes, label=fig4)
+        if self.tr is not None:
+            if nbytes is not None:
+                attrs["nbytes"] = float(nbytes)
+            self.tr.emit(name, category, dur_ms, start_ms, **attrs)
+
+    def record_migration(self, name: str, start_ms: float,
+                         array: DeviceArray, batch: MigrationBatch,
+                         fig4: str | None = None) -> float:
+        """Record UM migration ``batch`` on ``array`` at ``start_ms`` when
+        it moved pages; returns its end (``start_ms`` when it did not)."""
+        if not batch.migrations:
+            return start_ms
+        self.record(name, "migration", start_ms, batch.time_ms,
+                    nbytes=batch.bytes_moved, fig4=fig4, array=array.name,
+                    migrations=len(batch.migrations),
+                    evicted_pages=batch.evicted_pages)
+        return start_ms + batch.time_ms
 
 
 class EngineSession:
@@ -357,61 +392,47 @@ class EngineSession:
             if a is not None
         ]
 
-    def _install(
-        self,
-        arrays: list[DeviceArray],
-        prof: Profiler,
-        timeline: Timeline,
-        clock: float,
-        tr=None,
-    ) -> float:
+    def _install(self, arrays: list[DeviceArray], run: _TraversalRun) -> None:
         """Register (UM), pin (zero-copy) or copy (device) new topology
-        arrays; advances the query clock and the session setup meter."""
+        arrays; advances the run's clock and the session setup meter."""
         spec = self.device
+        tr = run.tr
         span = None
         if tr is not None:
-            span = tr.start("install_topology", "engine", clock,
+            span = tr.start("install_topology", "engine", run.clock,
                             kind=self._topo_kind(), arrays=len(arrays))
-            tr.cursor_ms = clock
         if self.um is not None:
             for arr in arrays:
                 self.um.register(arr)
                 # cudaMallocManaged setup cost (page-table registration).
                 dt = spec.um_alloc_overhead_us * 1e-3
-                clock += dt
+                run.record("um.register", "engine", run.clock, dt,
+                           array=arr.name)
+                run.clock += dt
                 self.setup_ms += dt
-                if tr is not None:
-                    tr.emit("um.register", "engine", dt, array=arr.name)
         elif self.config.memory_mode.host_resident:
             # Pinning + mapping the host buffers (cudaHostAlloc path);
             # zero-copy and direct access both serve reads from here.
             dt = len(arrays) * spec.um_alloc_overhead_us * 1e-3
-            clock += dt
+            run.record("pin_host", "engine", run.clock, dt)
+            run.clock += dt
             self.setup_ms += dt
-            if tr is not None:
-                tr.emit("pin_host", "engine", dt)
         else:
             # cudaMemcpy of the whole topology before the first kernel.
             for arr in arrays:
-                t = h2d_copy(spec, prof, arr.nbytes, injector=self.injector,
-                             tracer=tr, label=arr.name)
-                timeline.add("transfer", clock, clock + t, nbytes=arr.nbytes,
-                             label=arr.name)
-                clock += t
+                t = h2d_copy(spec, run.prof, arr.nbytes,
+                             injector=self.injector)
+                run.record(arr.name, "transfer", run.clock, t,
+                           nbytes=arr.nbytes, fig4=arr.name)
+                run.clock += t
                 self.setup_ms += t
                 self.setup_transfer_bytes += arr.nbytes
         if span is not None:
-            tr.end(span, clock)
-        return clock
+            tr.end(span, run.clock)
 
     def _place_topology(
-        self,
-        problem: TraversalProblem,
-        prof: Profiler,
-        timeline: Timeline,
-        clock: float,
-        tr=None,
-    ) -> float:
+        self, problem: TraversalProblem, run: _TraversalRun
+    ) -> None:
         """Allocate + install topology arrays still missing for ``problem``.
 
         Compressed sessions place the *compressed* arrays — the varint
@@ -440,41 +461,32 @@ class EngineSession:
             )
             new.append(self._weights_arr)
         if new:
-            clock = self._install(new, prof, timeline, clock, tr)
-        return clock
+            self._install(new, run)
 
-    def _prefetch_topology(
-        self, prof: Profiler, timeline: Timeline, clock: float, tr=None
-    ) -> float:
+    def _prefetch_topology(self, run: _TraversalRun) -> None:
         """One ``cudaMemPrefetchAsync`` pass per topology array, once per
         session (warm queries under oversubscription re-fault in the
         traversal loop instead — that movement is theirs, not setup's)."""
         if self.config.memory_mode is not MemoryMode.UM_PREFETCH:
-            return clock
+            return
         for arr in self._topo_arrays():
             if arr.name in self._prefetched:
                 continue
             self._prefetched.add(arr.name)
-            if tr is not None:
-                tr.cursor_ms = clock
-            batch = self.um.prefetch(arr, prof, tr)
-            if batch.time_ms:
-                timeline.add("transfer", clock, clock + batch.time_ms,
-                             nbytes=batch.bytes_moved,
-                             label=f"prefetch-{arr.name}")
-                clock += batch.time_ms
-                self.setup_ms += batch.time_ms
-                self.setup_transfer_bytes += batch.bytes_moved
-        return clock
+            batch = self.um.prefetch(arr, run.prof)
+            run.clock = run.record_migration(
+                "um.prefetch", run.clock, arr, batch,
+                fig4=f"prefetch-{arr.name}",
+            )
+            self.setup_ms += batch.time_ms
+            self.setup_transfer_bytes += batch.bytes_moved
 
-    def _place_shadow_table(
-        self, prof: Profiler, timeline: Timeline, clock: float, tr=None
-    ) -> float:
+    def _place_shadow_table(self, run: _TraversalRun) -> None:
         """Out-of-core UDC: the precomputed shadow table is derived from
         topology alone, so it is session-resident and staged once."""
         if self.config.udc_mode != "out_of_core" or \
                 self._shadow_table is not None:
-            return clock
+            return
         from repro.core.udc import ShadowTable
 
         csr = self.csr
@@ -488,18 +500,14 @@ class EngineSession:
         self.memory.alloc_empty(
             "shadow_ranges", 2 * max(csr.num_vertices, 1), np.int32
         )
-        if tr is not None:
-            tr.cursor_ms = clock
-        t = h2d_copy(self.device, prof, (3 * len(shadow_table)
-                                         + 2 * csr.num_vertices) * 4,
-                     injector=self.injector, tracer=tr, label="shadow-table")
-        timeline.add("transfer", clock, clock + t, label="shadow-table")
-        clock += t
+        nbytes = (3 * len(shadow_table) + 2 * csr.num_vertices) * 4
+        t = h2d_copy(self.device, run.prof, nbytes, injector=self.injector)
+        run.record("shadow-table", "transfer", run.clock, t, nbytes=nbytes,
+                   fig4="shadow-table")
+        run.clock += t
         self.setup_ms += t
-        self.setup_transfer_bytes += (3 * len(shadow_table)
-                                      + 2 * csr.num_vertices) * 4
+        self.setup_transfer_bytes += nbytes
         self._shadow_table = shadow_table
-        return clock
 
     def prepare(self, problem: TraversalProblem | str = "bfs") -> float:
         """Place (and prefetch) topology now instead of at first query.
@@ -512,11 +520,11 @@ class EngineSession:
         if isinstance(problem, str):
             problem = get_problem(problem)
         problem.check_graph(self.csr)
-        prof = Profiler()
-        timeline = Timeline()
-        clock = self._place_topology(problem, prof, timeline, 0.0)
-        clock = self._prefetch_topology(prof, timeline, clock)
-        self._place_shadow_table(prof, timeline, clock)
+        # An untraced throwaway run carries the clock through placement.
+        run = _TraversalRun(self.setup_ms)
+        self._place_topology(problem, run)
+        self._prefetch_topology(run)
+        self._place_shadow_table(run)
         return self.setup_ms
 
     # ------------------------------------------------------------------
@@ -851,9 +859,10 @@ class EngineSession:
         and its outer span, and topology placement (first call only).
 
         Telemetry: an attached tracer wins; else ``config.telemetry``
-        creates one per traversal.  Every tracer site is guarded by
-        ``tr is not None`` — with telemetry off this costs nothing, and
-        with it on the spans only *read* the simulated clock.
+        creates one per traversal.  Every span is recorded behind a
+        ``tr is not None`` guard (:meth:`_TraversalRun.record` holds
+        one) — with telemetry off no span is built, and with it on the
+        spans only *read* the simulated clock.
         """
         cfg = self.config
         run = _TraversalRun(self.setup_ms)
@@ -870,8 +879,7 @@ class EngineSession:
                 vertices=self.csr.num_vertices, edges=self.csr.num_edges,
                 warm=self.warm,
             )
-        run.clock = self._place_topology(problem, run.prof, run.timeline,
-                                         0.0, tr)
+        self._place_topology(problem, run)
         return run
 
     def _traverse(
@@ -908,7 +916,6 @@ class EngineSession:
         spec = self.device
         caches = self.caches
         prof, timeline, tr = run.prof, run.timeline, run.tr
-        clock = run.clock
         check_udc_partition = None
         if cfg.check_invariants:
             from repro.testing.invariants import check_udc_partition
@@ -917,22 +924,20 @@ class EngineSession:
         weights_arr = self._weights_arr if problem.needs_weights else None
         frontier = self._frontier_buffers()
 
-        if tr is not None:
-            tr.cursor_ms = clock
-        t = h2d_copy(spec, prof, work_arr.nbytes, injector=self.injector,
-                     tracer=tr, label=f"{label}-init")
-        timeline.add("transfer", clock, clock + t, nbytes=work_arr.nbytes,
-                     label=f"{label}-init")
-        clock += t
+        t = h2d_copy(spec, prof, work_arr.nbytes, injector=self.injector)
+        run.record(f"{label}-init", "transfer", run.clock, t,
+                   nbytes=work_arr.nbytes, fig4=f"{label}-init")
+        run.clock += t
 
         if self.um is not None:
             um_bytes = sum(a.nbytes for a in self._topo_arrays())
             run.oversubscribed = \
                 um_bytes > self.um.resident_budget_pages * spec.page_bytes
-        clock = self._prefetch_topology(prof, timeline, clock, tr)
+        self._prefetch_topology(run)
         # Optional out-of-core UDC table.
-        clock = self._place_shadow_table(prof, timeline, clock, tr)
+        self._place_shadow_table(run)
         shadow_table = self._shadow_table
+        clock = run.clock
 
         stats = TraversalStats(
             num_vertices=csr.num_vertices, seed_count=len(seeds)
@@ -959,7 +964,6 @@ class EngineSession:
             if tr is not None:
                 it_span = tr.start("iteration", "engine", clock,
                                    index=iteration, active=len(active))
-                tr.cursor_ms = clock
 
             # Frontier memo: an already-seen active set reuses its whole
             # label-independent expansion (degree cut, gather stream, edge
@@ -990,7 +994,6 @@ class EngineSession:
                     write_bytes=len(shadows) * 4,
                     n_threads=len(active),
                     instr_per_thread=8.0,
-                    tracer=tr, trace_name="transform",
                 )
             else:
                 shadows = entry.shadows if entry is not None \
@@ -1010,10 +1013,11 @@ class EngineSession:
                     scatter_base_address=offsets_arr.base_address,
                     scatter_indices=active,
                     scatter_stream=transform_stream,
-                    tracer=tr, trace_name="transform",
                 )
             prof.record_kernel(transform.counters)
             transform_ms = transform.time_ms
+            run.record("transform", "compute", clock, transform_ms,
+                       threads=len(active))
             if check_udc_partition is not None:
                 check_udc_partition(shadows, active, offsets, cfg.degree_limit)
 
@@ -1081,9 +1085,6 @@ class EngineSession:
                 # device working array and aborts the launch with a typed
                 # DataCorruptionError before results can be consumed.
                 self.injector.on_kernel_launch(work_arr.data)
-            if tr is not None:
-                # The vertex kernel issues after the transform kernel.
-                tr.cursor_ms = clock + transform_ms
             timing = simulate_vertex_kernel(
                 spec, caches,
                 starts=shadows.starts,
@@ -1100,10 +1101,13 @@ class EngineSession:
                 instr_per_edge=problem.instr_per_edge,
                 threads_per_block=self._threads_per_block,
                 plan=entry.trace_plan,
-                tracer=tr,
             )
             prof.record_kernel(timing.counters)
             kernel_ms = timing.time_ms
+            # The vertex kernel issues after the transform kernel.
+            run.record("vertex_kernel", "compute", clock + transform_ms,
+                       kernel_ms, threads=int(timing.counters.threads),
+                       edges=shadows.total_edges, smp=self._smp)
             compute_ms = transform_ms + kernel_ms
 
             # --- iteration advance: fine-grained overlap -----------------
@@ -1155,11 +1159,9 @@ class EngineSession:
             if stop:
                 break
 
-        if tr is not None:
-            tr.cursor_ms = clock
-        d2h_ms = d2h_copy(spec, prof, work_arr.nbytes,
-                          injector=self.injector,
-                          tracer=tr, label=f"{label}-d2h")
+        d2h_ms = d2h_copy(spec, prof, work_arr.nbytes, injector=self.injector)
+        run.record(f"{label}-d2h", "transfer", clock, d2h_ms,
+                   nbytes=work_arr.nbytes)
         run.total_ms = clock
         run.d2h_ms = d2h_ms
         run.stats = stats
@@ -1191,7 +1193,7 @@ class EngineSession:
         payload bytes; weights stay dense float32 whatever the encoding.
         """
         spec = self.device
-        prof, tr, um = run.prof, run.tr, self.um
+        prof, um = run.prof, self.um
         mode = self.config.memory_mode
         offsets_arr = self._offsets_arr
         cols_arr = self._cols_arr
@@ -1215,11 +1217,8 @@ class EngineSession:
             zero_copy_ms = spec.bytes_time_ms(
                 zc_bytes, spec.pcie_bandwidth_gbps * 0.35
             )
-            run.timeline.add("transfer", clock, clock + zero_copy_ms,
-                             nbytes=zc_bytes, label=f"zerocopy-{iteration}")
-            if tr is not None:
-                tr.emit("zerocopy", "transfer", zero_copy_ms, t_ms=clock,
-                        nbytes=float(zc_bytes))
+            run.record("zerocopy", "transfer", clock, zero_copy_ms,
+                       nbytes=zc_bytes, fig4=f"zerocopy-{iteration}")
             return 0.0, 0, zero_copy_ms
         if mode is MemoryMode.DIRECT_ACCESS and len(shadows):
             # EMOGI-style direct access: the kernel's topology loads
@@ -1240,19 +1239,19 @@ class EngineSession:
                 w_starts, w_lens = weight_ranges()
                 range_starts.append(weights_arr.base_address + w_starts)
                 range_lens.append(w_lens)
-            if tr is not None:
-                tr.cursor_ms = clock
             direct_ms, direct_bytes = direct_access_read(
                 spec, prof,
                 np.concatenate(range_starts),
                 np.concatenate(range_lens),
-                injector=self.injector, tracer=tr,
-                label=f"direct-access-{iteration}",
+                injector=self.injector,
             )
             if direct_ms:
-                run.timeline.add("transfer", clock, clock + direct_ms,
-                                 nbytes=direct_bytes,
-                                 label=f"direct-{iteration}")
+                run.record(
+                    f"direct-access-{iteration}", "transfer", clock,
+                    direct_ms, nbytes=direct_bytes,
+                    fig4=f"direct-{iteration}",
+                    sectors=float(direct_bytes // DIRECT_ACCESS_SECTOR_BYTES),
+                )
             return 0.0, 0, direct_ms
 
         refault = mode is MemoryMode.UM_PREFETCH and run.oversubscribed \
@@ -1261,29 +1260,24 @@ class EngineSession:
             return 0.0, 0, 0.0
         # On-demand UM faults in the pages this iteration reads; a
         # prefetched but oversubscribed topology re-faults its evicted
-        # adjacency pages.  Migration overlaps the kernel, so its trace
-        # events tile from the iteration start, not from the cursor's
-        # post-transform position.
-        if tr is not None:
-            tr.cursor_ms = clock
+        # adjacency pages.  Migration overlaps the kernel, so its spans
+        # tile from the iteration start.
         batches = []
+        t = clock
+
+        def fault(array, starts, lens):
+            nonlocal t
+            batch = um.touch_byte_ranges(array, starts, lens, prof)
+            t = run.record_migration("um.touch", t, array, batch)
+            batches.append(batch)
+
         if mode is MemoryMode.UM_ON_DEMAND:
-            batches.append(um.touch_byte_ranges(
-                offsets_arr, np.asarray(active, dtype=np.int64) * off_item,
-                np.full(len(active), 2 * off_item, dtype=np.int64),
-                prof, tr,
-            ))
+            fault(offsets_arr, np.asarray(active, dtype=np.int64) * off_item,
+                  np.full(len(active), 2 * off_item, dtype=np.int64))
         if len(shadows):
-            starts_b, lens_b = self._adj_byte_ranges(
-                shadows.starts, shadows.degrees
-            )
-            batches.append(
-                um.touch_byte_ranges(cols_arr, starts_b, lens_b, prof, tr)
-            )
+            fault(cols_arr, *self._adj_byte_ranges(
+                shadows.starts, shadows.degrees))
             if weights_arr is not None:
-                batches.append(
-                    um.touch_byte_ranges(weights_arr, *weight_ranges(),
-                                         prof, tr)
-                )
+                fault(weights_arr, *weight_ranges())
         return (sum(b.time_ms for b in batches),
                 sum(b.bytes_moved for b in batches), 0.0)

@@ -151,8 +151,6 @@ def simulate_vertex_kernel(
     idle_instr: float = 6.0,
     threads_per_block: int = 256,
     plan: TracePlan | None = None,
-    tracer=None,
-    trace_name: str = "vertex_kernel",
 ) -> KernelTiming:
     """Simulate one vertex-centric traversal kernel launch.
 
@@ -185,10 +183,6 @@ def simulate_vertex_kernel(
         the whole trace pipeline (sampling, coalescing, the cache-order
         sort) is skipped; only the stateful cache walk and the
         instruction model run.  The plan's fingerprint is checked.
-    tracer:
-        A :class:`repro.observability.Tracer` (normally ``None``) that
-        receives one ``compute`` event named ``trace_name`` at its write
-        cursor; timing is computed identically with or without it.
     """
     starts = np.asarray(starts, dtype=np.int64)
     degrees = np.asarray(degrees, dtype=np.int64)
@@ -337,13 +331,6 @@ def simulate_vertex_kernel(
         store_transactions=store_transactions,
         shared_load_bytes=shared_load_bytes,
     )
-    if tracer is not None:
-        tracer.emit(
-            trace_name, "compute", timing.time_ms,
-            threads=int(timing.counters.threads),
-            edges=int(total_edges),
-            smp=bool(smp),
-        )
     return timing
 
 
@@ -383,8 +370,6 @@ def simulate_streaming_kernel(
     scatter_indices: np.ndarray | None = None,
     scatter_stream: SortedStream | None = None,
     threads_per_block: int = 256,
-    tracer=None,
-    trace_name: str = "streaming_kernel",
 ) -> KernelTiming:
     """Simulate an edge-centric streaming pass (CuSha shards, compaction).
 
@@ -452,7 +437,4 @@ def simulate_streaming_kernel(
         load_transactions=stream_transactions + scatter_trans,
         store_transactions=int(np.ceil(write_bytes / spec.sector_bytes)),
     )
-    if tracer is not None:
-        tracer.emit(trace_name, "compute", timing.time_ms,
-                    threads=int(n_threads))
     return timing

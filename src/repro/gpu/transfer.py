@@ -39,26 +39,18 @@ def h2d_copy(
     *,
     pinned: bool = False,
     injector=None,
-    tracer=None,
-    label: str = "",
 ) -> float:
     """Host-to-device copy; returns elapsed ms and records it.
 
     Pageable host memory (the default) pays an extra staging pass through
     a pinned bounce buffer, modelled as a 50% bandwidth derate — typical
     for pageable vs pinned PCIe 3.0 throughput (~6 vs ~12 GB/s).
-
-    ``tracer`` (a :class:`repro.observability.Tracer`, normally ``None``)
-    gets one ``transfer`` event at its write cursor; the copy's own
-    timing is computed identically with or without it.
     """
     if injector is not None:
         injector.on_transfer("h2d", nbytes)
     bandwidth = spec.pcie_bandwidth_gbps * (1.0 if pinned else 0.5)
     time_ms = spec.pcie_latency_us * 1e-3 + spec.bytes_time_ms(nbytes, bandwidth)
     profiler.record_h2d(nbytes, time_ms)
-    if tracer is not None:
-        tracer.emit(label or "h2d", "transfer", time_ms, nbytes=float(nbytes))
     return time_ms
 
 
@@ -69,8 +61,6 @@ def d2h_copy(
     *,
     pinned: bool = False,
     injector=None,
-    tracer=None,
-    label: str = "",
 ) -> float:
     """Device-to-host copy; returns elapsed ms and records it."""
     if injector is not None:
@@ -78,8 +68,6 @@ def d2h_copy(
     bandwidth = spec.pcie_bandwidth_gbps * (1.0 if pinned else 0.5)
     time_ms = spec.pcie_latency_us * 1e-3 + spec.bytes_time_ms(nbytes, bandwidth)
     profiler.record_d2h(nbytes, time_ms)
-    if tracer is not None:
-        tracer.emit(label or "d2h", "transfer", time_ms, nbytes=float(nbytes))
     return time_ms
 
 
@@ -120,8 +108,6 @@ def direct_access_read(
     length_bytes: np.ndarray,
     *,
     injector=None,
-    tracer=None,
-    label: str = "direct-access",
 ) -> tuple[float, int]:
     """One iteration's EMOGI-style direct host reads over PCIe.
 
@@ -147,7 +133,4 @@ def direct_access_read(
         nbytes, bandwidth
     )
     profiler.record_h2d(nbytes, time_ms)
-    if tracer is not None:
-        tracer.emit(label, "transfer", time_ms, nbytes=float(nbytes),
-                    sectors=float(n_sectors))
     return time_ms, nbytes

@@ -170,15 +170,12 @@ class UnifiedMemoryManager:
         array: DeviceArray,
         local_pages: np.ndarray,
         profiler: Profiler | None = None,
-        tracer=None,
     ) -> MigrationBatch:
         """Fault in the given pages of ``array`` (kernel access path).
 
         ``local_pages`` are page indices relative to the allocation start.
         Returns the migrations performed; already-resident pages only get
-        their LRU clock refreshed.  ``tracer`` (normally ``None``) gets
-        one ``migration`` event per batch that actually moved or evicted
-        pages; timings are identical with or without it.
+        their LRU clock refreshed.
         """
         state = self._state(array)
         batch = MigrationBatch()
@@ -220,9 +217,7 @@ class UnifiedMemoryManager:
                     profiler.record_migration(nbytes, time_ms)
         state.resident[stay] = True
         self.total_resident_pages += len(stay)
-        batch = self._inject_stall(batch)
-        self._trace_batch(tracer, "um.touch", array, batch)
-        return batch
+        return self._inject_stall(batch)
 
     def touch_byte_ranges(
         self,
@@ -230,7 +225,6 @@ class UnifiedMemoryManager:
         start_bytes: np.ndarray,
         length_bytes: np.ndarray,
         profiler: Profiler | None = None,
-        tracer=None,
     ) -> MigrationBatch:
         """Fault in all pages overlapped by the given intra-array ranges."""
         start = np.asarray(start_bytes, dtype=np.int64)
@@ -245,15 +239,14 @@ class UnifiedMemoryManager:
         from repro.utils.ragged import ragged_arange
 
         pages = np.repeat(first, counts) + ragged_arange(counts)
-        return self.touch(array, pages, profiler, tracer)
+        return self.touch(array, pages, profiler)
 
     # ------------------------------------------------------------------
     # Prefetch (UMP path)
     # ------------------------------------------------------------------
 
     def prefetch(
-        self, array: DeviceArray, profiler: Profiler | None = None,
-        tracer=None,
+        self, array: DeviceArray, profiler: Profiler | None = None
     ) -> MigrationBatch:
         """``cudaMemPrefetchAsync``: migrate all non-resident pages in
         2 MiB chunks at full PCIe bandwidth."""
@@ -285,22 +278,7 @@ class UnifiedMemoryManager:
                     profiler.record_migration(nbytes, time_ms)
         state.resident[stay] = True
         self.total_resident_pages += len(stay)
-        batch = self._inject_stall(batch)
-        self._trace_batch(tracer, "um.prefetch", array, batch)
-        return batch
-
-    @staticmethod
-    def _trace_batch(tracer, name: str, array: DeviceArray,
-                     batch: MigrationBatch) -> None:
-        if tracer is None or not (batch.bytes_moved or batch.evicted_pages):
-            return
-        tracer.emit(
-            name, "migration", batch.time_ms,
-            array=array.name,
-            nbytes=float(batch.bytes_moved),
-            migrations=len(batch.migrations),
-            evicted_pages=batch.evicted_pages,
-        )
+        return self._inject_stall(batch)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,9 +14,9 @@ Usage::
 ``trace`` runs one query with ``EtaGraphConfig(telemetry=True)`` and
 writes the Chrome trace-event JSON (open it at https://ui.perfetto.dev);
 ``--jsonl`` additionally writes the JSONL event log.  ``identity``
-serves the same query stream with telemetry off and on and compares
-output digests (labels + simulated clocks) — telemetry must observe,
-never perturb.  Exit status 0 when the contract holds, 1 otherwise.
+serves the same query stream with telemetry off and on, in every memory
+mode and under out-of-core UDC, and compares output digests (labels +
+simulated clocks) — telemetry must observe, never perturb.  Exit status 0 when the contract holds, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -179,9 +179,13 @@ def _identity(argv: list[str]) -> int:
         csr, query_source = datasets.load(name, weighted=weighted)
         sources = tuple(args.sources) if args.sources else \
             (0, int(query_source))
-        for mode in (MemoryMode.UM_PREFETCH, MemoryMode.DEVICE):
-            off_cfg = EtaGraphConfig(memory_mode=mode)
-            on_cfg = EtaGraphConfig(memory_mode=mode, telemetry=True)
+        # Every placement, plus out-of-core UDC's shadow-table staging.
+        variants = [(mode.value, {"memory_mode": mode})
+                    for mode in MemoryMode]
+        variants.append(("out_of_core", {"udc_mode": "out_of_core"}))
+        for variant, fields in variants:
+            off_cfg = EtaGraphConfig(**fields)
+            on_cfg = EtaGraphConfig(**fields, telemetry=True)
             with EngineSession(csr, off_cfg) as off, \
                     EngineSession(csr, on_cfg) as on:
                 for problem in args.problems:
@@ -189,7 +193,7 @@ def _identity(argv: list[str]) -> int:
                         r_off = off.query(problem, source)
                         r_on = on.query(problem, source)
                         checks += 1
-                        where = f"{name}/{mode.value}/{problem}/src={source}"
+                        where = f"{name}/{variant}/{problem}/src={source}"
                         if r_off.trace is not None:
                             failures.append(
                                 f"{where}: telemetry-off run grew a trace"

@@ -85,23 +85,15 @@ class Tracer:
 
     Times passed to :meth:`start` / :meth:`end` / :meth:`emit` are
     *local* simulated milliseconds; :attr:`base_ms` (set by an outer
-    stitching layer) is added on record.  :attr:`cursor_ms` is a local
-    write cursor for instrumented leaf modules (transfer, UM, kernels)
-    that know durations but not absolute time: the caller parks the
-    cursor at the current clock, and each :meth:`emit` without an
-    explicit time lands at the cursor and advances it.
+    stitching layer) is added on record.
     """
 
-    __slots__ = (
-        "records", "base_ms", "cursor_ms", "max_end_ms", "_stack", "_next_sid",
-    )
+    __slots__ = ("records", "base_ms", "max_end_ms", "_stack", "_next_sid")
 
     def __init__(self):
         self.records: list[SpanRecord] = []
         #: Offset (ms) added to every recorded timestamp.
         self.base_ms = 0.0
-        #: Local write cursor for duration-only emitters.
-        self.cursor_ms = 0.0
         #: Largest absolute end time recorded so far.
         self.max_end_ms = 0.0
         self._stack: list[_OpenSpan] = []
@@ -149,17 +141,10 @@ class Tracer:
             raise ValueError(f"span {span.name!r} is not open")
         return record
 
-    def emit(self, name: str, category: str, dur_ms: float = 0.0,
-             t_ms: float | None = None, **attrs) -> SpanRecord:
-        """Record a complete event in one call.
-
-        Without ``t_ms`` the event lands at :attr:`cursor_ms` and the
-        cursor advances by ``dur_ms`` (consecutive duration-only events
-        tile); with ``t_ms`` the cursor is untouched.
-        """
-        if t_ms is None:
-            t_ms = self.cursor_ms
-            self.cursor_ms += dur_ms
+    def emit(self, name: str, category: str, dur_ms: float, t_ms: float,
+             **attrs) -> SpanRecord:
+        """Record a complete event of ``dur_ms`` at local time ``t_ms``
+        in one call."""
         parent = self._stack[-1].sid if self._stack else None
         span = _OpenSpan(
             self._next_sid, parent, name, category,

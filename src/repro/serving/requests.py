@@ -260,9 +260,9 @@ class TraversalResponse:
 
     @property
     def labels(self) -> np.ndarray | None:
-        """The label vector, when the endpoint produced one."""
-        result = self.result
-        return result.labels if result is not None else None
+        """The label vector, when the endpoint produced one (``None``
+        for results without labels, such as PageRank ranks)."""
+        return getattr(self.result, "labels", None)
 
     def __repr__(self) -> str:
         state = "shed" if self.shed else ("ok" if self.ok else "error")

@@ -1036,7 +1036,7 @@ class TraversalService:
                 raise
         response.result = pr
         response.value = pr.ranks
-        return pr.total_ms
+        return _service_ms(pr, None)
 
     def _run_stats(self, response: TraversalResponse) -> float:
         if self._stats_cache is None:

@@ -76,9 +76,8 @@ def golden_tracer() -> Tracer:
     tr = Tracer()
     q = tr.start("query", "engine", 0.0, problem="bfs")
     it = tr.start("iteration", "engine", 0.0, index=0)
-    tr.cursor_ms = 0.0
-    tr.emit("transform", "compute", 0.25, threads=64)
-    tr.emit("vertex_kernel", "compute", 0.5)
+    tr.emit("transform", "compute", 0.25, 0.0, threads=64)
+    tr.emit("vertex_kernel", "compute", 0.5, 0.25)
     tr.emit("um.touch", "migration", 0.125, t_ms=0.25, nbytes=4096.0)
     tr.end(it, 0.75)
     tr.end(q, 1.0, iterations=1)
@@ -94,24 +93,6 @@ class TestTracer:
         assert by_name["transform"].parent == by_name["iteration"].sid
         assert by_name["um.touch"].parent == by_name["iteration"].sid
         assert [r.sid for r in trace.spans()] == [0, 1, 2, 3, 4]
-
-    def test_cursor_tiles_duration_only_emits(self):
-        trace = golden_tracer().trace()
-        transform = trace.spans(name="transform")[0]
-        kernel = trace.spans(name="vertex_kernel")[0]
-        assert transform.start_ms == 0.0
-        assert transform.end_ms == pytest.approx(0.25)
-        assert kernel.start_ms == pytest.approx(0.25)  # tiled after it
-        assert kernel.end_ms == pytest.approx(0.75)
-
-    def test_explicit_time_leaves_cursor_alone(self):
-        tr = Tracer()
-        tr.cursor_ms = 1.0
-        tr.emit("a", "compute", 0.5, t_ms=10.0)
-        assert tr.cursor_ms == 1.0
-        tr.emit("b", "compute", 0.5)
-        assert trb_start(tr) == pytest.approx(1.0)
-        assert tr.cursor_ms == pytest.approx(1.5)
 
     def test_end_attrs_merge_over_start_attrs(self):
         tr = Tracer()
@@ -163,10 +144,6 @@ class TestTracer:
         assert rec.end_ms == rec.start_ms == 5.0
 
 
-def trb_start(tr: Tracer) -> float:
-    return [r for r in tr.records if r.name == "b"][0].start_ms
-
-
 # ----------------------------------------------------------------------
 # Trace queries
 # ----------------------------------------------------------------------
@@ -184,9 +161,9 @@ class TestTrace:
 
     def test_categories_in_track_order_then_alphabetical(self):
         tr = Tracer()
-        tr.emit("x", "zebra", 1.0)
-        tr.emit("y", "migration", 1.0)
-        tr.emit("z", "engine", 1.0)
+        tr.emit("x", "zebra", 1.0, 0.0)
+        tr.emit("y", "migration", 1.0, 1.0)
+        tr.emit("z", "engine", 1.0, 2.0)
         assert tr.trace().categories() == ["engine", "migration", "zebra"]
         assert set(CATEGORIES) >= {"engine", "migration"}
 

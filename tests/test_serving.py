@@ -318,6 +318,8 @@ class TestEndpoints:
         assert st.value["num_vertices"] == tiny_graph.num_vertices
         assert st.value["num_edges"] == tiny_graph.num_edges
         assert st.service_ms == 0.0  # metadata lookup, no device time
+        # Neither result carries a label vector.
+        assert pr.labels is None and st.labels is None
 
 
 # ----------------------------------------------------------------------

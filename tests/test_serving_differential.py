@@ -107,7 +107,9 @@ class TestOtherEndpoints:
         direct = delta_pagerank(tiny_graph)
         np.testing.assert_array_equal(response.value, direct.ranks)
         assert response.result.total_ms == direct.total_ms
-        assert response.service_ms == direct.total_ms
+        # Lane time includes the residual readback, as a query's does.
+        assert direct.d2h_ms == direct.profiler.d2h_time_ms > 0.0
+        assert response.service_ms == direct.total_ms + direct.d2h_ms
 
     def test_stats_matches_graph_summary(self, tiny_graph):
         from dataclasses import asdict

@@ -171,6 +171,21 @@ class TestWarmAccounting:
             session.query("bfs", 0)
         session.close()  # idempotent
 
+    @pytest.mark.parametrize("mode", [MemoryMode.DEVICE,
+                                      MemoryMode.UM_PREFETCH])
+    def test_out_of_core_timeline_carries_every_moved_byte(self, mode):
+        """The Fig. 4 transfer intervals of a cold out-of-core query sum
+        to the bytes the profiler saw move, shadow-table staging
+        included."""
+        g = generators.rmat(9, 3000, seed=4)
+        cfg = EtaGraphConfig(memory_mode=mode, udc_mode="out_of_core")
+        with EngineSession(g, cfg) as session:
+            r = session.query("bfs", 0)
+        moved = sum(iv.nbytes for iv in r.timeline.intervals
+                    if iv.kind == "transfer")
+        assert moved == \
+            r.profiler.h2d_bytes + sum(r.profiler.migration_sizes)
+
     def test_oversubscribed_warm_queries_refault(self):
         """Under oversubscription warm queries legitimately keep moving
         pages — the accounting attributes that movement to each query."""
