@@ -24,11 +24,10 @@ One bundle is four artifacts sharing a stem under ``out_dir``:
   brownout rung), the simulated timestamp, and the file list.
 
 Everything in the bundle is a function of the simulated schedule, so a
-reproduced run reproduces its postmortems byte-for-byte (the one
-exception: ``cpu_oracle`` spans carry wall-clock durations by design).
-The recorder is observational — it never touches the schedule — and
-with no ``out_dir`` it still keeps the in-memory ``dumps`` manifests,
-so tests can assert on triggers without any filesystem traffic.
+reproduced run reproduces its postmortems byte-for-byte.  The recorder
+is observational — it never touches the schedule — and with no
+``out_dir`` it still keeps the in-memory ``dumps`` manifests, so tests
+can assert on triggers without any filesystem traffic.
 """
 
 from __future__ import annotations

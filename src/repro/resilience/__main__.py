@@ -9,8 +9,9 @@ Usage::
 
 ``identity`` serves the same query stream through a bare
 :class:`~repro.core.session.EngineSession` and a no-fault
-:class:`~repro.resilience.ResilientSession` and compares output hashes
-(labels + simulated clocks); any divergence is a bug in the wrapper.
+:class:`~repro.resilience.ResilientSession`, in every memory mode and
+under out-of-core UDC, and compares output hashes (labels + simulated
+clocks); any divergence is a bug in the wrapper.
 Exit status 0 when the contract holds, 1 otherwise.
 """
 
@@ -78,13 +79,16 @@ def _identity(argv: list[str]) -> int:
         csr, query_source = datasets.load(name, weighted=weighted)
         sources = tuple(args.sources) if args.sources else \
             (0, int(query_source))
-        for mode in (MemoryMode.UM_PREFETCH, MemoryMode.DEVICE):
-            config = EtaGraphConfig(memory_mode=mode)
+        # Every placement, plus out-of-core UDC's shadow-table staging.
+        variants = [(mode.value, {"memory_mode": mode})
+                    for mode in MemoryMode]
+        variants.append(("out_of_core", {"udc_mode": "out_of_core"}))
+        for variant, fields in variants:
             mismatches = check_bit_identity(
-                csr, tuple(args.problems), sources, config,
+                csr, tuple(args.problems), sources, EtaGraphConfig(**fields),
             )
             checks += len(args.problems) * len(sources)
-            failures += [f"{name}/{mode.value}: {m}" for m in mismatches]
+            failures += [f"{name}/{variant}: {m}" for m in mismatches]
     if failures:
         print(f"{len(failures)} bit-identity violations:")
         for f in failures:

@@ -9,7 +9,7 @@ idea one rung further (sector-granular direct access, then zero-copy,
 when even UM thrashes).  The ladder here:
 
     device-resident -> UM prefetch -> UM oversubscribed (on-demand)
-        -> direct access -> zero-copy -> CPU reference oracle
+        -> direct access -> zero-copy -> modelled multicore CPU
 
 A query enters at the rung matching its configured
 :class:`~repro.core.config.MemoryMode` and only ever moves *down*:
@@ -22,10 +22,12 @@ A query enters at the rung matching its configured
   demotes immediately — and a *genuine* capacity OOM (requested bytes
   really exceed free capacity) marks the rung dead for the session, so
   later queries skip straight past it;
-* the **CPU oracle** rung cannot fault: it runs the exact serial
-  reference on the host, so a degraded-but-correct answer is always
-  available (labels are bit-identical to the GPU result by the
-  differential subsystem's guarantee).
+* the **CPU floor** (rung ``cpu_oracle``) cannot fault: it runs
+  :class:`~repro.baselines.cpu_ligra.LigraLikeCPU`, the modelled
+  multicore engine of the paper's host, so a degraded-but-correct
+  answer is always available (its labels are bit-identical to the GPU
+  result by the differential subsystem's guarantee) and is charged on
+  the simulated clock like every other rung.
 
 Every query returns a :class:`RunOutcome` recording each attempt, every
 injected fault observed, the final placement and whether the answer was
@@ -33,9 +35,10 @@ served degraded.  With no fault plan installed the wrapper adds nothing:
 results (labels *and* simulated timings) are bit-identical to the same
 queries on a bare ``EngineSession``.
 
-All backoff time is *simulated* (recorded, never slept), consistent with
-the rest of the repo's clock; only :attr:`RetryPolicy.deadline_ms` reads
-the host wall clock, because it bounds real serving latency.
+All backoff and floor time is *simulated* (recorded, never slept),
+consistent with the rest of the repo's clock; only
+:attr:`RetryPolicy.deadline_ms` reads the host wall clock, because it
+bounds real serving latency.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ class RetryPolicy:
     #: ``max_iterations``).  Exhausting it raises
     #: ``DeadlineExceededError`` instead of ``ConvergenceError``.
     max_iterations: int | None = None
-    #: Whether the ladder's last rung (exact host traversal) is allowed.
+    #: Whether the ladder's last rung (the modelled CPU floor) is allowed.
     allow_cpu_fallback: bool = True
 
     def __post_init__(self):
@@ -221,7 +224,7 @@ class ResilientSession:
         #: session places *this*, so degradation never silently swaps the
         #: encoding out from under the caller.
         self.topology = csr
-        #: Dense view for the CPU-oracle floor (and host-side checks).
+        #: Dense view for the CPU floor (and host-side checks).
         self.csr = (
             csr.decode() if isinstance(csr, CompressedCSRGraph) else csr
         )
@@ -354,9 +357,9 @@ class ResilientSession:
                 problem, source, target=target,
                 max_iterations=policy.max_iterations,
             ),
-            # The exact host traversal has no iteration schedule to
-            # budget; a per-request iteration cap does not apply here.
-            lambda tracer: self._cpu_oracle_result(problem, source, tracer),
+            # The floor is the always-available answer: a per-request
+            # iteration cap does not apply to it.
+            lambda tracer: self._cpu_floor(problem, (source,), tracer),
             policy, noun="query", lanes=1,
             span_attrs={"problem": problem.name, "source": source},
             trace_meta={"problem": problem.name, "source": source},
@@ -372,8 +375,8 @@ class ResilientSession:
         Returns a :class:`RunOutcome` whose ``result`` is a
         :class:`~repro.core.msbfs.WaveResult`; per-source levels are
         bit-identical whichever rung served them (the cpu_oracle floor
-        included, labels-wise — its timings are host wall time, like
-        :meth:`run`'s oracle).
+        included, whose ``total_ms`` sums its lanes' modelled CPU
+        costs).
         """
         from repro.core import msbfs
 
@@ -386,7 +389,9 @@ class ResilientSession:
             lambda session: msbfs.run_wave(
                 session, sources, max_iterations=policy.max_iterations,
             ),
-            lambda tracer: self._cpu_oracle_wave(sources, tracer),
+            lambda tracer: self._cpu_floor(
+                get_problem("bfs"), sources, tracer, wave=True,
+            ),
             policy, noun="wave", lanes=width,
             span_attrs={"problem": "msbfs", "sources": width},
             trace_meta={"problem": "msbfs", "sources": str(width)},
@@ -395,7 +400,7 @@ class ResilientSession:
     def _serve(
         self,
         run_on,
-        oracle,
+        floor,
         policy: RetryPolicy,
         *,
         noun: str,
@@ -404,7 +409,7 @@ class ResilientSession:
         trace_meta: dict,
     ) -> RunOutcome:
         """The retry/degradation ladder: try each rung in turn — via
-        ``run_on(session)`` on a GPU rung, ``oracle(tracer)`` on the CPU
+        ``run_on(session)`` on a GPU rung, ``floor(tracer)`` on the CPU
         floor — until one returns a result.  ``lanes`` is how many
         queries a success serves; ``noun`` names the work in the
         iteration-budget error."""
@@ -452,7 +457,7 @@ class ResilientSession:
                             rung=rung, try_number=try_number,
                         )
                     try:
-                        result = self._attempt(rung, tr, run_on, oracle)
+                        result = self._attempt(rung, tr, run_on, floor)
                     except DeviceOutOfMemoryError as exc:
                         # OOM is not retryable at this placement: demote.
                         # A genuine capacity failure also retires the
@@ -465,8 +470,7 @@ class ResilientSession:
                         ))
                         last_error = exc
                         self._discard(rung)
-                        if rung != "cpu_oracle" and \
-                                exc.requested + exc.in_use > exc.capacity:
+                        if exc.requested + exc.in_use > exc.capacity:
                             self.dead_rungs.add(rung)
                         break
                     except (TransientDeviceError, DataCorruptionError) as exc:
@@ -530,37 +534,6 @@ class ResilientSession:
                 tr.unwind(tr.max_end_ms, error=True)
             raise
 
-    def _cpu_oracle_wave(self, sources, tracer=None):
-        """Exact host MSBFS: one serial oracle traversal per lane,
-        stacked into a :class:`~repro.core.msbfs.WaveResult`."""
-        from repro.core.msbfs import WaveResult
-        from repro.testing.differential import oracle_labels
-
-        t0 = time.perf_counter()
-        levels = np.stack([
-            oracle_labels(self.csr, "bfs", int(s)) for s in sources
-        ])
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        if tracer is not None:
-            tracer.emit("cpu_oracle", "resilience", wall_ms, t_ms=0.0,
-                        wall_time=True, lanes=len(sources))
-        return WaveResult(
-            sources=sources,
-            levels=levels,
-            total_ms=wall_ms,
-            kernel_ms=0.0,
-            transfer_ms=0.0,
-            d2h_ms=0.0,
-            setup_ms=0.0,
-            stats=TraversalStats(
-                num_vertices=self.csr.num_vertices, seed_count=len(sources)
-            ),
-            timeline=Timeline(),
-            profiler=Profiler(),
-            config=self._rung_config(self.entry_rung),
-            extras={"cpu_oracle": True},
-        )
-
     #: Drop-in :class:`~repro.core.session.EngineSession` compatibility:
     #: same signature, returns the bare :class:`TraversalResult`.
     def query(
@@ -610,12 +583,12 @@ class ResilientSession:
         tr.base_ms = 0.0
         return end_abs
 
-    def _attempt(self, rung: str, tracer, run_on, oracle):
-        """One try on ``rung``: ``oracle(tracer)`` on the CPU floor, else
+    def _attempt(self, rung: str, tracer, run_on, floor):
+        """One try on ``rung``: ``floor(tracer)`` on the CPU floor, else
         ``run_on(session)`` on the rung's session with ``tracer``
         attached for the call."""
         if rung == "cpu_oracle":
-            return oracle(tracer)
+            return floor(tracer)
         session = self._session_for(rung)
         if tracer is None:
             return run_on(session)
@@ -626,37 +599,56 @@ class ResilientSession:
         finally:
             session.tracer = prev
 
-    def _cpu_oracle_result(
-        self, problem: TraversalProblem, source: int, tracer=None
-    ) -> TraversalResult:
-        """The ladder's floor: exact serial traversal on the host.
+    def _cpu_floor(
+        self, problem: TraversalProblem, sources, tracer=None, *,
+        wave: bool = False,
+    ):
+        """The ladder's floor: one modelled
+        :class:`~repro.baselines.cpu_ligra.LigraLikeCPU` run per lane,
+        charged the model's cost (summed over a wave's lanes).  No GPU
+        kernel or copy runs, so no injected fault can reach it."""
+        from repro.baselines.cpu_ligra import LigraLikeCPU
+        from repro.core.msbfs import WaveResult
 
-        No simulated device is involved, so no injected fault can reach
-        it.  ``total_ms`` is *host* wall time (there is no simulated
-        clock to report); kernel/transfer times are zero.
-        """
-        # Imported lazily: repro.testing.differential imports the engine.
-        from repro.testing.differential import oracle_labels
-
-        t0 = time.perf_counter()
-        labels = oracle_labels(self.csr, problem.name, source)
-        wall_ms = (time.perf_counter() - t0) * 1e3
+        runs = [LigraLikeCPU().run(self.csr, problem, int(s)) for s in sources]
+        total_ms = sum(r.total_ms for r in runs)
         if tracer is not None:
-            tracer.emit("cpu_oracle", "resilience", wall_ms, t_ms=0.0,
-                        wall_time=True)
+            tracer.emit("cpu_oracle", "resilience", total_ms, t_ms=0.0,
+                        lanes=len(runs))
         n = self.csr.num_vertices
-        seeds = problem.initial_frontier(n, source)
-        return TraversalResult(
-            labels=labels,
-            source=source,
-            problem_name=problem.name,
-            total_ms=wall_ms,
-            kernel_ms=0.0,
-            transfer_ms=0.0,
-            d2h_ms=0.0,
-            stats=TraversalStats(num_vertices=n, seed_count=len(seeds)),
-            timeline=Timeline(),
-            profiler=Profiler(),
-            config=self._rung_config(self.entry_rung),
-            extras={"cpu_oracle": True, "early_exit": False},
+        measured = dict(
+            total_ms=total_ms, kernel_ms=0.0, transfer_ms=0.0, d2h_ms=0.0,
+            timeline=Timeline(), profiler=Profiler(), config=self.config,
         )
+        if wave:
+            return WaveResult(
+                sources=sources, levels=np.stack([r.labels for r in runs]),
+                setup_ms=0.0, extras={"cpu_oracle": True},
+                stats=TraversalStats(num_vertices=n, seed_count=len(runs)),
+                **measured,
+            )
+        (run,) = runs
+        extras = {"cpu_oracle": True, "early_exit": False}
+        if self.config.track_parents and problem.name == "bfs":
+            extras["parents"] = _bfs_parents(self.csr, run.labels)
+        seeds = problem.initial_frontier(n, run.source)
+        return TraversalResult(
+            labels=run.labels, source=run.source, problem_name=problem.name,
+            stats=TraversalStats(num_vertices=n, seed_count=len(seeds)),
+            extras=extras, **measured,
+        )
+
+
+def _bfs_parents(csr: CSRGraph, levels: np.ndarray) -> np.ndarray:
+    """Shortest-path witnesses from BFS levels: ``parents[v] = u`` for an
+    edge ``u -> v`` between reached vertices with ``levels[v] ==
+    levels[u] + 1`` (the last such edge wins); the source and unreached
+    vertices keep ``NO_PARENT``."""
+    from repro.algorithms.paths import NO_PARENT
+
+    src = csr.edge_sources()
+    dst = csr.column_indices
+    tree = np.isfinite(levels[src]) & (levels[dst] == levels[src] + 1)
+    parents = np.full(csr.num_vertices, NO_PARENT, dtype=np.int32)
+    parents[dst[tree]] = src[tree]
+    return parents

@@ -25,6 +25,11 @@ late, and asserts the serving contract under sustained faults:
 * **Recovery** — across the battery, at least one lane must complete
   the full open → half-open → closed arc (the CLI gate fails on zero
   recoveries).
+* **Replay** — every run is served twice from its seed, and the two
+  serves must agree on every response's facts
+  (:func:`~repro.serving.identity._response_facts`), the health-plane
+  events (kind, lane, instant), hedges and hedge wins, and the
+  ``service.*`` counters.
 * **Explainability** (with ``postmortem_dir``) — every failing plan
   (typed error responses or breaker opens) must leave at least one
   :class:`~repro.observability.recorder.FlightRecorder` postmortem
@@ -49,6 +54,7 @@ from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.session import RetryPolicy
 from repro.serving.admission import TenantQuota
 from repro.serving.health import HealthPolicy
+from repro.serving.identity import _response_facts
 from repro.serving.requests import NeighborhoodRequest, StatsRequest, \
     VisitRequest
 from repro.serving.service import TraversalService
@@ -299,10 +305,9 @@ def run_heal_chaos(
     With ``postmortem_dir`` each run gets its own
     :class:`~repro.observability.recorder.FlightRecorder` dumping into
     ``<postmortem_dir>/runNNN/``, and the battery additionally enforces
-    the explainability contract (see module docstring).
+    the explainability contract (see module docstring).  The replay of
+    each run serves without a recorder: the recorder is observational.
     """
-    from repro.testing.fuzz import random_graph
-
     if runs is None and max_seconds is None:
         runs = 200
     report = HealReport(seed=seed)
@@ -315,43 +320,7 @@ def run_heal_chaos(
         if max_seconds is not None and \
                 time.monotonic() - start >= max_seconds:
             break
-        rng = np.random.default_rng([0x4EA1, seed, case])
-        problem = _PROBLEMS[case % len(_PROBLEMS)]
-        graph = random_graph(
-            rng, weighted=problem in ("sssp", "sswp"),
-            max_vertices=max_vertices,
-        )
-        pool_size = int(rng.integers(2, 4))
-        fault_plans = {
-            lane: _sustained_plan(rng)
-            for lane in range(pool_size) if rng.random() < 0.7
-        }
-        policy = RetryPolicy(
-            max_retries=int(rng.integers(0, 3)),
-            backoff_base_ms=float(rng.choice((0.5, 1.0, 2.0))),
-            jitter=float(rng.choice((0.0, 0.3))),
-            allow_cpu_fallback=bool(rng.integers(0, 2)),
-        )
-        health = HealthPolicy(
-            open_ms=float(rng.uniform(2.0, 10.0)),
-            failure_threshold=int(rng.integers(2, 5)),
-            probe_successes=int(rng.integers(1, 4)),
-            hedge=bool(rng.integers(0, 2)),
-            brownout=bool(rng.integers(0, 2)),
-        )
-        wave_width = int(rng.choice((0, 2, 4)))
-        # A tight per-tenant quota: a batch's requests all wait at once,
-        # so some tenants exceed it and are refused at admission.
-        max_pending = int(rng.integers(3, 13))
-        coords = (
-            f"run {case} (seed {seed}, {problem}, "
-            f"|V|={graph.num_vertices}, pool={pool_size}, "
-            f"plans={sorted(fault_plans)}, retries={policy.max_retries}, "
-            f"wave={wave_width}, open_ms={health.open_ms:.2f}, "
-            f"quota={max_pending})"
-        )
         report.runs += 1
-
         recorder = None
         if postmortem_dir is not None:
             from pathlib import Path
@@ -361,144 +330,18 @@ def run_heal_chaos(
             recorder = FlightRecorder(
                 out_dir=Path(postmortem_dir) / f"run{case:03d}",
             )
-        with TraversalService(
-            graph, pool_size=pool_size, fault_plans=fault_plans,
-            policy=policy, health=health, wave_width=wave_width,
-            default_quota=TenantQuota(max_pending=max_pending),
-            recorder=recorder,
-        ) as service:
-            plane = service.health
-            violation = False
-            run_errors = 0
-            # What the service's counters and metrics must total, as the
-            # responses account for it.
-            tally = {"served+shed": 0, "service.requests": 0,
-                     "service.sheds": 0, "service.errors": 0}
-            for batch in range(int(rng.integers(3, 6))):
-                n = int(rng.integers(10, 26))
-                requests = _random_requests(rng, graph, problem, n,
-                                            service.clock_ms)
-                report.requests += n
-                try:
-                    responses = service.serve(requests)
-                except ReproError as exc:
-                    report.failures.append(
-                        f"{coords} batch {batch}: serve() raised "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                    violation = True
-                    break
-                except Exception as exc:  # noqa: BLE001 — the contract
-                    report.failures.append(
-                        f"{coords} batch {batch}: UNTYPED "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                    violation = True
-                    break
-                if len(responses) != len(requests):
-                    report.failures.append(
-                        f"{coords} batch {batch}: {len(requests)} requests "
-                        f"-> {len(responses)} responses (lost/duplicated)"
-                    )
-                    violation = True
-                    break
-                if len(service.queue):
-                    report.failures.append(
-                        f"{coords} batch {batch}: queue not drained "
-                        f"({len(service.queue)} left)"
-                    )
-                    violation = True
-                    break
-                seqs = [r.seq for r in responses if r.seq >= 0]
-                tally["served+shed"] += len(seqs)
-                if len(seqs) != len(set(seqs)):
-                    report.failures.append(
-                        f"{coords} batch {batch}: duplicate sequence "
-                        "numbers in responses"
-                    )
-                    violation = True
-                    break
-                for response in responses:
-                    failed = not response.ok and not response.shed
-                    tally["service.requests"] += response.seq >= 0 \
-                        and not response.shed
-                    tally["service.sheds"] += response.shed
-                    tally["service.errors"] += failed
-                    if failed and response.seq >= 0:
-                        run_errors += 1
-                    _check_response(
-                        response, graph, problem, report, coords,
-                    )
-            if not violation:
-                # Conservation: every admitted request lands in exactly
-                # one of the served / shed counters, and the metrics
-                # agree with the responses — service.requests counts the
-                # admitted non-shed answers, service.sheds every shed and
-                # service.errors every other failure (refusals included).
-                got = {"served+shed": service.requests_served
-                       + service.requests_shed}
-                for key, value in service.metrics.snapshot()[
-                        "counters"].items():
-                    name = key.partition("{")[0]
-                    got[name] = got.get(name, 0) + value
-                for name, want in tally.items():
-                    if got.get(name, 0) != want:
-                        report.failures.append(
-                            f"{coords}: {name} totals {got.get(name, 0):g}"
-                            f" but the responses account for {want}"
-                        )
-                # Breaker bookkeeping: opens pair with same-instant
-                # replaces; lane generations equal their open counts.
-                events = plane.events
-                open_events = [e for e in events if e.kind == "open"]
-                replace_events = [e for e in events if e.kind == "replace"]
-                if len(open_events) != len(replace_events):
-                    report.failures.append(
-                        f"{coords}: {len(open_events)} opens but "
-                        f"{len(replace_events)} standby replacements"
-                    )
-                else:
-                    for opened, replaced in zip(
-                        open_events, replace_events,
-                    ):
-                        if opened.lane != replaced.lane or \
-                                opened.t_ms != replaced.t_ms:
-                            report.failures.append(
-                                f"{coords}: open (lane {opened.lane} @ "
-                                f"{opened.t_ms:.3f}) not matched by its "
-                                f"standby replace (lane {replaced.lane} "
-                                f"@ {replaced.t_ms:.3f})"
-                            )
-                            break
-                for lane in plane.lanes:
-                    if service.pool.workers[lane.index].generation \
-                            != lane.opens:
-                        report.failures.append(
-                            f"{coords}: lane {lane.index} generation "
-                            f"{service.pool.workers[lane.index].generation}"
-                            f" != opens {lane.opens}"
-                        )
-                report.opens += sum(lane.opens for lane in plane.lanes)
-                report.closes += sum(lane.closes for lane in plane.lanes)
-                report.replaces += len(replace_events)
-                report.recoveries += int(
-                    any(lane.closes for lane in plane.lanes)
+        coords, facts = _heal_run(seed, case, max_vertices, report, recorder)
+        # Only the replay's divergence counts: its own contract checks
+        # land in a throwaway report.
+        _, replayed = _heal_run(
+            seed, case, max_vertices, HealReport(seed=seed), None,
+        )
+        for name, first in facts.items():
+            if replayed[name] != first:
+                report.failures.append(
+                    f"{coords}: the replay from the seed diverged in its "
+                    f"{name}"
                 )
-                report.hedges += plane.hedges
-                report.hedge_wins += plane.hedge_wins
-                report.brownouts += sum(
-                    1 for e in events if e.kind == "brownout"
-                )
-                for worker in service.pool.workers:
-                    injector = getattr(worker.session, "injector", None)
-                    if injector is not None:
-                        report.faults_fired += len(injector.fired)
-                if recorder is not None:
-                    _check_postmortems(
-                        recorder, run_errors, len(open_events),
-                        report, coords,
-                    )
-
         case += 1
         if log is not None and case % 25 == 0:
             log(
@@ -509,3 +352,185 @@ def run_heal_chaos(
 
     report.elapsed_s = time.monotonic() - start
     return report
+
+
+def _heal_run(
+    seed: int, case: int, max_vertices: int, report: HealReport, recorder,
+) -> tuple[str, dict]:
+    """Serve run ``case`` of the sweep ``seed``, checking its contract
+    into ``report``; returns its coordinates and the facts a replay
+    from the seed must reproduce."""
+    from repro.testing.fuzz import random_graph
+
+    rng = np.random.default_rng([0x4EA1, seed, case])
+    problem = _PROBLEMS[case % len(_PROBLEMS)]
+    graph = random_graph(rng, weighted=problem in ("sssp", "sswp"),
+                         max_vertices=max_vertices)
+    pool_size = int(rng.integers(2, 4))
+    fault_plans = {
+        lane: _sustained_plan(rng)
+        for lane in range(pool_size) if rng.random() < 0.7
+    }
+    policy = RetryPolicy(
+        max_retries=int(rng.integers(0, 3)),
+        backoff_base_ms=float(rng.choice((0.5, 1.0, 2.0))),
+        jitter=float(rng.choice((0.0, 0.3))),
+        allow_cpu_fallback=bool(rng.integers(0, 2)),
+    )
+    health = HealthPolicy(
+        open_ms=float(rng.uniform(2.0, 10.0)),
+        failure_threshold=int(rng.integers(2, 5)),
+        probe_successes=int(rng.integers(1, 4)),
+        hedge=bool(rng.integers(0, 2)),
+        brownout=bool(rng.integers(0, 2)),
+    )
+    wave_width = int(rng.choice((0, 2, 4)))
+    # A tight per-tenant quota: a batch's requests all wait at once,
+    # so some tenants exceed it and are refused at admission.
+    max_pending = int(rng.integers(3, 13))
+    coords = (
+        f"run {case} (seed {seed}, {problem}, "
+        f"|V|={graph.num_vertices}, pool={pool_size}, "
+        f"plans={sorted(fault_plans)}, retries={policy.max_retries}, "
+        f"wave={wave_width}, open_ms={health.open_ms:.2f}, "
+        f"quota={max_pending})"
+    )
+    with TraversalService(
+        graph, pool_size=pool_size, fault_plans=fault_plans,
+        policy=policy, health=health, wave_width=wave_width,
+        default_quota=TenantQuota(max_pending=max_pending),
+        recorder=recorder,
+    ) as service:
+        plane = service.health
+        violation = False
+        run_errors = 0
+        served = []
+        # What the service's counters and metrics must total, as the
+        # responses account for it.
+        tally = {"served+shed": 0, "service.requests": 0,
+                 "service.sheds": 0, "service.errors": 0}
+        for batch in range(int(rng.integers(3, 6))):
+            n = int(rng.integers(10, 26))
+            requests = _random_requests(rng, graph, problem, n,
+                                        service.clock_ms)
+            report.requests += n
+            try:
+                responses = service.serve(requests)
+            except ReproError as exc:
+                report.failures.append(
+                    f"{coords} batch {batch}: serve() raised "
+                    f"{type(exc).__name__}: {exc}"
+                )
+                violation = True
+                break
+            except Exception as exc:  # noqa: BLE001 — the contract
+                report.failures.append(
+                    f"{coords} batch {batch}: UNTYPED "
+                    f"{type(exc).__name__}: {exc}"
+                )
+                violation = True
+                break
+            served += responses
+            if len(responses) != len(requests):
+                report.failures.append(
+                    f"{coords} batch {batch}: {len(requests)} requests "
+                    f"-> {len(responses)} responses (lost/duplicated)"
+                )
+                violation = True
+                break
+            if len(service.queue):
+                report.failures.append(
+                    f"{coords} batch {batch}: queue not drained "
+                    f"({len(service.queue)} left)"
+                )
+                violation = True
+                break
+            seqs = [r.seq for r in responses if r.seq >= 0]
+            tally["served+shed"] += len(seqs)
+            if len(seqs) != len(set(seqs)):
+                report.failures.append(
+                    f"{coords} batch {batch}: duplicate sequence "
+                    "numbers in responses"
+                )
+                violation = True
+                break
+            for response in responses:
+                failed = not response.ok and not response.shed
+                tally["service.requests"] += response.seq >= 0 \
+                    and not response.shed
+                tally["service.sheds"] += response.shed
+                tally["service.errors"] += failed
+                if failed and response.seq >= 0:
+                    run_errors += 1
+                _check_response(response, graph, problem, report, coords)
+        if not violation:
+            # Conservation: every admitted request lands in exactly
+            # one of the served / shed counters, and the metrics
+            # agree with the responses — service.requests counts the
+            # admitted non-shed answers, service.sheds every shed and
+            # service.errors every other failure (refusals included).
+            got = {"served+shed": service.requests_served
+                   + service.requests_shed}
+            for key, value in service.metrics.snapshot()["counters"].items():
+                name = key.partition("{")[0]
+                got[name] = got.get(name, 0) + value
+            for name, want in tally.items():
+                if got.get(name, 0) != want:
+                    report.failures.append(
+                        f"{coords}: {name} totals {got.get(name, 0):g}"
+                        f" but the responses account for {want}"
+                    )
+            # Breaker bookkeeping: opens pair with same-instant
+            # replaces; lane generations equal their open counts.
+            events = plane.events
+            open_events = [e for e in events if e.kind == "open"]
+            replace_events = [e for e in events if e.kind == "replace"]
+            if len(open_events) != len(replace_events):
+                report.failures.append(
+                    f"{coords}: {len(open_events)} opens but "
+                    f"{len(replace_events)} standby replacements"
+                )
+            else:
+                for opened, replaced in zip(open_events, replace_events):
+                    if opened.lane != replaced.lane or \
+                            opened.t_ms != replaced.t_ms:
+                        report.failures.append(
+                            f"{coords}: open (lane {opened.lane} @ "
+                            f"{opened.t_ms:.3f}) not matched by its "
+                            f"standby replace (lane {replaced.lane} "
+                            f"@ {replaced.t_ms:.3f})"
+                        )
+                        break
+            for lane in plane.lanes:
+                if service.pool.workers[lane.index].generation != lane.opens:
+                    report.failures.append(
+                        f"{coords}: lane {lane.index} generation "
+                        f"{service.pool.workers[lane.index].generation}"
+                        f" != opens {lane.opens}"
+                    )
+            report.opens += sum(lane.opens for lane in plane.lanes)
+            report.closes += sum(lane.closes for lane in plane.lanes)
+            report.replaces += len(replace_events)
+            report.recoveries += int(any(lane.closes for lane in plane.lanes))
+            report.hedges += plane.hedges
+            report.hedge_wins += plane.hedge_wins
+            report.brownouts += sum(1 for e in events if e.kind == "brownout")
+            for worker in service.pool.workers:
+                injector = getattr(worker.session, "injector", None)
+                if injector is not None:
+                    report.faults_fired += len(injector.fired)
+            if recorder is not None:
+                _check_postmortems(recorder, run_errors, len(open_events),
+                                   report, coords)
+        facts = {
+            "response facts": [_response_facts(r) for r in served],
+            "health events": [(e.kind, e.lane, e.t_ms) for e in plane.events],
+            "hedges": (plane.hedges, plane.hedge_wins),
+            "service counters": {
+                key: value for key, value in
+                service.metrics.snapshot()["counters"].items()
+                if key.startswith("service.")
+            },
+        }
+    return coords, facts
+

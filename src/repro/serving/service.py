@@ -997,18 +997,10 @@ class TraversalService:
             worker.served += 1
         finally:
             pool.checkin(worker)
-        parents = response.result.extras.get("parents")
-        if parents is None:
-            # The CPU-oracle rung served this one: the exact host
-            # traversal reports levels, not parents — reconstruct the
-            # path from the levels instead.
-            path = _path_from_levels(
-                self.csr, response.result.labels,
-                request.source, request.target,
-            )
-        else:
-            path = reconstruct_path(parents, request.source, request.target)
-        response.value = path
+        response.value = reconstruct_path(
+            response.result.extras["parents"], request.source,
+            request.target,
+        )
         return service_ms
 
     def _run_pagerank(
@@ -1080,32 +1072,3 @@ def _service_ms(result, outcome) -> float:
     backoffs too."""
     backoff_ms = outcome.backoff_ms if outcome is not None else 0.0
     return result.total_ms + result.d2h_ms + backoff_ms
-
-
-def _path_from_levels(
-    csr: CSRGraph, levels: np.ndarray, source: int, target: int,
-) -> list[int]:
-    """Reconstruct a minimum-hop path from BFS levels alone (the
-    parents-free fallback).  Walks backwards from the target, picking at
-    each step a predecessor one level closer that really has the edge."""
-    from repro.algorithms.paths import PathError
-
-    if not np.isfinite(levels[target]):
-        raise PathError(f"vertex {target} was not reached from {source}")
-    path = [int(target)]
-    v = int(target)
-    offsets, cols = csr.row_offsets, csr.column_indices
-    while v != source:
-        want = levels[v] - 1
-        candidates = np.flatnonzero(levels == want)
-        step = None
-        for u in candidates:
-            if v in cols[offsets[u]:offsets[u + 1]]:
-                step = int(u)
-                break
-        if step is None:
-            raise PathError(f"corrupt level structure at vertex {v}")
-        path.append(step)
-        v = step
-    path.reverse()
-    return path

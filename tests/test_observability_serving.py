@@ -6,7 +6,8 @@ The golden scenario is a 2-lane service with sustained transfer faults
 on lane 0 (drives one breaker trip and typed errors) and absorbed
 fault bursts on lane 1 (drives hedged requests), serving a three-tenant
 BFS mix — hedging AND a breaker trip, with ``allow_cpu_fallback=False``
-so no wall-clock ``cpu_oracle`` span can leak into the golden bytes.
+so the sustained faults surface as typed errors: the CPU floor would
+serve those requests instead, leaving no error path to pin.
 
 A second golden pins the terminal paths that scenario never reaches:
 MSBFS waves (one of them failing), a late wave member, dispatch-time
@@ -63,7 +64,7 @@ TENANTS = ("interactive", "batch", "analytics")
 def golden_scenario(recorder=None):
     """The seeded multi-tenant run the golden files pin down: 36 BFS
     requests over three tenants, ≥1 hedge launched and ≥1 breaker
-    trip, no CPU fallback (its spans carry wall-clock durations)."""
+    trip, no CPU fallback (the floor would absorb the typed errors)."""
     csr = erdos_renyi(48, 200, seed=3)
     plans = {
         0: FaultPlan(specs=(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.paths import NO_PARENT, reconstruct_path, verify_path
+from repro.baselines.cpu_ligra import LigraLikeCPU
 from repro.core.config import EtaGraphConfig, MemoryMode
 from repro.core.session import EngineSession
 from repro.errors import (
@@ -378,6 +380,67 @@ class TestRetryAndDegrade:
             RetryPolicy(deadline_ms=-1.0)
         with pytest.raises(ConfigError):
             RetryPolicy(max_iterations=0)
+
+
+class TestCPUFloor:
+    """The ladder's last rung runs the modelled multicore CPU engine, so
+    a floor-served answer is charged on the simulated clock."""
+
+    @staticmethod
+    def floored(graph, config=None):
+        # Every allocation fails: each GPU rung demotes to the floor.
+        return ResilientSession(
+            graph, config,
+            fault_plan=plan(FaultSpec("alloc_oom", at=0, count=10_000)),
+        )
+
+    def test_query_costs_the_modelled_cpu_run(self, weighted_skewed_graph):
+        for problem in ("bfs", "sssp", "cc"):
+            with self.floored(weighted_skewed_graph) as rs:
+                outcome = rs.run(problem, 3)
+            want = LigraLikeCPU().run(weighted_skewed_graph, problem, 3)
+            assert outcome.final_placement == "cpu_oracle"
+            assert outcome.result.total_ms == want.total_ms > 0.0
+            assert outcome.result.kernel_ms == 0.0
+            assert outcome.result.transfer_ms == 0.0
+            assert outcome.result.d2h_ms == 0.0
+            np.testing.assert_array_equal(outcome.labels, want.labels)
+
+    def test_wave_costs_the_sum_of_its_lanes(self, skewed_graph):
+        sources = [0, 3, 7, 11]
+        with self.floored(skewed_graph) as rs:
+            outcome = rs.run_wave(sources)
+        lanes = [LigraLikeCPU().run(skewed_graph, "bfs", s) for s in sources]
+        assert outcome.final_placement == "cpu_oracle"
+        assert outcome.result.total_ms == sum(r.total_ms for r in lanes)
+        np.testing.assert_array_equal(
+            outcome.result.levels, np.stack([r.labels for r in lanes]),
+        )
+
+    def test_identical_sessions_replay_the_floor(self, skewed_graph):
+        def serve():
+            with self.floored(skewed_graph) as rs:
+                return [
+                    result_digest(rs.run(problem, source).result)
+                    for problem, source in (("bfs", 0), ("cc", 0), ("bfs", 5))
+                ]
+
+        assert serve() == serve()
+
+    def test_floor_parents_witness_shortest_paths(self, skewed_graph):
+        config = EtaGraphConfig(track_parents=True)
+        with self.floored(skewed_graph, config) as rs:
+            outcome = rs.run("bfs", 0)
+        assert outcome.final_placement == "cpu_oracle"
+        levels = outcome.labels
+        parents = outcome.result.extras["parents"]
+        assert parents.dtype == np.int32
+        reached = np.flatnonzero(np.isfinite(levels))
+        assert len(reached) > 1
+        for v in reached:
+            path = reconstruct_path(parents, 0, int(v))
+            assert verify_path(skewed_graph, path, levels, "bfs")
+        assert np.all(parents[~np.isfinite(levels)] == NO_PARENT)
 
 
 # ----------------------------------------------------------------------

@@ -302,6 +302,25 @@ class TestEndpoints:
             skewed_graph, path, resp.result.labels, "bfs"
         )
 
+    def test_shortest_path_from_the_cpu_floor(self, skewed_graph):
+        # Every allocation fails, so the path lane descends to the CPU
+        # floor; its parents must still witness a minimum-hop path.
+        from repro.algorithms.paths import verify_path
+        from repro.resilience import FaultPlan, FaultSpec
+        from repro.testing.differential import oracle_labels
+
+        plan = FaultPlan(
+            specs=(FaultSpec("alloc_oom", at=0, count=10_000),),
+        )
+        with TraversalService(skewed_graph, fault_plan=plan) as service:
+            resp = service.call(ShortestPathRequest(source=0, target=5))
+        assert resp.ok and resp.placement == "cpu_oracle"
+        assert resp.value[0] == 0 and resp.value[-1] == 5
+        assert verify_path(
+            skewed_graph, resp.value, oracle_labels(skewed_graph, "bfs", 0),
+            "bfs",
+        )
+
     def test_unreachable_path_is_typed_error(self, tiny_graph):
         # Vertex 2 has out-degree 0, so nothing is reachable from it.
         with TraversalService(tiny_graph) as service:

@@ -104,7 +104,7 @@ def _check_response(graph, response) -> None:
         np.testing.assert_array_equal(response.value["vertices"], want)
     elif isinstance(request, ShortestPathRequest):
         levels = oracle_labels(graph, "bfs", request.source)
-        verify_path(graph, response.value, levels, "bfs")
+        assert verify_path(graph, response.value, levels, "bfs")
     elif isinstance(request, PageRankRequest):
         ranks = response.value
         assert ranks.shape == (graph.num_vertices,)

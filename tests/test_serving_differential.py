@@ -154,15 +154,8 @@ class TestResilientWorkers:
             for response, (problem, source) in zip(responses, QUERIES):
                 outcome = reference.run(problem, source)
                 assert response.ok, response.error
-                if outcome.final_placement == "cpu_oracle":
-                    # The oracle rung's total_ms is host wall time (no
-                    # simulated clock exists there): labels only.
-                    np.testing.assert_array_equal(
-                        response.labels, outcome.labels,
-                    )
-                else:
-                    assert result_digest(response.result) == \
-                        result_digest(outcome.result)
+                assert result_digest(response.result) == \
+                    result_digest(outcome.result)
                 assert response.placement == outcome.final_placement
                 assert response.degraded == outcome.degraded
                 assert response.faults_seen == outcome.faults_seen
