@@ -85,7 +85,9 @@ class EtaGraphConfig:
     #: TracePlan` instead of recomputing them.  Purely a simulator-side
     #: speedup — memoized values are label-independent, so results and
     #: simulated timings are bit-identical with the memo on or off.
-    #: 0 disables memoization.
+    #: 0 disables memoization.  Host memory is bounded by the memo's own
+    #: byte budget (:data:`repro.core.memo.MAX_BYTES` per session), not
+    #: by this count.
     frontier_memo_entries: int = 128
     #: Run :mod:`repro.testing.invariants` checks inline on the hot path:
     #: every iteration's shadow slices are verified to exactly partition

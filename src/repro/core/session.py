@@ -29,14 +29,12 @@ bit-identical labels and identical clock arithmetic.
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.algorithms.base import TraversalProblem, get_problem
 from repro.core.config import EtaGraphConfig, MemoryMode
 from repro.core.frontier import FrontierBuffers
+from repro.core.memo import FrontierMemo, _FrontierExpansion
 from repro.core.smp import plan_prefetch
 from repro.core.stats import IterationStats, TraversalStats
 from repro.core.udc import degree_cut
@@ -60,115 +58,6 @@ from repro.gpu.um import MigrationBatch, UnifiedMemoryManager
 from repro.graph.compressed import CompressedCSRGraph
 from repro.graph.csr import CSRGraph
 from repro.utils.ragged import ragged_gather_indices
-
-
-class _FrontierExpansion:
-    """Memoized label-independent expansion of one frontier.
-
-    Every field is a pure function of (topology, config, active-set
-    content, array placement): the shadow slices, neighbor ids, sorted
-    unique destinations, per-edge weights, the transform kernel's
-    gather stream and the vertex kernel's
-    :class:`~repro.gpu.traceplan.TracePlan` — in the spirit of
-    :meth:`~repro.core.udc.ShadowTable.select`, but on demand and for
-    every per-iteration derivation, not just the degree cut.
-    Label-dependent values (candidates, update counts) are never stored,
-    so reusing an entry is bit-identical to recomputing it.
-
-    ``dests``, ``trace_plan``, ``src_ids``, ``dest_edges`` and
-    ``dest_last_src`` are filled lazily: the destinations when a step
-    first asks for them (the query does, the MSBFS wave never does), the
-    plan on the first kernel launch over this frontier, the per-edge
-    source ids only if a parent-tracking per-edge step needs them.  The
-    query's per-destination step (every frontier edge carrying one
-    candidate) reads two per-destination arrays aligned with ``dests``:
-    ``dest_edges``, each destination's number of frontier edges, built
-    on the entry's second such step (``stepped`` marks the first), so a
-    frontier seen once never pays for it; and ``dest_last_src``, the
-    source of the last frontier edge into each destination, built when
-    a parent-tracking query first needs it.
-
-    ``active_bytes`` holds the exact bytes of the active set the entry
-    was built from: a memo hit is only trusted after these bytes match
-    the looked-up frontier, so a digest collision degrades to a miss
-    instead of silently serving another frontier's expansion.
-    """
-
-    __slots__ = (
-        "shadows", "ids64", "nbr", "dests", "w_per_edge",
-        "transform_stream", "trace_plan", "src_ids", "active_bytes",
-        "stepped", "dest_edges", "dest_last_src",
-    )
-
-    def __init__(self, *, shadows, ids64, nbr, w_per_edge,
-                 transform_stream=None, active_bytes=b""):
-        self.shadows = shadows
-        self.ids64 = ids64
-        self.nbr = nbr
-        self.dests = None
-        self.w_per_edge = w_per_edge
-        self.transform_stream = transform_stream
-        self.trace_plan = None
-        self.src_ids = None
-        self.active_bytes = active_bytes
-        self.stepped = False
-        self.dest_edges = None
-        self.dest_last_src = None
-
-    def destinations(self, num_vertices: int) -> np.ndarray:
-        """Sorted unique neighbor ids (exactly ``np.unique(nbr)``), found
-        from a bitmap — one scatter and one scan, no sort — and kept."""
-        if self.dests is None:
-            hit = np.zeros(num_vertices, dtype=bool)
-            hit[self.nbr] = True
-            self.dests = np.flatnonzero(hit)
-        return self.dests
-
-    def edge_sources(self) -> np.ndarray:
-        """Source id of every frontier edge, aligned with ``nbr``."""
-        if self.src_ids is not None:
-            return self.src_ids
-        return np.repeat(self.ids64, self.shadows.degrees)
-
-    def destination_edges(self, num_vertices: int) -> np.ndarray | None:
-        """Each destination's number of frontier edges (int32, aligned
-        with :meth:`destinations`); ``None`` on the entry's first
-        per-destination step, so a frontier seen once never counts."""
-        if self.dest_edges is None:
-            if not self.stepped:
-                self.stepped = True
-                return None
-            counts = np.bincount(self.nbr, minlength=num_vertices)
-            self.dest_edges = counts.take(self.dests).astype(np.int32)
-        return self.dest_edges
-
-    def last_sources(self, num_vertices: int, dtype) -> np.ndarray:
-        """Source of the last frontier edge into each destination (in
-        ``dtype``, aligned with :meth:`destinations`): the witness a
-        push records when every edge into a destination witnesses."""
-        if self.dest_last_src is None:
-            last = np.empty(num_vertices, dtype=dtype)
-            # Repeated indices: the last edge's value is the one kept.
-            last[self.nbr] = self.edge_sources()
-            self.dest_last_src = last.take(self.dests)
-        return self.dest_last_src
-
-    @property
-    def nbytes(self) -> int:
-        total = (
-            self.shadows.nbytes + self.ids64.nbytes + self.nbr.nbytes
-            + len(self.active_bytes)
-        )
-        for lazy in (self.dests, self.w_per_edge, self.transform_stream,
-                     self.trace_plan, self.src_ids, self.dest_edges,
-                     self.dest_last_src):
-            if lazy is not None:
-                total += lazy.nbytes
-        if (self.trace_plan is not None
-                and self.trace_plan.degrees is self.shadows.degrees):
-            # An unsampled plan keeps the shadows' degrees themselves.
-            total -= self.shadows.degrees.nbytes
-        return total
 
 
 class _TraversalRun:
@@ -298,16 +187,12 @@ class EngineSession:
         self.setup_transfer_bytes = 0
         #: Completed queries served by this session.
         self.queries_served = 0
-        #: Frontier-memo counters: a hit means a query iteration reused a
+        #: The frontier memo: a hit means an iteration reused a
         #: previously computed degree cut / edge expansion / trace plan.
-        self.memo_hits = 0
-        self.memo_misses = 0
-        #: Digest collisions caught by the exact active-set byte check:
-        #: a colliding hit is demoted to a miss instead of serving
-        #: another frontier's expansion.
-        self.memo_collisions = 0
-        self._frontier_memo: OrderedDict[tuple, _FrontierExpansion] = \
-            OrderedDict()
+        self.memo = FrontierMemo(
+            self.config.frontier_memo_entries,
+            placement=(self.config.memory_mode.value, self.compressed),
+        )
 
         # SMP needs K words of shared memory per thread: shrink the block
         # to fit, or fall back to the plain kernel when even one warp's
@@ -604,20 +489,38 @@ class EngineSession:
     # ------------------------------------------------------------------
 
     @property
+    def memo_hits(self) -> int:
+        return self.memo.hits
+
+    @property
+    def memo_misses(self) -> int:
+        return self.memo.misses
+
+    @property
+    def memo_collisions(self) -> int:
+        return self.memo.collisions
+
+    @property
+    def memo_rejections(self) -> int:
+        return self.memo.rejections
+
+    @property
     def memo_entries(self) -> int:
-        return len(self._frontier_memo)
+        return len(self.memo)
+
+    @property
+    def memo_bytes(self) -> int:
+        """Host memory currently retained by the frontier memo, bounded
+        by :data:`repro.core.memo.MAX_BYTES`."""
+        return self.memo.bytes
 
     def invalidate_memo(self) -> None:
         """Drop every frontier-memo entry (subsequent lookups miss and
         recompute).  Memoized values are label-independent, so results
-        are bit-identical before and after — this exists for operators
-        (bounding host memory) and for fault injection."""
-        self._frontier_memo.clear()
-
-    @property
-    def memo_bytes(self) -> int:
-        """Host memory currently retained by the frontier memo."""
-        return sum(e.nbytes for e in self._frontier_memo.values())
+        are bit-identical before and after.  The memo bounds its own
+        bytes, so this is not how host memory is bounded; fault
+        injection uses it to flush the memo."""
+        self.memo.invalidate()
 
     def metrics_snapshot(self) -> dict:
         """This session's live counters (memo, setup, residency) as one
@@ -625,67 +528,6 @@ class EngineSession:
         from repro.observability.metrics import unified_snapshot
 
         return unified_snapshot(session=self)
-
-    def _memo_key(
-        self,
-        active_bytes: bytes,
-        num_active: int,
-        labels_arr: DeviceArray,
-        weights_arr: DeviceArray | None,
-        wave_lanes: int = 0,
-    ) -> tuple:
-        # Content hash of the active set plus the placement facts the
-        # memoized values depend on: the labels array (reallocated when a
-        # query switches label dtype, which would invalidate the trace
-        # plan's addresses) and whether weights join the trace.  Topology
-        # arrays and config are fixed for the session's lifetime.
-        # ``wave_lanes`` separates MSBFS wave entries (whose trace plans
-        # gather 8-byte masks instead of 4-byte labels) from sequential
-        # ones even if the mask buffer were to land at a recycled
-        # address; the expansion itself is mask-content independent, so
-        # the lane count — not the mask bits — is the right key.
-        # The placement mode and compression flag are part of the key
-        # even though they are session-fixed: the bump allocator is
-        # deterministic, so two sessions over the same graph hand
-        # identical base addresses to differently-placed topologies —
-        # any future sharing of memo entries across sessions (a pool, a
-        # serialized cache) must never let a dense-device trace plan
-        # serve a compressed or direct-access frontier.
-        digest = hashlib.blake2b(active_bytes, digest_size=16).digest()
-        return (
-            digest,
-            num_active,
-            labels_arr.base_address,
-            labels_arr.itemsize,
-            weights_arr.base_address if weights_arr is not None else -1,
-            wave_lanes,
-            self.config.memory_mode.value,
-            self.compressed,
-        )
-
-    def _memo_get(
-        self, key: tuple, active_bytes: bytes
-    ) -> _FrontierExpansion | None:
-        entry = self._frontier_memo.get(key)
-        if entry is not None and entry.active_bytes != active_bytes:
-            # Digest collision: the stored expansion belongs to a
-            # different frontier.  Serve a miss (the caller recomputes
-            # and overwrites the slot) instead of wrong reuse.
-            self.memo_collisions += 1
-            self.memo_misses += 1
-            return None
-        if entry is not None:
-            self._frontier_memo.move_to_end(key)
-            self.memo_hits += 1
-        else:
-            self.memo_misses += 1
-        return entry
-
-    def _memo_put(self, key: tuple, entry: _FrontierExpansion) -> None:
-        memo = self._frontier_memo
-        memo[key] = entry
-        while len(memo) > self.config.frontier_memo_entries:
-            memo.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Query
@@ -916,9 +758,11 @@ class EngineSession:
         spec = self.device
         caches = self.caches
         prof, timeline, tr = run.prof, run.timeline, run.tr
-        check_udc_partition = None
+        check_udc_partition = check_memo_bytes = None
         if cfg.check_invariants:
-            from repro.testing.invariants import check_udc_partition
+            from repro.testing.invariants import (
+                check_memo_bytes, check_udc_partition,
+            )
         offsets_arr = self._offsets_arr
         cols_arr = self._cols_arr
         weights_arr = self._weights_arr if problem.needs_weights else None
@@ -975,11 +819,11 @@ class EngineSession:
                 if self.injector is not None:
                     self.injector.on_memo_lookup(self)
                 active_bytes = np.ascontiguousarray(active).tobytes()
-                key = self._memo_key(
+                key = self.memo.key(
                     active_bytes, len(active), work_arr, weights_arr,
                     wave_lanes,
                 )
-                entry = self._memo_get(key, active_bytes)
+                entry = self.memo.get(key, active_bytes)
             memo_hit = entry is not None
 
             # actSet2virtActSet kernel: gather offsets, emit 3-tuples —
@@ -1046,7 +890,7 @@ class EngineSession:
                 entry = _FrontierExpansion(
                     shadows=shadows,
                     ids64=shadows.ids.astype(np.int64),
-                    nbr=cols[edge_idx].astype(np.int64),
+                    nbr=cols[edge_idx],
                     w_per_edge=(
                         weights[edge_idx] if weights is not None else None
                     ),
@@ -1054,7 +898,7 @@ class EngineSession:
                     active_bytes=active_bytes,
                 )
                 if key is not None:
-                    self._memo_put(key, entry)
+                    self.memo.put(key, entry)
             attempted, changed, newly_visited, stop = \
                 step(active, entry, iteration)
 
@@ -1103,6 +947,10 @@ class EngineSession:
                 plan=entry.trace_plan,
             )
             prof.record_kernel(timing.counters)
+            if key is not None:
+                # The step and both kernels may have filled the entry's
+                # lazy parts (destinations, trace plan, run summaries).
+                self.memo.settle()
             kernel_ms = timing.time_ms
             # The vertex kernel issues after the transform kernel.
             run.record("vertex_kernel", "compute", clock + transform_ms,
@@ -1159,6 +1007,8 @@ class EngineSession:
             if stop:
                 break
 
+        if check_memo_bytes is not None:
+            check_memo_bytes(self.memo)
         d2h_ms = d2h_copy(spec, prof, work_arr.nbytes, injector=self.injector)
         run.record(f"{label}-d2h", "transfer", clock, d2h_ms,
                    nbytes=work_arr.nbytes)

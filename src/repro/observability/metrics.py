@@ -200,6 +200,7 @@ def add_session(reg: MetricsRegistry, session) -> None:
     reg.set_gauge("memo.hits", session.memo_hits)
     reg.set_gauge("memo.misses", session.memo_misses)
     reg.set_gauge("memo.collisions", getattr(session, "memo_collisions", 0))
+    reg.set_gauge("memo.rejections", session.memo_rejections)
     reg.set_gauge("memo.entries", session.memo_entries)
     reg.set_gauge("memo.bytes", session.memo_bytes)
     reg.set_gauge("memory.device_bytes_in_use", session.memory.device_bytes_in_use)

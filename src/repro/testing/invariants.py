@@ -14,6 +14,8 @@ executable assertions:
   level (an L1 miss is an L2 access; an L2 miss is a DRAM transaction).
 * :class:`~repro.core.stats.TraversalStats`: per-iteration records are
   internally consistent and their totals match the label vector.
+* The frontier memo: its running byte total equals what its entries
+  hold.
 
 All checks raise :class:`repro.errors.InvariantViolation` with a message
 naming the first violated property; they return ``None`` on success so
@@ -169,6 +171,16 @@ def check_cache(cache) -> None:
         _fail(
             f"cache hits {cache.hits} outside [0, accesses={cache.accesses}]"
         )
+
+
+def check_memo_bytes(memo) -> None:
+    """A :class:`~repro.core.memo.FrontierMemo`'s running byte total
+    equals the sum of its entries' ``nbytes``: no lazily filled part
+    went uncharged."""
+    held = sum(entry.nbytes for entry in memo.entries.values())
+    if memo.bytes != held:
+        _fail(f"frontier memo charges {memo.bytes} B but its "
+              f"{len(memo.entries)} entries hold {held} B")
 
 
 def check_kernel_counters(counters) -> None:

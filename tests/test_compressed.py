@@ -200,7 +200,7 @@ class TestMemoKey:
         ) as s:
             s.query("bfs", 0)  # place + allocate label arrays
             active = np.array([0], dtype=np.int32)
-            return s._memo_key(
+            return s.memo.key(
                 active.tobytes(), 1, s._labels_arr, s._weights_arr
             )
 

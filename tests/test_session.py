@@ -392,7 +392,7 @@ class TestPerDestinationStep:
         with EngineSession(g, cfg) as session:
             for _ in range(3):
                 results.append(session.query(problem, source, target=target))
-            replayed = [e for e in session._frontier_memo.values()
+            replayed = [e for e in session.memo.entries.values()
                         if e.dest_edges is not None]
         with EngineSession(
                 g, EtaGraphConfig(degree_limit=4, track_parents=True,

@@ -2,11 +2,14 @@
 on or off, hit/miss accounting, boundedness, and entry reuse."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import EngineSession, EtaGraphConfig
+from repro.core.memo import FrontierMemo, _FrontierExpansion
+from repro.errors import InvariantViolation
 from repro.graph import generators
 from repro.graph.weights import attach_weights
 
@@ -81,7 +84,7 @@ class TestMemoCollision:
         mismatch demotes the hit to a miss (counted in
         ``memo_collisions``).  Pre-fix, the second query silently reused
         the first query's expansion and produced wrong labels."""
-        from repro.core import session as session_module
+        from repro.core import memo as memo_module
 
         baseline = {}
         with EngineSession(social) as ses:
@@ -96,7 +99,7 @@ class TestMemoCollision:
                 return b"\x00" * 16
 
         monkeypatch.setattr(
-            session_module.hashlib, "blake2b", _ConstantDigest
+            memo_module.hashlib, "blake2b", _ConstantDigest
         )
         with EngineSession(social) as ses:
             r0 = ses.query("bfs", 0)
@@ -114,7 +117,7 @@ class TestMemoCollision:
     def test_identical_frontiers_still_hit(self, social, monkeypatch):
         """The exact-bytes verification must not break genuine reuse:
         replaying a query under a constant digest still hits."""
-        from repro.core import session as session_module
+        from repro.core import memo as memo_module
 
         class _ConstantDigest:
             def __init__(self, *_args, **_kwargs):
@@ -124,7 +127,7 @@ class TestMemoCollision:
                 return b"\x01" * 16
 
         monkeypatch.setattr(
-            session_module.hashlib, "blake2b", _ConstantDigest
+            memo_module.hashlib, "blake2b", _ConstantDigest
         )
         with EngineSession(social) as ses:
             first = ses.query("bfs", 4)
@@ -214,20 +217,23 @@ class TestEntryContents:
         with EngineSession(social) as ses:
             ses.query("bfs", 0)
             ses.query("sssp", 3)
-            entries = list(ses._frontier_memo.values())
+            entries = list(ses.memo.entries.values())
         assert entries
         for entry in entries:
             assert entry.dests is not None
             assert entry.dests.dtype == np.int64
-            assert entry.dests.tobytes() == np.unique(entry.nbr).tobytes()
+            assert np.array_equal(entry.dests, np.unique(entry.nbr))
+            assert entry.nbr.dtype == social.column_indices.dtype
 
     def test_nbytes_counts_exactly_what_entries_hold(self, social):
         """Replayed query and wave frontiers walk their streams again,
         so their entries then hold run summaries, which ``nbytes``
         counts; a stream walked once holds none.  A replayed
         parent-tracking BFS also holds its destinations' edge counts
-        and last sources."""
+        and last sources.  The memo's running ``memo_bytes`` equals the
+        recount after queries, waves and PageRank."""
         from repro.core import msbfs
+        from repro.core.pagerank import pagerank
 
         cfg = EtaGraphConfig(smp=True, track_parents=True)
         with EngineSession(social, cfg) as ses:
@@ -235,7 +241,7 @@ class TestEntryContents:
                 ses.query("sssp", 0)
                 ses.query("bfs", 5)
                 msbfs.run_wave(ses, [1, 2, 3])
-                entries = list(ses._frontier_memo.values())
+                entries = list(ses.memo.entries.values())
                 assert ses.memo_bytes == \
                     sum(_held_bytes(e) for e in entries)
                 for entry in entries:
@@ -249,6 +255,12 @@ class TestEntryContents:
                 else:
                     assert all(s is None for s in summaries)
                     assert not both
+            # PageRank revisits frontiers within one run.  The running
+            # total, charged on put and after each iteration that filled
+            # a lazy part, still matches a recount.
+            pagerank(ses, tolerance=1e-3)
+            assert ses.memo_bytes == sum(
+                _held_bytes(e) for e in ses.memo.entries.values())
 
     @pytest.mark.parametrize("wave", [False, True])
     def test_transform_stream_equals_a_fresh_build(self, social, wave):
@@ -263,7 +275,7 @@ class TestEntryContents:
             else:
                 ses.query("bfs", 0)
             base = ses._offsets_arr.base_address
-            entries = list(ses._frontier_memo.values())
+            entries = list(ses.memo.entries.values())
         assert entries
         for entry in entries:
             active = np.frombuffer(entry.active_bytes, dtype=np.int64)
@@ -281,6 +293,144 @@ class TestEntryContents:
 
         with EngineSession(social) as ses:
             msbfs.run_wave(ses, list(range(64)))
-            entries = list(ses._frontier_memo.values())
+            entries = list(ses.memo.entries.values())
         assert entries
         assert all(entry.dests is None for entry in entries)
+
+
+def _entry(nbytes: int) -> _FrontierExpansion:
+    """An expansion whose only held bytes are ``nbytes`` neighbor ids."""
+    empty = np.zeros(0, dtype=np.int64)
+    return _FrontierExpansion(
+        shadows=SimpleNamespace(nbytes=0, degrees=empty), ids64=empty,
+        nbr=np.zeros(nbytes, dtype=np.uint8), w_per_edge=None,
+    )
+
+
+def _warm_counts(ses, sources, cycles):
+    """Per-query ``(hits, misses)`` deltas, one list per cycle."""
+    counts = []
+    for _ in range(cycles):
+        cycle = []
+        for s in sources:
+            hits, misses = ses.memo_hits, ses.memo_misses
+            ses.query("bfs", s)
+            cycle.append((ses.memo_hits - hits, ses.memo_misses - misses))
+        counts.append(cycle)
+    return counts
+
+
+class TestMemoPolicy:
+    def test_byte_bound_evicts_lru_but_never_the_entry_in_use(self):
+        memo = FrontierMemo(max_entries=16, max_bytes=1000)
+        entries = [_entry(300) for _ in range(3)]
+        for i, entry in enumerate(entries):
+            memo.put(i, entry)
+        assert list(memo.entries) == [0, 1, 2] and memo.bytes == 900
+        # Entry 0 is in use and fills a lazy part: its recharge evicts
+        # the least recently used others until the total fits.
+        assert memo.get(0, b"") is entries[0]
+        entries[0].dests = np.zeros(200, dtype=np.uint8)
+        memo.settle()
+        assert list(memo.entries) == [2, 0] and memo.bytes == 800
+        # Alone past the budget, the entry in use stays.
+        assert memo.get(0, b"") is entries[0]
+        entries[0].dest_edges = np.zeros(600, dtype=np.uint8)
+        memo.settle()
+        assert list(memo.entries) == [0] and memo.bytes == 1100
+
+    def test_full_memo_admits_on_second_sighting(self):
+        memo = FrontierMemo(max_entries=16, max_bytes=1000)
+        memo.put("a", _entry(600))
+        assert list(memo.entries) == ["a"] and memo.rejections == 0
+        memo.put("b", _entry(600))
+        assert list(memo.entries) == ["a"] and memo.bytes == 600
+        assert memo.rejections == 1
+        assert memo.get("b", b"") is None
+        memo.put("b", _entry(600))
+        assert list(memo.entries) == ["b"] and memo.bytes == 600
+        assert memo.rejections == 1
+
+    def test_entry_larger_than_the_budget_is_never_stored(self):
+        memo = FrontierMemo(max_entries=16, max_bytes=1000)
+        memo.put("a", _entry(100))
+        for _ in range(2):
+            memo.put("huge", _entry(1001))
+        assert list(memo.entries) == ["a"] and memo.rejections == 2
+
+    def test_session_replays_repeat_from_the_second_cycle(self, social):
+        """``bfs-hot``'s warm-state property in miniature: with a budget
+        that just holds the warm set, every replay of a source repeats
+        the memo hits and misses of its first replay, because the
+        first sighting of each frontier is kept."""
+        sources = [0, 3, 5, 9]
+        with EngineSession(social) as twin:
+            _warm_counts(twin, sources, 3)
+            warm_bytes = twin.memo_bytes
+        with EngineSession(social) as ses:
+            ses.memo.max_bytes = warm_bytes
+            first, second, third = _warm_counts(ses, sources, 3)
+            assert ses.memo_rejections == 0
+            assert ses.memo_bytes == warm_bytes
+        assert second == third
+        assert all(hits > 0 for hits, _ in second)
+        assert [h + m for h, m in first] == [h + m for h, m in second]
+
+    def test_invalidate_clears_entries_ghosts_and_bytes(self, social):
+        memo = FrontierMemo(max_entries=16, max_bytes=1000)
+        memo.put("a", _entry(600))
+        memo.put("b", _entry(600))  # refused: its key is now a ghost
+        memo.invalidate()
+        assert len(memo) == 0 and memo.bytes == 0
+        memo.put("a", _entry(600))
+        memo.put("b", _entry(600))  # the ghost is gone: refused again
+        assert list(memo.entries) == ["a"] and memo.rejections == 2
+
+        with EngineSession(social) as ses:
+            ses.query("bfs", 0)
+            assert ses.memo_entries > 0 and ses.memo_bytes > 0
+            hits = ses.memo_hits
+            ses.invalidate_memo()
+            assert ses.memo_entries == 0 and ses.memo_bytes == 0
+            assert ses.memo_hits == hits
+
+    def test_rejections_gauge(self, social):
+        with EngineSession(social) as ses:
+            ses.memo.max_bytes = 4096
+            for s in range(4):
+                ses.query("bfs", s)
+            assert ses.memo_rejections > 0
+            assert ses.memo_bytes <= 4096
+            gauges = ses.metrics_snapshot()["gauges"]
+            assert gauges["memo.rejections"] == ses.memo_rejections
+
+    def test_aborted_iteration_is_charged_by_the_next_lookup(self, social):
+        """A launch aborted by an injected bit flip leaves its entry with
+        lazy parts filled after its charge; the next lookup settles it,
+        so the next traversal's invariant check holds."""
+        from repro.errors import DataCorruptionError
+        from repro.resilience import FaultInjector, FaultPlan, FaultSpec
+
+        injector = FaultInjector(
+            FaultPlan(specs=(FaultSpec("bitflip", at=2),), seed=7))
+        cfg = EtaGraphConfig(check_invariants=True)
+        with EngineSession(social, cfg, injector=injector) as ses:
+            with pytest.raises(DataCorruptionError):
+                ses.query("bfs", 0)
+            ses.query("bfs", 1)
+            assert ses.memo_bytes == sum(
+                _held_bytes(e) for e in ses.memo.entries.values())
+
+    def test_uncharged_growth_fails_the_invariant_check(self, social,
+                                                        monkeypatch):
+        """With invariants on, a traversal ends by checking the running
+        byte total against a recount: growth the memo never charged
+        raises."""
+        with EngineSession(social,
+                           EtaGraphConfig(check_invariants=True)) as ses:
+            ses.query("bfs", 0)
+            ses.query("bfs", 0)
+            monkeypatch.setattr(_FrontierExpansion, "fills",
+                                lambda self: self.charged_fills)
+            with pytest.raises(InvariantViolation, match="frontier memo"):
+                ses.query("sssp", 0)

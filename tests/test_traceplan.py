@@ -653,7 +653,7 @@ class TestPlanRetention:
         with EngineSession(graph, EtaGraphConfig(smp=True)) as session:
             session.query("bfs", 0)
             msbfs.run_wave(session, [1, 2, 3])
-            plans = [e.trace_plan for e in session._frontier_memo.values()
+            plans = [e.trace_plan for e in session.memo.entries.values()
                      if e.trace_plan is not None]
             assert plans
             for plan in plans:
