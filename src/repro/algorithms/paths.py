@@ -1,9 +1,10 @@
 """Parent pointers and path reconstruction.
 
-With ``EtaGraphConfig(track_parents=True)`` the engine records, for every
-vertex whose label was updated, one witnessing predecessor (the real
-kernel's ``atomicMin`` returns the old value, so the winning thread knows
-it won and stores its own id — one extra scattered word per update).
+Asked per query (``EngineSession.query(..., parents=True)``), the engine
+records, for every vertex whose label was updated, one witnessing
+predecessor (the real kernel's ``atomicMin`` returns the old value, so
+the winning thread knows it won and stores its own id — one extra
+scattered word per update).
 These helpers turn the parent array into actual paths and verify them.
 """
 

@@ -62,20 +62,19 @@ class EtaGraph:
 
         Raises :class:`repro.algorithms.paths.PathError` if unreachable.
 
-        Path queries share one parent-tracking session per handle, so
-        repeated calls reuse the resident topology instead of re-placing
-        it per query.
+        Path queries share one session per handle and ask it for
+        parents per query, so repeated calls reuse the resident topology
+        instead of re-placing it per query.
         """
-        from dataclasses import replace
-
         from repro.algorithms.paths import reconstruct_path
 
         if self._path_session is None or self._path_session.closed:
             self._path_session = EngineSession(
-                self.graph, replace(self.config, track_parents=True),
-                self.device,
+                self.graph, self.config, self.device,
             )
-        result = self._path_session.query("bfs", source, target=target)
+        result = self._path_session.query(
+            "bfs", source, target=target, parents=True,
+        )
         return reconstruct_path(result.extras["parents"], source, target)
 
     def sssp(self, source: int) -> TraversalResult:

@@ -75,10 +75,6 @@ class EtaGraphConfig:
     #: per-iteration transform kernel (VST-like, without the raw-data
     #: copy).
     udc_mode: str = "in_core"
-    #: Record a parent pointer per vertex (one extra |V|-word device
-    #: array and one extra store per label update); enables
-    #: :func:`repro.algorithms.paths.reconstruct_path` on the result.
-    track_parents: bool = False
     #: Bound on the per-session frontier memo (entries): repeated batch
     #: queries hitting an already-seen frontier reuse its degree-cut
     #: result, edge expansion and kernel :class:`~repro.gpu.traceplan.
@@ -137,11 +133,3 @@ class EtaGraphConfig:
         if isinstance(mode, str):
             mode = MemoryMode(mode)
         return replace(self, memory_mode=mode)
-
-    def with_track_parents(self, track: bool = True) -> "EtaGraphConfig":
-        """This configuration with parent tracking toggled — the variant
-        the serving layer's shortest-path pool runs (path reconstruction
-        needs per-vertex parent pointers)."""
-        from dataclasses import replace
-
-        return replace(self, track_parents=track)

@@ -451,9 +451,10 @@ class EngineSession:
             )
         return self._frontier
 
-    def _parents_buffer(self) -> DeviceArray | None:
-        if not self.config.track_parents:
-            return None
+    def _parents_buffer(self) -> DeviceArray:
+        """Session-resident parent pointers (one |V|-word int32 array),
+        allocated by the first query that asks for parents and reset to
+        ``NO_PARENT`` by every later one."""
         from repro.algorithms.paths import NO_PARENT
 
         if self._parents_arr is None:
@@ -540,6 +541,7 @@ class EngineSession:
         *,
         target: int | None = None,
         max_iterations: int | None = None,
+        parents: bool = False,
     ):
         """Run one traversal against the session's resident topology.
 
@@ -586,8 +588,7 @@ class EngineSession:
         labels_arr = self._labels_buffer(problem.initial_labels(n, source))
         labels = labels_arr.data
         self._frontier_buffers()
-        parents_arr = self._parents_buffer()
-        parents = parents_arr.data if parents_arr is not None else None
+        parents = self._parents_buffer().data if parents else None
         seeds = problem.initial_frontier(n, source)
         visited = np.zeros(n, dtype=bool)
         visited[seeds] = True

@@ -336,6 +336,7 @@ class ResilientSession:
         *,
         target: int | None = None,
         policy: RetryPolicy | None = None,
+        parents: bool = False,
     ) -> RunOutcome:
         """Serve one query through the retry/degradation machinery.
 
@@ -346,6 +347,8 @@ class ResilientSession:
         ``policy`` overrides the session's :class:`RetryPolicy` for this
         call only (the serving layer's per-request deadline/iteration
         budgets); resident rung sessions are reused either way.
+        ``parents=True`` asks every rung, the CPU floor included, for
+        BFS parent pointers in ``extras["parents"]``.
         """
         if self._closed:
             raise SessionClosedError("resilient session is closed")
@@ -355,11 +358,13 @@ class ResilientSession:
         return self._serve(
             lambda session: session.query(
                 problem, source, target=target,
-                max_iterations=policy.max_iterations,
+                max_iterations=policy.max_iterations, parents=parents,
             ),
             # The floor is the always-available answer: a per-request
             # iteration cap does not apply to it.
-            lambda tracer: self._cpu_floor(problem, (source,), tracer),
+            lambda tracer: self._cpu_floor(
+                problem, (source,), tracer, parents=parents,
+            ),
             policy, noun="query", lanes=1,
             span_attrs={"problem": problem.name, "source": source},
             trace_meta={"problem": problem.name, "source": source},
@@ -542,8 +547,10 @@ class ResilientSession:
         source: int,
         *,
         target: int | None = None,
+        parents: bool = False,
     ) -> TraversalResult:
-        return self.run(problem, source, target=target).result
+        return self.run(problem, source, target=target,
+                        parents=parents).result
 
     # ------------------------------------------------------------------
     # Internals
@@ -601,7 +608,7 @@ class ResilientSession:
 
     def _cpu_floor(
         self, problem: TraversalProblem, sources, tracer=None, *,
-        wave: bool = False,
+        wave: bool = False, parents: bool = False,
     ):
         """The ladder's floor: one modelled
         :class:`~repro.baselines.cpu_ligra.LigraLikeCPU` run per lane,
@@ -629,7 +636,7 @@ class ResilientSession:
             )
         (run,) = runs
         extras = {"cpu_oracle": True, "early_exit": False}
-        if self.config.track_parents and problem.name == "bfs":
+        if parents and problem.name == "bfs":
             extras["parents"] = _bfs_parents(self.csr, run.labels)
         seeds = problem.initial_frontier(n, run.source)
         return TraversalResult(

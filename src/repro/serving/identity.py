@@ -7,7 +7,10 @@ engine result a service hands back has to be bit-identical — labels
 warm-query timing depends on the full history a session has served
 (cache hierarchy, frontier memo, UM residency), so the reference run
 must replay *each lane's exact subsequence* on a fresh bare session, in
-dispatch order — not the global stream on one session.
+dispatch order — not the global stream on one session.  The default
+stream mixes visits with shortest paths, which run on the dispatching
+lane: a path replays as a BFS with parents, and its parent array must
+match byte for byte.
 
 :func:`check_service_identity` does exactly that and returns the list
 of digest mismatches (empty = identical), using the same
@@ -30,13 +33,31 @@ from repro.core.session import EngineSession
 from repro.gpu.device import DeviceSpec, GTX_1080TI
 from repro.graph.csr import CSRGraph
 from repro.resilience.chaos import result_digest
-from repro.serving.requests import TraversalResponse, VisitRequest
+from repro.serving.requests import (
+    ShortestPathRequest,
+    TraversalResponse,
+    VisitRequest,
+)
 from repro.serving.service import TraversalService
 
-#: The default query stream the CLI gate serves.
-DEFAULT_QUERIES: tuple[tuple[str, int], ...] = (
-    ("bfs", 0), ("bfs", 1), ("cc", 0), ("bfs", 0), ("cc", 2), ("bfs", 3),
+#: The default query stream the CLI gate serves: ``(problem, source)``
+#: visits and ``("path", source, target)`` shortest paths, placed so
+#: that each of two lanes serves a path between visits.
+DEFAULT_QUERIES: tuple[tuple, ...] = (
+    ("bfs", 0), ("bfs", 1), ("path", 0, 5), ("path", 2, 7), ("cc", 0),
+    ("bfs", 0), ("cc", 2), ("bfs", 3),
 )
+
+
+def _requests(queries: tuple[tuple, ...], **kwargs) -> list:
+    """The requests for a gate's ``queries`` stream (see
+    :data:`DEFAULT_QUERIES`), each built with ``kwargs``."""
+    return [
+        ShortestPathRequest(source=query[1], target=query[2], **kwargs)
+        if query[0] == "path"
+        else VisitRequest(problem=query[0], source=query[1], **kwargs)
+        for query in queries
+    ]
 
 
 def replay_mismatches(
@@ -46,7 +67,9 @@ def replay_mismatches(
     device: DeviceSpec = GTX_1080TI,
 ) -> list[str]:
     """Replay each lane's served subsequence on a fresh bare session and
-    describe every result-digest mismatch (empty = bit-identical)."""
+    describe every result-digest mismatch (empty = bit-identical).  A
+    shortest-path request replays as a BFS with parents, and its parent
+    array must match byte for byte too."""
     config = config or EtaGraphConfig()
     lanes: dict[int, list[TraversalResponse]] = {}
     for response in responses:
@@ -59,11 +82,13 @@ def replay_mismatches(
         with EngineSession(csr, config, device) as session:
             for response in lanes[lane]:
                 request = response.request
+                path = isinstance(request, ShortestPathRequest)
                 reference = session.query(
                     request.problem if isinstance(request, VisitRequest)
                     else "bfs",
                     request.source,
                     target=getattr(request, "target", None),
+                    parents=path,
                 )
                 got = result_digest(response.result)
                 want = result_digest(reference)
@@ -73,12 +98,21 @@ def replay_mismatches(
                         f"{request.describe()}: service {got} != "
                         f"session {want}"
                     )
+                elif path and (
+                    response.result.extras["parents"].tobytes()
+                    != reference.extras["parents"].tobytes()
+                ):
+                    mismatches.append(
+                        f"lane {lane} seq {response.seq} "
+                        f"{request.describe()}: service parents != "
+                        "session parents"
+                    )
     return mismatches
 
 
 def check_service_identity(
     csr: CSRGraph,
-    queries: tuple[tuple[str, int], ...] = DEFAULT_QUERIES,
+    queries: tuple[tuple, ...] = DEFAULT_QUERIES,
     config: EtaGraphConfig | None = None,
     device: DeviceSpec = GTX_1080TI,
     *,
@@ -93,10 +127,7 @@ def check_service_identity(
     with TraversalService(
         csr, config, device, pool_size=pool_size,
     ) as service:
-        responses = service.serve([
-            VisitRequest(problem=problem, source=source)
-            for problem, source in queries
-        ])
+        responses = service.serve(_requests(queries))
     bad = [r for r in responses if not r.ok]
     if bad:
         return [f"seq {r.seq} {r.request.describe()} failed: {r.error}"
@@ -126,7 +157,7 @@ def _response_facts(response: TraversalResponse) -> tuple:
 
 def check_health_identity(
     csr: CSRGraph,
-    queries: tuple[tuple[str, int], ...] = DEFAULT_QUERIES,
+    queries: tuple[tuple, ...] = DEFAULT_QUERIES,
     config: EtaGraphConfig | None = None,
     device: DeviceSpec = GTX_1080TI,
     *,
@@ -145,10 +176,7 @@ def check_health_identity(
     lanes with no fault plan, covering the retry-wrapper path too.
     """
     config = config or EtaGraphConfig()
-    requests = [
-        VisitRequest(problem=problem, source=source)
-        for problem, source in queries
-    ]
+    requests = _requests(queries)
     runs = {}
     for health in (None, True):
         with TraversalService(
@@ -174,7 +202,7 @@ def check_health_identity(
 
 def check_trace_identity(
     csr: CSRGraph,
-    queries: tuple[tuple[str, int], ...] = DEFAULT_QUERIES,
+    queries: tuple[tuple, ...] = DEFAULT_QUERIES,
     config: EtaGraphConfig | None = None,
     device: DeviceSpec = GTX_1080TI,
     *,
@@ -195,11 +223,7 @@ def check_trace_identity(
     from repro.observability.slo import SLOMonitor, SLOPolicy
 
     config = config or EtaGraphConfig()
-    requests = [
-        VisitRequest(problem=problem, source=source, tenant="gate",
-                     deadline_ms=50.0)
-        for problem, source in queries
-    ]
+    requests = _requests(queries, tenant="gate", deadline_ms=50.0)
     runs = {}
     for telemetry in (False, True):
         kwargs = {}

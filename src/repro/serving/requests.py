@@ -138,8 +138,8 @@ class NeighborhoodRequest(TraversalRequest):
 
 @dataclass(frozen=True)
 class ShortestPathRequest(TraversalRequest):
-    """A minimum-hop path ``source -> target`` (BFS + parent pointers,
-    served from the service's parent-tracking path pool)."""
+    """A minimum-hop path ``source -> target``: one BFS with parents on
+    the dispatching lane's resident session."""
 
     source: int = 0
     target: int = 0

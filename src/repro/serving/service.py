@@ -189,15 +189,9 @@ class TraversalService:
                 else FlightRecorder()
             )
             self.recorder.attach(self)
-        self._fault_plan = fault_plan
         #: Lazy dedicated hedge standby (see :meth:`_hedge_standby`) —
         #: never one of the pool's primary lanes.
         self._hedge_worker: PoolWorker | None = None
-        #: Lazy single-lane pool for shortest-path requests: the same
-        #: configuration with parent tracking on (path reconstruction
-        #: needs per-vertex parent pointers, which the main pool's
-        #: sessions don't record).
-        self._path_pool: SessionPool | None = None
         self._stats_cache: dict | None = None
         self._closed = False
 
@@ -215,8 +209,6 @@ class TraversalService:
         self.pool.close()
         if self._hedge_worker is not None:
             self._hedge_worker.session.close()
-        if self._path_pool is not None:
-            self._path_pool.close()
         self._closed = True
 
     def __enter__(self) -> "TraversalService":
@@ -566,11 +558,11 @@ class TraversalService:
         finish = start + service_ms
         response.finish_ms = finish
         # The health plane only attributes outcomes that actually ran on
-        # this lane's session (pagerank, stats and shortest_path run
-        # elsewhere).  Hedging moves only the response's finish, so the
-        # primary leg's facts stay on the response.
+        # this lane's session (pagerank and stats run elsewhere).
+        # Hedging moves only the response's finish, so the primary leg's
+        # facts stay on the response.
         observed = self.health is not None and isinstance(
-            request, (VisitRequest, NeighborhoodRequest)
+            request, (VisitRequest, NeighborhoodRequest, ShortestPathRequest)
         )
         hedge_trace = None
         if observed and response.ok:
@@ -875,7 +867,7 @@ class TraversalService:
             )
         if isinstance(request, ShortestPathRequest):
             return self._run_shortest_path(
-                response, request, adm, tracer=tracer,
+                worker, response, request, adm, tracer=tracer,
             )
         if isinstance(request, PageRankRequest):
             return self._run_pagerank(response, request, adm, tracer=tracer)
@@ -915,7 +907,7 @@ class TraversalService:
     def _run_visit(
         self, worker: PoolWorker, response: TraversalResponse,
         problem: str, source: int, *, target: int | None,
-        iteration_budget: int | None, tracer=None,
+        iteration_budget: int | None, tracer=None, parents: bool = False,
     ) -> float:
         """The traversal core shared by visit, neighborhood, shortest
         path and the hedge leg: one engine query on the worker's
@@ -928,13 +920,13 @@ class TraversalService:
             if iteration_budget is not None:
                 policy = replace(policy, max_iterations=iteration_budget)
             return session.run(problem, source, target=target,
-                               policy=policy)
+                               policy=policy, parents=parents)
 
         def bare():
             try:
                 return session.query(
                     problem, source, target=target,
-                    max_iterations=iteration_budget,
+                    max_iterations=iteration_budget, parents=parents,
                 )
             except ConvergenceError as exc:
                 if iteration_budget is not None:
@@ -970,33 +962,16 @@ class TraversalService:
         return service_ms
 
     def _run_shortest_path(
-        self, response: TraversalResponse, request: ShortestPathRequest,
-        adm: AdmittedRequest, tracer=None,
+        self, worker: PoolWorker, response: TraversalResponse,
+        request: ShortestPathRequest, adm: AdmittedRequest, tracer=None,
     ) -> float:
         from repro.algorithms.paths import reconstruct_path
 
-        pool = self._path_pool
-        if pool is None:
-            pool = self._path_pool = SessionPool(
-                self.csr, self.config.with_track_parents(), self.device,
-                size=1, fault_plan=self._fault_plan,
-                policy=self.pool.policy if self.pool.resilient else None,
-                resilient=self.pool.resilient,
-            )
-        worker = pool.checkout()
-        try:
-            service_ms = self._run_visit(
-                worker, response, "bfs", request.source,
-                target=request.target,
-                iteration_budget=adm.iteration_budget,
-                tracer=tracer,
-            )
-            worker.busy_until_ms = max(
-                worker.busy_until_ms, response.start_ms + service_ms,
-            )
-            worker.served += 1
-        finally:
-            pool.checkin(worker)
+        service_ms = self._run_visit(
+            worker, response, "bfs", request.source,
+            target=request.target, iteration_budget=adm.iteration_budget,
+            tracer=tracer, parents=True,
+        )
         response.value = reconstruct_path(
             response.result.extras["parents"], request.source,
             request.target,

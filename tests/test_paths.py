@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import EtaGraph, EtaGraphConfig
+from repro import EngineSession, EtaGraph
 from repro.algorithms.paths import (
     NO_PARENT,
     PathError,
@@ -24,8 +24,8 @@ def social():
 
 
 def run_with_parents(g, src, problem):
-    cfg = EtaGraphConfig(track_parents=True)
-    return EtaGraph(g, cfg).run(problem, src)
+    with EngineSession(g) as session:
+        return session.query(problem, src, parents=True)
 
 
 class TestParentTracking:
@@ -62,6 +62,9 @@ class TestParentTracking:
         g, src = social
         result = EtaGraph(g).bfs(src)
         assert result.extras["parents"] is None
+        with EngineSession(g) as session:
+            session.query("bfs", src, parents=True)
+            assert session.query("bfs", src).extras["parents"] is None
 
     def test_bfs_path_length_equals_level(self, social):
         g, src = social

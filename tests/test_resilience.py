@@ -428,9 +428,9 @@ class TestCPUFloor:
         assert serve() == serve()
 
     def test_floor_parents_witness_shortest_paths(self, skewed_graph):
-        config = EtaGraphConfig(track_parents=True)
-        with self.floored(skewed_graph, config) as rs:
-            outcome = rs.run("bfs", 0)
+        with self.floored(skewed_graph) as rs:
+            assert rs.run("bfs", 0).result.extras.get("parents") is None
+            outcome = rs.run("bfs", 0, parents=True)
         assert outcome.final_placement == "cpu_oracle"
         levels = outcome.labels
         parents = outcome.result.extras["parents"]

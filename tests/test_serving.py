@@ -4,7 +4,6 @@ worker pool, endpoint behavior and service telemetry."""
 import numpy as np
 import pytest
 
-from repro.core.config import EtaGraphConfig
 from repro.errors import (
     ConfigError,
     DeadlineExceededError,
@@ -420,20 +419,6 @@ class TestTelemetry:
         with TraversalService(tiny_graph) as service:
             service.call(VisitRequest(source=0))
             assert service.trace() is None
-
-
-# ----------------------------------------------------------------------
-# Config plumbing
-# ----------------------------------------------------------------------
-
-class TestConfig:
-    def test_with_track_parents(self):
-        config = EtaGraphConfig()
-        assert not config.track_parents
-        tracked = config.with_track_parents()
-        assert tracked.track_parents
-        assert tracked.degree_limit == config.degree_limit
-        assert not tracked.with_track_parents(False).track_parents
 
 
 # ----------------------------------------------------------------------

@@ -82,6 +82,53 @@ class TestVisitIdentity:
         assert result_digest(response.result) == want
 
 
+class TestPathIdentity:
+    """Shortest paths run on the lane that dispatched them, as a BFS
+    with parents on its resident session."""
+
+    STREAM = (
+        VisitRequest(source=0), VisitRequest(source=1),
+        ShortestPathRequest(source=0, target=5),
+        ShortestPathRequest(source=2, target=7),
+        VisitRequest(source=3),
+    )
+
+    @pytest.fixture(scope="class")
+    def livejournal(self):
+        from repro.graph import datasets
+
+        return datasets.load("livejournal")[0]
+
+    def test_mixed_stream_replays_per_lane(self, livejournal):
+        with TraversalService(livejournal, pool_size=2) as service:
+            responses = service.serve(list(self.STREAM))
+        assert all(r.ok for r in responses)
+        paths = [r for r in responses
+                 if isinstance(r.request, ShortestPathRequest)]
+        assert {r.worker for r in paths} == {0, 1}
+        assert replay_mismatches(livejournal, responses) == []
+
+    def test_gate_stream_serves_a_path_on_every_lane(self):
+        from repro.graph import datasets
+        from repro.serving.identity import DEFAULT_QUERIES, _requests
+
+        slashdot = datasets.load("slashdot")[0]
+        with TraversalService(slashdot, pool_size=2) as service:
+            responses = service.serve(_requests(DEFAULT_QUERIES))
+        assert all(r.ok for r in responses)
+        assert {r.worker for r in responses
+                if isinstance(r.request, ShortestPathRequest)} == {0, 1}
+
+    def test_path_pays_no_second_placement(self, livejournal):
+        with TraversalService(livejournal, pool_size=2) as service:
+            warm = service.serve(list(self.STREAM[:2]))
+            assert {r.worker for r in warm} == {0, 1}
+            assert all(r.result.setup_ms > 0.0 for r in warm)
+            path = service.call(self.STREAM[2])
+        assert path.ok and path.value[0] == 0 and path.value[-1] == 5
+        assert path.result.setup_ms == 0.0
+
+
 class TestOtherEndpoints:
     def test_neighborhood_rides_the_same_bfs(self, skewed_graph):
         with TraversalService(skewed_graph, pool_size=1) as service:

@@ -14,6 +14,7 @@ from repro.serving import (
     HealthPlane,
     HealthPolicy,
     SessionPool,
+    ShortestPathRequest,
     TenantQuota,
     TraversalService,
     VisitRequest,
@@ -184,20 +185,24 @@ class TestBreakerLifecycle:
             assert any(r.ok for r in responses[-5:])
 
 
+def _straggler_service(graph, hedge=True):
+    """Pool of 2 where lane 0 absorbs a pair of transfer faults every
+    12 events (retried, so it straggles) and lane 1 stays clean."""
+    specs = tuple(
+        FaultSpec(kind="transfer_fault", at=at, count=2)
+        for at in range(4, 120, 12)
+    )
+    return TraversalService(
+        graph, pool_size=2, fault_plans={0: FaultPlan(specs=specs)},
+        policy=RetryPolicy(max_retries=6, backoff_base_ms=2.0),
+        health=HealthPolicy(breakers=False, brownout=False, hedge=hedge),
+        default_quota=TenantQuota(max_pending=256),
+    )
+
+
 class TestHedging:
     def _straggler(self, graph, hedge):
-        specs = tuple(
-            FaultSpec(kind="transfer_fault", at=at, count=2)
-            for at in range(4, 120, 12)
-        )
-        service = TraversalService(
-            graph, pool_size=2, fault_plans={0: FaultPlan(specs=specs)},
-            policy=RetryPolicy(max_retries=6, backoff_base_ms=2.0),
-            health=HealthPolicy(
-                breakers=False, brownout=False, hedge=hedge,
-            ),
-            default_quota=TenantQuota(max_pending=256),
-        )
+        service = _straggler_service(graph, hedge)
         responses = []
         with service:
             for i in range(40):
@@ -248,6 +253,57 @@ class TestHedging:
             for i in range(30):
                 service.call(VisitRequest(source=i))
             assert service.health.hedges == 0
+
+
+class TestPathServes:
+    """Shortest paths run on the dispatching lane, so its health plane
+    sees them: breakers, standby replacement and hedging cover paths."""
+
+    @staticmethod
+    def _paths(graph, count):
+        from repro.core.api import EtaGraph
+
+        eta = EtaGraph(graph)
+        requests = []
+        for i in range(count):
+            levels = eta.bfs(i % graph.num_vertices).labels
+            reached = np.flatnonzero(np.isfinite(levels))
+            requests.append(ShortestPathRequest(
+                source=i % graph.num_vertices,
+                target=int(reached[(7 * i) % len(reached)]),
+            ))
+        return requests
+
+    def test_breakers_open_and_replace_on_path_serves(self, graph):
+        with _sick_lane_service(graph) as service:
+            for _ in range(2):
+                service.serve(self._paths(graph, 30))
+            kinds = [(e.kind, e.lane) for e in service.health.events]
+            assert ("open", 0) in kinds and ("replace", 0) in kinds
+            assert service.pool.workers[0].generation >= 1
+            assert service.pool.workers[1].generation == 0
+
+    def test_hedge_leg_returns_the_same_path(self, graph, monkeypatch):
+        legs = []
+        run = TraversalService._run_shortest_path
+
+        def spy(service, worker, response, request, adm, tracer=None):
+            service_ms = run(service, worker, response, request, adm,
+                             tracer=tracer)
+            legs.append((adm.seq, worker is service._hedge_worker,
+                         response.value))
+            return service_ms
+
+        monkeypatch.setattr(TraversalService, "_run_shortest_path", spy)
+        with _straggler_service(graph) as service:
+            responses = [service.call(r) for r in self._paths(graph, 40)]
+            assert all(r.ok for r in responses)
+            assert service.health.hedges > 0
+        primary = {seq: path for seq, hedge, path in legs if not hedge}
+        hedged = [(seq, path) for seq, hedge, path in legs if hedge]
+        assert len(hedged) == sum(r.hedged for r in responses) > 0
+        for seq, path in hedged:
+            assert path == primary[seq]
 
 
 class TestBrownout:

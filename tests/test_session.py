@@ -387,17 +387,19 @@ class TestPerDestinationStep:
         problem.scatter_reduce = \
             lambda *a: reductions.append(1) or reduce_(*a)
 
-        cfg = EtaGraphConfig(degree_limit=4, track_parents=True)
+        cfg = EtaGraphConfig(degree_limit=4)
         results = []
         with EngineSession(g, cfg) as session:
             for _ in range(3):
-                results.append(session.query(problem, source, target=target))
+                results.append(session.query(problem, source, target=target,
+                                             parents=True))
             replayed = [e for e in session.memo.entries.values()
                         if e.dest_edges is not None]
         with EngineSession(
-                g, EtaGraphConfig(degree_limit=4, track_parents=True,
+                g, EtaGraphConfig(degree_limit=4,
                                   frontier_memo_entries=0)) as session:
-            results.append(session.query(problem, source, target=target))
+            results.append(session.query(problem, source, target=target,
+                                         parents=True))
 
         for r in results:
             assert r.labels.tobytes() == labels.tobytes()

@@ -50,16 +50,13 @@ class TestMemoBitIdentity:
             assert off.memo_hits == 0 and off.memo_misses == 0
 
     def test_track_parents_with_memo(self, social):
-        cfg = EtaGraphConfig(track_parents=True)
-        with EngineSession(social, cfg) as on, \
+        with EngineSession(social) as on, \
                 EngineSession(
-                    social,
-                    EtaGraphConfig(track_parents=True,
-                                   frontier_memo_entries=0),
+                    social, EtaGraphConfig(frontier_memo_entries=0),
                 ) as off:
             for s in (3, 3, 3):
-                p_on = on.query("bfs", s).extras["parents"]
-                p_off = off.query("bfs", s).extras["parents"]
+                p_on = on.query("bfs", s, parents=True).extras["parents"]
+                p_off = off.query("bfs", s, parents=True).extras["parents"]
                 assert np.array_equal(p_on, p_off)
             assert on.memo_hits > 0
 
@@ -235,11 +232,11 @@ class TestEntryContents:
         from repro.core import msbfs
         from repro.core.pagerank import pagerank
 
-        cfg = EtaGraphConfig(smp=True, track_parents=True)
+        cfg = EtaGraphConfig(smp=True)
         with EngineSession(social, cfg) as ses:
             for replayed in (False, True):
-                ses.query("sssp", 0)
-                ses.query("bfs", 5)
+                ses.query("sssp", 0, parents=True)
+                ses.query("bfs", 5, parents=True)
                 msbfs.run_wave(ses, [1, 2, 3])
                 entries = list(ses.memo.entries.values())
                 assert ses.memo_bytes == \
