@@ -75,16 +75,15 @@ class EtaGraphConfig:
     #: per-iteration transform kernel (VST-like, without the raw-data
     #: copy).
     udc_mode: str = "in_core"
-    #: Bound on the per-session frontier memo (entries): repeated batch
-    #: queries hitting an already-seen frontier reuse its degree-cut
-    #: result, edge expansion and kernel :class:`~repro.gpu.traceplan.
-    #: TracePlan` instead of recomputing them.  Purely a simulator-side
-    #: speedup — memoized values are label-independent, so results and
-    #: simulated timings are bit-identical with the memo on or off.
-    #: 0 disables memoization.  Host memory is bounded by the memo's own
-    #: byte budget (:data:`repro.core.memo.MAX_BYTES` per session), not
-    #: by this count.
-    frontier_memo_entries: int = 128
+    #: Keep a per-session frontier memo: repeated batch queries hitting
+    #: an already-seen frontier reuse its degree-cut result, edge
+    #: expansion and kernel :class:`~repro.gpu.traceplan.TracePlan`
+    #: instead of recomputing them.  Purely a simulator-side speedup —
+    #: memoized values are label-independent, so results and simulated
+    #: timings are bit-identical with the memo on or off.  The memo keeps
+    #: an entry only while it shows reuse, and its byte budget
+    #: (:data:`repro.core.memo.MAX_BYTES` per session) is its one bound.
+    frontier_memo: bool = True
     #: Run :mod:`repro.testing.invariants` checks inline on the hot path:
     #: every iteration's shadow slices are verified to exactly partition
     #: their owners' adjacencies, and the finished result's timeline,
@@ -111,11 +110,6 @@ class EtaGraphConfig:
             raise ConfigError("max_iterations must be >= 1")
         if not 0.0 <= self.overlap_efficiency <= 1.0:
             raise ConfigError("overlap_efficiency must be in [0, 1]")
-        if self.frontier_memo_entries < 0:
-            raise ConfigError(
-                f"frontier_memo_entries must be >= 0, "
-                f"got {self.frontier_memo_entries}"
-            )
         if self.udc_mode not in ("in_core", "out_of_core"):
             raise ConfigError(
                 f"udc_mode must be 'in_core' or 'out_of_core', "

@@ -1,28 +1,38 @@
 """The session's frontier memo: each frontier's label-independent
-expansion, kept by active-set content and bounded by entries and bytes.
+expansion, kept by active-set content while it shows reuse, under one
+byte budget.
 
 A :class:`FrontierMemo` maps a frontier's key (a content digest of the
 active set plus the placement facts the values depend on) to its
 :class:`_FrontierExpansion`: the UDC degree cut, the
 ``actSet2virtActSet`` gather stream, the edge expansion and the vertex
-kernel's trace plan.  Entries are evicted least recently used.
+kernel's trace plan.
 
-Two bounds apply.  ``max_entries`` (``EtaGraphConfig.
-frontier_memo_entries``; 0 switches the memo off) caps the count, and
-``max_bytes`` (:data:`MAX_BYTES` per session) caps the host bytes held.
+One bound applies: ``max_bytes`` (:data:`MAX_BYTES` per session) caps
+the host bytes held, and least recently used entries are evicted to it.
 The byte total is a running sum: an entry is charged when it is put,
 and charged again by :meth:`FrontierMemo.settle` after an iteration
 that filled one of its lazy parts, so a warm hit that filled nothing
 pays no recount.
 
-Admission is by frequency only once the budget binds.  A miss whose
-entry fits under ``max_bytes`` is stored on its first sighting; one that
-would push the memo past it is stored only if its key is among the
-*ghosts*, a bounded set of keys (no arrays) of misses refused before, as
-in the 2Q and TinyLFU cache policies.  Otherwise its key joins the
-ghosts.  A warm set that fits, such as a replayed source's frontiers,
-is therefore kept from its first sighting, while one-shot frontiers of
-cold traffic stop displacing it once the memo is full.
+Entries are kept on evidence of reuse, as in the 2Q cache policy:
+
+* **Probation.**  A stored entry is on probation for
+  :data:`PROBATION_LOOKUPS` lookups of its memo.  Only a hit in that
+  time makes it resident.  Otherwise it expires: it is evicted and its
+  key becomes a *ghost*, one of a bounded set of keys (no arrays).  An
+  entry of at most :data:`SMALL_ENTRY_BYTES` is kept instead.
+* **Second sighting.**  Once the memo has evicted an entry that was
+  never read (expired, or pushed out by bytes), a miss is stored only
+  if its key is a ghost.  Any other miss is refused and its key joins
+  the ghosts.  The same rule applies from the start to a miss that
+  would push the memo past ``max_bytes``.
+
+A warm set that recurs within the window, such as a replayed source's
+frontiers, is thus kept from its first sighting.  One-shot frontiers of
+cold traffic are never held longer than one window, and stop being
+stored at all once the first of them expires.  A frontier seen again
+is stored again, but kept only if it is read within its window.
 """
 
 from __future__ import annotations
@@ -37,7 +47,22 @@ import numpy as np
 #: 62 MiB.
 MAX_BYTES = 96 * 2**20
 
-#: Keys of refused misses remembered for second-sighting admission.
+#: Lookups a stored entry may wait for its first hit.  ``bfs-hot`` hits
+#: each warm entry first exactly one 8-source cycle after storing it,
+#: and that cycle is 42-48 lookups (the sum of ``depth + 1`` over the 8
+#: drawn sources, perfbench seeds 1-200), so 64 keeps its warm set with
+#: a margin of 16 lookups.
+PROBATION_LOOKUPS = 64
+
+#: An unread entry that holds at most this many bytes when its window
+#: ends stays, as resident, instead of expiring.  Such an entry costs
+#: under 0.07% of the budget.  On the small graphs the golden traces
+#: pin, every entry is this small (the largest holds 63,400 bytes), so
+#: their memo hits and misses are those of a plain LRU.
+SMALL_ENTRY_BYTES = 64 * 2**10
+
+#: Keys of evicted or refused entries remembered for second-sighting
+#: admission.
 GHOST_KEYS = 4096
 
 
@@ -53,8 +78,9 @@ class _FrontierExpansion:
     every per-iteration derivation, not just the degree cut.
     Label-dependent values (candidates, update counts) are never stored,
     so reusing an entry is bit-identical to recomputing it.  ``nbr``
-    keeps the topology's column dtype (int32 on every surrogate); its
-    consumers index with it or cast it themselves.
+    keeps the topology's column dtype (int32 on every surrogate); an
+    iteration that indexes or counts with it widens it once, through
+    :meth:`wide_nbr`.
 
     ``dests``, ``trace_plan``, ``src_ids``, ``dest_edges`` and
     ``dest_last_src`` are filled lazily: the destinations when a step
@@ -82,7 +108,7 @@ class _FrontierExpansion:
         "shadows", "ids64", "nbr", "dests", "w_per_edge",
         "transform_stream", "trace_plan", "src_ids", "active_bytes",
         "stepped", "dest_edges", "dest_last_src", "charged",
-        "charged_fills",
+        "charged_fills", "nbr_intp",
     )
 
     def __init__(self, *, shadows, ids64, nbr, w_per_edge,
@@ -101,6 +127,25 @@ class _FrontierExpansion:
         self.dest_last_src = None
         self.charged = 0
         self.charged_fills = 0
+        self.nbr_intp = None
+
+    def wide_nbr(self) -> np.ndarray:
+        """``nbr`` as intp, widened at most once per iteration.  Every
+        index and count over one iteration's neighbour ids shares this
+        copy.  The session drops it after its last use, and
+        :meth:`FrontierMemo.settle` drops what an aborted iteration
+        left, so an entry never keeps (or charges) it."""
+        if self.nbr_intp is None:
+            self.nbr_intp = self.nbr.astype(np.intp, copy=False)
+        return self.nbr_intp
+
+    def hand_over_wide_nbr(self) -> np.ndarray:
+        """:meth:`wide_nbr`, no longer held by the entry, for the
+        iteration's last user: holding the only reference, it frees the
+        copy as soon as it is done with it."""
+        wide = self.wide_nbr()
+        self.nbr_intp = None
+        return wide
 
     def destinations(self, num_vertices: int) -> np.ndarray:
         """Sorted unique neighbor ids (exactly ``np.unique(nbr)``, as
@@ -108,9 +153,7 @@ class _FrontierExpansion:
         sort — and kept."""
         if self.dests is None:
             hit = np.zeros(num_vertices, dtype=bool)
-            # Scattering through an int32 index costs about 1.7x an
-            # intp one; the widened copy is not kept.
-            hit[self.nbr.astype(np.intp, copy=False)] = True
+            hit[self.wide_nbr()] = True
             self.dests = np.flatnonzero(hit)
         return self.dests
 
@@ -128,7 +171,7 @@ class _FrontierExpansion:
             if not self.stepped:
                 self.stepped = True
                 return None
-            counts = np.bincount(self.nbr, minlength=num_vertices)
+            counts = np.bincount(self.wide_nbr(), minlength=num_vertices)
             self.dest_edges = counts.take(self.dests).astype(np.int32)
         return self.dest_edges
 
@@ -139,7 +182,7 @@ class _FrontierExpansion:
         if self.dest_last_src is None:
             last = np.empty(num_vertices, dtype=dtype)
             # Repeated indices: the last edge's value is the one kept.
-            last[self.nbr] = self.edge_sources()
+            last[self.wide_nbr()] = self.edge_sources()
             self.dest_last_src = last.take(self.dests)
         return self.dest_last_src
 
@@ -173,18 +216,20 @@ class _FrontierExpansion:
 
 
 class FrontierMemo:
-    """Bounded LRU of frontier expansions with ghost admission.
+    """Byte-bounded LRU of frontier expansions, admitted on reuse.
 
     ``placement`` holds the session-fixed facts that join every key (the
-    memory mode and the compression flag).  ``hits``, ``misses``,
-    ``collisions`` and ``rejections`` (misses refused because the memo
-    was full) only count up; :meth:`invalidate` keeps them.
+    memory mode and the compression flag).  ``probation`` maps each key
+    stored and not yet hit to the lookup count at which it was stored;
+    ``ghosts`` holds keys without entries.  ``hits``, ``misses``,
+    ``collisions`` and ``rejections`` (misses the admission rule
+    refused) only count up; :meth:`invalidate` keeps them.
     """
 
-    def __init__(self, max_entries: int, max_bytes: int = MAX_BYTES, *,
+    def __init__(self, max_bytes: int = MAX_BYTES, *,
                  placement: tuple = ()):
-        self.max_entries = max_entries
         self.max_bytes = max_bytes
+        self.window = PROBATION_LOOKUPS
         self.placement = placement
         self.entries: OrderedDict[tuple, _FrontierExpansion] = OrderedDict()
         #: Running total of the entries' charged bytes.
@@ -196,7 +241,13 @@ class FrontierMemo:
         #: another frontier's expansion.
         self.collisions = 0
         self.rejections = 0
-        self._ghosts: OrderedDict[tuple, None] = OrderedDict()
+        #: Lookups so far; probation stamps count in them.
+        self.lookups = 0
+        self.probation: OrderedDict[tuple, int] = OrderedDict()
+        self.ghosts: OrderedDict[tuple, None] = OrderedDict()
+        #: Whether an entry that was never read has been evicted, so a
+        #: first sighting is no longer stored.
+        self.selective = False
         #: Key of the entry the current iteration uses, until settled.
         self._in_use: tuple | None = None
 
@@ -241,9 +292,12 @@ class FrontierMemo:
 
     def get(self, key: tuple,
             active_bytes: bytes) -> _FrontierExpansion | None:
-        """The entry for ``key`` (now most recently used), or ``None``."""
+        """The entry for ``key`` (now most recently used, and resident),
+        or ``None``.  Probation entries this lookup was the last chance
+        for then expire."""
         # An iteration that raised before its settle is settled here.
         self.settle()
+        self.lookups += 1
         entry = self.entries.get(key)
         if entry is not None and entry.active_bytes != active_bytes:
             # Digest collision: the stored expansion belongs to a
@@ -253,48 +307,82 @@ class FrontierMemo:
             entry = None
         if entry is None:
             self.misses += 1
-            return None
-        self.entries.move_to_end(key)
-        self.hits += 1
-        self._in_use = key
+        else:
+            self.entries.move_to_end(key)
+            self.probation.pop(key, None)
+            self.hits += 1
+            self._in_use = key
+        # An entry stored at lookup ``s`` may be hit up to lookup
+        # ``s + window``; the stamps run in storing order.
+        probation = self.probation
+        while probation:
+            stale, stamp = next(iter(probation.items()))
+            if stamp > self.lookups - self.window:
+                break
+            if self.entries[stale].charged > SMALL_ENTRY_BYTES:
+                self._evict(stale, self.entries.pop(stale))
+            else:
+                del probation[stale]
         return entry
 
     def put(self, key: tuple, entry: _FrontierExpansion) -> None:
-        """Store a missed frontier's ``entry`` if the policy admits it:
-        always while it fits under ``max_bytes``, and past that only on
-        its key's second sighting, evicting LRU entries to make room."""
+        """Store a missed frontier's ``entry``, on probation, if the
+        policy admits it: on any sighting while no unread entry has been
+        evicted and it fits under ``max_bytes``, else only on its key's
+        second sighting, evicting LRU entries to make room."""
         old = self.entries.pop(key, None)
         if old is not None:
             self.bytes -= old.charged
+            self.probation.pop(key, None)
         size = entry.nbytes
-        if self.bytes + size > self.max_bytes:
-            if key not in self._ghosts or size > self.max_bytes:
-                self._ghosts[key] = None
-                if len(self._ghosts) > GHOST_KEYS:
-                    self._ghosts.popitem(last=False)
-                self.rejections += 1
-                return
-            del self._ghosts[key]
+        ghost = key in self.ghosts
+        if size > self.max_bytes or not ghost and (
+                self.selective or self.bytes + size > self.max_bytes):
+            self._ghost(key)
+            self.rejections += 1
+            return
+        if ghost:
+            del self.ghosts[key]
+        self.probation[key] = self.lookups
         self.entries[key] = entry
         self._in_use = key
         self._charge(entry, size)
 
     def settle(self) -> None:
         """Charge the entry in use again if its lazy parts grew since
-        its last charge, then evict to the bounds.  An entry that filled
-        nothing costs one :meth:`~_FrontierExpansion.fills` count."""
+        its last charge, then evict to the budget, and drop any widened
+        neighbour ids the iteration left.  An entry that filled nothing
+        costs one :meth:`~_FrontierExpansion.fills` count."""
         key, self._in_use = self._in_use, None
         entry = self.entries.get(key) if key is not None else None
-        if entry is not None and entry.fills() != entry.charged_fills:
-            self.bytes -= entry.charged
-            self._charge(entry, entry.nbytes)
+        if entry is not None:
+            entry.nbr_intp = None
+            if entry.fills() != entry.charged_fills:
+                self.bytes -= entry.charged
+                self._charge(entry, entry.nbytes)
 
     def invalidate(self) -> None:
-        """Drop every entry and ghost; the counters keep counting."""
+        """Drop every entry and ghost and admit first sightings again;
+        the counters keep counting."""
         self.entries.clear()
-        self._ghosts.clear()
+        self.probation.clear()
+        self.ghosts.clear()
+        self.selective = False
         self.bytes = 0
         self._in_use = None
+
+    def _ghost(self, key: tuple) -> None:
+        self.ghosts[key] = None
+        self.ghosts.move_to_end(key)
+        if len(self.ghosts) > GHOST_KEYS:
+            self.ghosts.popitem(last=False)
+
+    def _evict(self, key: tuple, entry: _FrontierExpansion) -> None:
+        """Account for ``entry``, already removed from ``entries``."""
+        self.bytes -= entry.charged
+        if self.probation.pop(key, None) is not None:
+            self.selective = True
+        self._ghost(key)
 
     def _charge(self, entry: _FrontierExpansion, size: int) -> None:
         entry.charged = size
@@ -303,7 +391,5 @@ class FrontierMemo:
         # The entry in use is the most recently used, and at least one
         # entry stays, so eviction from the LRU end never reaches it.
         entries = self.entries
-        while len(entries) > self.max_entries or (
-                self.bytes > self.max_bytes and len(entries) > 1):
-            _, old = entries.popitem(last=False)
-            self.bytes -= old.charged
+        while self.bytes > self.max_bytes and len(entries) > 1:
+            self._evict(*entries.popitem(last=False))

@@ -286,9 +286,10 @@ def run_wave(
         else:
             # Push: scatter the frontier's edges.
             fresh = np.repeat(mask[entry.ids64], entry.shadows.degrees)
-            fresh &= unseen[entry.nbr]
+            nbr = entry.wide_nbr()
+            fresh &= unseen[nbr]
             new_bits = np.zeros(n, dtype=np.uint64)
-            np.bitwise_or.at(new_bits, entry.nbr, fresh)
+            np.bitwise_or.at(new_bits, nbr, fresh)
         attempted = int(np.count_nonzero(fresh))
         changed = np.flatnonzero(new_bits)
 

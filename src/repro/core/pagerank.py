@@ -108,7 +108,7 @@ def pagerank(
         share = damping * residual[src] / degrees[src]
         ranks[active] += residual[active]
         residual[active] = 0.0
-        np.add.at(residual, entry.nbr,
+        np.add.at(residual, entry.wide_nbr(),
                   np.repeat(share, entry.shadows.degrees))
         return len(entry.nbr), np.flatnonzero(residual > tolerance), 0, False
 

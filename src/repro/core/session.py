@@ -190,7 +190,6 @@ class EngineSession:
         #: The frontier memo: a hit means an iteration reused a
         #: previously computed degree cut / edge expansion / trace plan.
         self.memo = FrontierMemo(
-            self.config.frontier_memo_entries,
             placement=(self.config.memory_mode.value, self.compressed),
         )
 
@@ -516,11 +515,14 @@ class EngineSession:
         return self.memo.bytes
 
     def invalidate_memo(self) -> None:
-        """Drop every frontier-memo entry (subsequent lookups miss and
-        recompute).  Memoized values are label-independent, so results
-        are bit-identical before and after.  The memo bounds its own
-        bytes, so this is not how host memory is bounded; fault
-        injection uses it to flush the memo."""
+        """Drop every frontier-memo entry and ghost: later lookups miss
+        and recompute, and first sightings are stored again.  Memoized
+        values are label-independent, so results are bit-identical
+        before and after.  The memo bounds itself (an unread entry
+        expires after one probation window, and the bytes held stay
+        within :data:`repro.core.memo.MAX_BYTES`), so this is not how
+        host memory is bounded; fault injection uses it to flush the
+        memo."""
         self.memo.invalidate()
 
     def metrics_snapshot(self) -> dict:
@@ -594,7 +596,6 @@ class EngineSession:
         visited[seeds] = True
 
         def relax(active, entry, iteration):
-            nbr = entry.nbr
             dests = entry.destinations(n)
             src_labels = labels.take(entry.ids64)
             before = labels.take(dests)
@@ -609,13 +610,14 @@ class EngineSession:
                     attempted = int(
                         dest_edges[problem.improves(cand, before)].sum())
                 else:
-                    attempted = int(np.count_nonzero(
-                        problem.improves(cand, labels.take(nbr))))
+                    attempted = int(np.count_nonzero(problem.improves(
+                        cand, labels.take(entry.wide_nbr()))))
                 problem.scatter_reduce(
                     labels, dests, np.broadcast_to(cand, dests.shape))
             else:
                 # Exact label propagation: scatter-reduce the candidate
                 # of every frontier edge.
+                nbr = entry.wide_nbr()
                 cand = problem.candidates(
                     np.repeat(src_labels, entry.shadows.degrees),
                     entry.w_per_edge,
@@ -759,10 +761,10 @@ class EngineSession:
         spec = self.device
         caches = self.caches
         prof, timeline, tr = run.prof, run.timeline, run.tr
-        check_udc_partition = check_memo_bytes = None
+        check_udc_partition = check_memo = None
         if cfg.check_invariants:
             from repro.testing.invariants import (
-                check_memo_bytes, check_udc_partition,
+                check_memo, check_udc_partition,
             )
         offsets_arr = self._offsets_arr
         cols_arr = self._cols_arr
@@ -816,7 +818,7 @@ class EngineSession:
             # traffic and cost are paid every iteration either way.
             entry = key = None
             active_bytes = b""
-            if cfg.frontier_memo_entries > 0:
+            if cfg.frontier_memo:
                 if self.injector is not None:
                     self.injector.on_memo_lookup(self)
                 active_bytes = np.ascontiguousarray(active).tobytes()
@@ -914,7 +916,7 @@ class EngineSession:
                     starts=shadows.starts,
                     degrees=shadows.degrees,
                     adj_array=cols_arr,
-                    neighbor_ids=entry.nbr,
+                    neighbor_ids=entry.hand_over_wide_nbr(),
                     label_array=work_arr,
                     weight_array=weights_arr,
                     meta_array=frontier.virt_act_set,
@@ -925,6 +927,10 @@ class EngineSession:
                     ),
                     trace_cap=gpukernel.TRACE_CAP,
                 )
+            else:
+                # No later part of the iteration reads the widened ids:
+                # drop them before the cache walk's allocations.
+                entry.nbr_intp = None
             if self.injector is not None:
                 # The ECC check point: an injected bit flip lands in the
                 # device working array and aborts the launch with a typed
@@ -1008,8 +1014,8 @@ class EngineSession:
             if stop:
                 break
 
-        if check_memo_bytes is not None:
-            check_memo_bytes(self.memo)
+        if check_memo is not None:
+            check_memo(self.memo)
         d2h_ms = d2h_copy(spec, prof, work_arr.nbytes, injector=self.injector)
         run.record(f"{label}-d2h", "transfer", clock, d2h_ms,
                    nbytes=work_arr.nbytes)

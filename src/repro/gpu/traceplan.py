@@ -325,6 +325,14 @@ def build_vertex_trace(
     if sampled_edges:
         steps = _WarpSteps(starts, degrees, sampled_edges, warp_size,
                            sector_bytes)
+        # Label gathers: scattered by destination id; one per step in
+        # both modes (SMP prefetches topology, not labels).  Built first
+        # so the ids are released before the topology streams: a caller
+        # that handed over its only reference (the session's widened
+        # ids) frees them here.
+        label_sectors = steps.sectors(
+            label_array, np.asarray(neighbor_ids, dtype=np.int64))
+        del neighbor_ids
         if smp:
             # Unrolled burst: the whole warp's prefetch loads coalesce.
             # The burst length is the *planned* K / K-1 bin size, which
@@ -347,11 +355,7 @@ def build_vertex_trace(
                 if array is not None:
                     segments.append(steps.sectors(array))
 
-        # Label gathers: scattered by destination id; one per step in
-        # both modes (SMP prefetches topology, not labels).
-        segments.append(steps.sectors(
-            label_array, np.asarray(neighbor_ids, dtype=np.int64)
-        ))
+        segments.append(label_sectors)
 
     if idle_threads:
         idle_ids = np.arange(idle_threads, dtype=np.int64)

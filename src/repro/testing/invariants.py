@@ -173,14 +173,25 @@ def check_cache(cache) -> None:
         )
 
 
-def check_memo_bytes(memo) -> None:
+def check_memo(memo) -> None:
     """A :class:`~repro.core.memo.FrontierMemo`'s running byte total
-    equals the sum of its entries' ``nbytes``: no lazily filled part
-    went uncharged."""
+    equals the sum of its entries' ``nbytes`` (no lazily filled part
+    went uncharged), every probation key is a live entry that has not
+    yet waited out its probation window, and no ghost key has an
+    entry."""
     held = sum(entry.nbytes for entry in memo.entries.values())
     if memo.bytes != held:
         _fail(f"frontier memo charges {memo.bytes} B but its "
               f"{len(memo.entries)} entries hold {held} B")
+    for key, stamp in memo.probation.items():
+        if key not in memo.entries:
+            _fail(f"frontier memo probation key {key!r} has no entry")
+        if memo.lookups - stamp >= memo.window:
+            _fail(f"frontier memo probation entry {key!r} is "
+                  f"{memo.lookups - stamp} lookups old, past its "
+                  f"{memo.window}-lookup window")
+    if not memo.ghosts.keys().isdisjoint(memo.entries.keys()):
+        _fail("frontier memo holds an entry whose key is a ghost")
 
 
 def check_kernel_counters(counters) -> None:

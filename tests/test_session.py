@@ -397,7 +397,7 @@ class TestPerDestinationStep:
                         if e.dest_edges is not None]
         with EngineSession(
                 g, EtaGraphConfig(degree_limit=4,
-                                  frontier_memo_entries=0)) as session:
+                                  frontier_memo=False)) as session:
             results.append(session.query(problem, source, target=target,
                                          parents=True))
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro import EngineSession, EtaGraphConfig
-from repro.core.memo import FrontierMemo, _FrontierExpansion
+from repro.core.memo import (
+    SMALL_ENTRY_BYTES, FrontierMemo, _FrontierExpansion,
+)
 from repro.errors import InvariantViolation
 from repro.graph import generators
 from repro.graph.weights import attach_weights
@@ -40,7 +42,7 @@ class TestMemoBitIdentity:
         sources = [0, 5, 0, 5, 9, 0]
         with EngineSession(social, EtaGraphConfig()) as on, \
                 EngineSession(
-                    social, EtaGraphConfig(frontier_memo_entries=0)
+                    social, EtaGraphConfig(frontier_memo=False)
                 ) as off:
             for s in sources:
                 r_on = on.query(problem, s)
@@ -52,7 +54,7 @@ class TestMemoBitIdentity:
     def test_track_parents_with_memo(self, social):
         with EngineSession(social) as on, \
                 EngineSession(
-                    social, EtaGraphConfig(frontier_memo_entries=0),
+                    social, EtaGraphConfig(frontier_memo=False),
                 ) as off:
             for s in (3, 3, 3):
                 p_on = on.query("bfs", s, parents=True).extras["parents"]
@@ -66,7 +68,7 @@ class TestMemoBitIdentity:
                 EngineSession(
                     social,
                     EtaGraphConfig(udc_mode="out_of_core",
-                                   frontier_memo_entries=0),
+                                   frontier_memo=False),
                 ) as off:
             for s in (1, 1):
                 assert _result_signature(on.query("bfs", s)) == \
@@ -149,11 +151,17 @@ class TestMemoAccounting:
             assert ses.memo_misses == misses_first
 
     def test_memo_bounded(self, social):
-        cfg = EtaGraphConfig(frontier_memo_entries=3)
-        with EngineSession(social, cfg) as ses:
+        """Bytes are the memo's one bound, and the off switch holds
+        nothing."""
+        off_cfg = EtaGraphConfig(frontier_memo=False)
+        with EngineSession(social) as ses, \
+                EngineSession(social, off_cfg) as off:
+            ses.memo.max_bytes = 64 * 1024
             for s in range(6):
                 ses.query("bfs", s)
-            assert ses.memo_entries <= 3
+                off.query("bfs", s)
+            assert 0 < ses.memo_bytes <= 64 * 1024
+            assert off.memo_entries == 0 and off.memo_bytes == 0
 
     def test_memo_bytes_tracks_entries(self, social):
         with EngineSession(social) as ses:
@@ -221,6 +229,34 @@ class TestEntryContents:
             assert entry.dests.dtype == np.int64
             assert np.array_equal(entry.dests, np.unique(entry.nbr))
             assert entry.nbr.dtype == social.column_indices.dtype
+
+    @pytest.mark.parametrize("wave", [False, True])
+    def test_iteration_widens_neighbor_ids_once(self, social, monkeypatch,
+                                                wave):
+        """The step and the trace plan share one intp copy of an
+        entry's int32 neighbour ids, dropped when the iteration
+        settles; entries keep only the int32 ids."""
+        from repro.core import msbfs
+        from repro.gpu import kernel
+
+        build = kernel.build_vertex_trace
+        seen = []
+
+        def spy(spec, **kw):
+            seen.append(kw["neighbor_ids"].dtype)
+            return build(spec, **kw)
+
+        monkeypatch.setattr(kernel, "build_vertex_trace", spy)
+        with EngineSession(social) as ses:
+            if wave:
+                msbfs.run_wave(ses, list(range(8)))
+            else:
+                ses.query("bfs", 0, parents=True)
+            entries = list(ses.memo.entries.values())
+        assert seen and set(seen) == {np.dtype(np.intp)}
+        assert entries
+        assert all(e.nbr_intp is None and e.nbr.dtype == np.int32
+                   for e in entries)
 
     def test_nbytes_counts_exactly_what_entries_hold(self, social):
         """Replayed query and wave frontiers walk their streams again,
@@ -304,6 +340,10 @@ def _entry(nbytes: int) -> _FrontierExpansion:
     )
 
 
+#: The size of the smallest entry that can expire unread.
+BIG = SMALL_ENTRY_BYTES + 1
+
+
 def _warm_counts(ses, sources, cycles):
     """Per-query ``(hits, misses)`` deltas, one list per cycle."""
     counts = []
@@ -319,7 +359,7 @@ def _warm_counts(ses, sources, cycles):
 
 class TestMemoPolicy:
     def test_byte_bound_evicts_lru_but_never_the_entry_in_use(self):
-        memo = FrontierMemo(max_entries=16, max_bytes=1000)
+        memo = FrontierMemo(max_bytes=1000)
         entries = [_entry(300) for _ in range(3)]
         for i, entry in enumerate(entries):
             memo.put(i, entry)
@@ -337,7 +377,7 @@ class TestMemoPolicy:
         assert list(memo.entries) == [0] and memo.bytes == 1100
 
     def test_full_memo_admits_on_second_sighting(self):
-        memo = FrontierMemo(max_entries=16, max_bytes=1000)
+        memo = FrontierMemo(max_bytes=1000)
         memo.put("a", _entry(600))
         assert list(memo.entries) == ["a"] and memo.rejections == 0
         memo.put("b", _entry(600))
@@ -349,11 +389,116 @@ class TestMemoPolicy:
         assert memo.rejections == 1
 
     def test_entry_larger_than_the_budget_is_never_stored(self):
-        memo = FrontierMemo(max_entries=16, max_bytes=1000)
+        memo = FrontierMemo(max_bytes=1000)
         memo.put("a", _entry(100))
         for _ in range(2):
             memo.put("huge", _entry(1001))
         assert list(memo.entries) == ["a"] and memo.rejections == 2
+
+    def test_unread_entry_expires_after_the_window(self):
+        """An entry stored on first sighting can be hit during the next
+        ``window`` lookups; unread by then, it is evicted and its key
+        becomes a ghost."""
+        memo = FrontierMemo()
+        window = memo.window
+        assert memo.get("a", b"") is None
+        memo.put("a", _entry(BIG))
+        for k in range(window - 1):
+            assert memo.get(k, b"") is None
+        assert list(memo.entries) == ["a"] and "a" in memo.probation
+        assert memo.get("x", b"") is None
+        assert len(memo) == 0 and memo.bytes == 0
+        assert not memo.probation and "a" in memo.ghosts
+        assert memo.selective
+
+    def test_small_unread_entry_outlives_its_window(self):
+        memo = FrontierMemo()
+        memo.window = 2
+        memo.get("a", b"")
+        memo.put("a", _entry(SMALL_ENTRY_BYTES))
+        for k in range(3):
+            memo.get(k, b"")
+        assert list(memo.entries) == ["a"] and not memo.probation
+        assert not memo.selective
+
+    def test_after_an_unread_eviction_a_miss_needs_a_second_sighting(self):
+        memo = FrontierMemo()
+        memo.window = 2
+        for key in ("a", "b"):
+            assert memo.get(key, b"") is None
+            memo.put(key, _entry(BIG))
+        assert list(memo.probation) == ["a", "b"]
+        assert memo.get("z", b"") is None  # "a" unread for 2 lookups
+        assert list(memo.entries) == ["b"] and memo.selective
+        # A first sighting is refused, though it fits, and ghosted.
+        memo.put("c", _entry(100))
+        assert "c" not in memo.entries and memo.rejections == 1
+        # Its second sighting, and the expired key's, are stored on
+        # probation again; no longer ghosts.  A hit makes them resident.
+        for key in ("c", "a"):
+            assert memo.get(key, b"") is None
+            memo.put(key, _entry(BIG))
+        assert list(memo.probation) == ["c", "a"]
+        assert not memo.ghosts.keys() & memo.entries.keys()
+        assert memo.get("c", b"") is not None and memo.get("a", b"")
+        assert set(memo.entries) == {"a", "c"} and not memo.probation
+        assert memo.rejections == 1
+
+    def test_cycle_of_one_window_hits_from_its_second_cycle(self):
+        """Keys replayed every ``window`` lookups are hit from their
+        second cycle on and never refused.  One lookup longer, none is
+        ever read within its window: each sighting stores it again, and
+        the memo never holds more than one window of entries."""
+        def cycles(memo, length, count):
+            hits = []
+            for _ in range(count):
+                hits.append(0)
+                for k in range(length):
+                    if memo.get(k, b"") is None:
+                        memo.put(k, _entry(BIG))
+                    else:
+                        hits[-1] += 1
+            return hits
+
+        memo = FrontierMemo()
+        window = memo.window
+        assert cycles(memo, window, 4) == [0] + [window] * 3
+        assert memo.rejections == 0 and not memo.probation
+        memo = FrontierMemo()
+        assert cycles(memo, window + 1, 3) == [0, 0, 0]
+        assert len(memo) == window
+
+    def test_one_shot_stream_holds_at_most_one_window(self):
+        memo = FrontierMemo()
+        window = memo.window
+        held = []
+        for k in range(4 * window):
+            assert memo.get(k, b"") is None
+            memo.put(k, _entry(BIG))
+            held.append(len(memo))
+        assert max(held) == window
+        assert len(memo) == 0 and memo.bytes == 0
+        assert memo.rejections == 3 * window
+
+    def test_invariant_checks_probation_and_ghosts(self):
+        from repro.testing.invariants import check_memo
+
+        memo = FrontierMemo(max_bytes=1000)
+        memo.window = 2
+        memo.get("a", b"")
+        memo.put("a", _entry(100))
+        check_memo(memo)
+        memo.lookups += 2  # waited out its window without expiring
+        with pytest.raises(InvariantViolation, match="window"):
+            check_memo(memo)
+        memo.lookups -= 2
+        memo.ghosts["a"] = None
+        with pytest.raises(InvariantViolation, match="ghost"):
+            check_memo(memo)
+        del memo.ghosts["a"]
+        memo.probation["gone"] = memo.lookups
+        with pytest.raises(InvariantViolation, match="no entry"):
+            check_memo(memo)
 
     def test_session_replays_repeat_from_the_second_cycle(self, social):
         """``bfs-hot``'s warm-state property in miniature: with a budget
@@ -374,7 +519,7 @@ class TestMemoPolicy:
         assert [h + m for h, m in first] == [h + m for h, m in second]
 
     def test_invalidate_clears_entries_ghosts_and_bytes(self, social):
-        memo = FrontierMemo(max_entries=16, max_bytes=1000)
+        memo = FrontierMemo(max_bytes=1000)
         memo.put("a", _entry(600))
         memo.put("b", _entry(600))  # refused: its key is now a ghost
         memo.invalidate()
