@@ -17,10 +17,12 @@ Format (``payload`` + ``row_byte_offsets``, both device-placeable):
   deltas are small non-negative gaps; the encoding never *requires*
   sortedness, which is what makes the round trip byte-for-byte exact on
   arbitrary input.
-* Deltas are zigzag-mapped to unsigned (``z = (d << 1) ^ (d >> 63)``)
-  and written as little-endian base-128 varints: 7 payload bits per
-  byte, high bit set on every byte except the last.  A 32-bit vertex
-  space needs at most 5 bytes per delta.
+* Deltas are zigzag-mapped to unsigned 32-bit codes
+  (``z = (d << 1) ^ (d >> 31)``) and written as little-endian base-128
+  varints: 7 payload bits per byte, high bit set on every byte except
+  the last.  A delta between two int32 vertex ids lies in
+  ``(-2**31, 2**31)``, so every code is below ``2**32`` and takes at
+  most 5 bytes.
 * ``row_byte_offsets`` (one entry per vertex + 1) replaces
   ``row_offsets``: byte offset of each row's first varint in
   ``payload``.  Varints never span rows, so the payload is
@@ -35,6 +37,9 @@ payload byte ranges a placement must move (:meth:`edge_byte_ranges`) —
 the sector-granular accounting EMOGI-style direct access is built on.
 
 Everything is vectorized; there is no per-edge Python loop anywhere.
+Encode and decode handle byte 0 of every varint in one pass, then walk
+only the varints still open, so their cost follows the payload's size
+rather than five passes over every edge.
 """
 
 from __future__ import annotations
@@ -44,29 +49,72 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph, OFFSET_DTYPE, VERTEX_DTYPE, WORD_BYTES
 
-#: Upper bound on varint bytes per delta: zigzag of a 32-bit-range delta
-#: fits 33 bits -> ceil(33 / 7) = 5 bytes.
-_MAX_VARINT_BYTES = 5
-
 
 def _zigzag(deltas: np.ndarray) -> np.ndarray:
-    """Signed int64 deltas -> unsigned zigzag codes (as uint64)."""
-    return ((deltas << 1) ^ (deltas >> 63)).astype(np.uint64)
+    """Signed int32 deltas -> unsigned zigzag codes (uint32).
+
+    ``d << 1`` wraps in int32, but its bit pattern is the code's: every
+    delta between two int32 vertex ids lies in ``(-2**31, 2**31)``.
+    """
+    return ((deltas << 1) ^ (deltas >> 31)).view(np.uint32)
 
 
 def _unzigzag(codes: np.ndarray) -> np.ndarray:
-    """Unsigned zigzag codes -> signed int64 deltas."""
-    codes = codes.astype(np.uint64)
-    return ((codes >> np.uint64(1)).astype(np.int64)
-            ^ -(codes & np.uint64(1)).astype(np.int64))
+    """Unsigned zigzag codes (uint32) -> signed int32 deltas."""
+    deltas = (codes >> 1).view(np.int32)
+    deltas ^= -(codes & 1).view(np.int32)
+    return deltas
 
 
-def _varint_lengths(codes: np.ndarray) -> np.ndarray:
-    """Encoded byte count of each zigzag code (vectorized)."""
-    lengths = np.ones(len(codes), dtype=np.int64)
-    for b in range(1, _MAX_VARINT_BYTES):
-        lengths += (codes >= np.uint64(1) << np.uint64(7 * b)).astype(np.int64)
-    return lengths
+def _write_varints(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LEB128-encode uint32 ``codes`` back to back.
+
+    Returns the payload (uint8) and the byte offset of every varint
+    (``len(codes) + 1`` entries, int64).  Byte 0 of every varint is
+    written in one pass; each later pass walks only the varints still
+    open, so a code of ``k`` bytes is touched ``k`` times.
+    """
+    lengths = np.ones(len(codes), dtype=np.uint8)
+    for b in range(1, 5):
+        lengths += codes >= 1 << 7 * b
+    offsets = np.zeros(len(codes) + 1, dtype=np.int64)
+    np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
+    payload = np.empty(int(offsets[-1]), dtype=np.uint8)
+    pos = offsets[:-1]
+    rest = codes
+    while len(rest):
+        more = rest > 0x7F
+        # The low byte's bit 7 is clear whenever no byte follows.
+        payload[pos] = rest.astype(np.uint8) | (more.view(np.uint8) << 7)
+        open_ = np.flatnonzero(more)
+        rest = rest[open_] >> 7
+        pos = pos[open_] + 1
+    return payload, offsets
+
+
+def _read_varints(payload: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a payload of back-to-back varints.
+
+    Returns the codes (uint32) and one past each varint's last byte
+    (int64): a terminator byte has bit 7 clear.
+    """
+    ends = np.flatnonzero(payload < 0x80) + 1
+    pos = np.zeros_like(ends)
+    pos[1:] = ends[:-1]
+    byte = payload[pos]
+    codes = (byte & 0x7F).astype(np.uint32)
+    open_ = np.flatnonzero(byte >= 0x80)
+    pos = pos[open_]
+    shift = 7
+    while len(open_):
+        pos += 1
+        byte = payload[pos]
+        codes[open_] |= (byte & 0x7F).astype(np.uint32) << shift
+        more = np.flatnonzero(byte >= 0x80)
+        open_ = open_[more]
+        pos = pos[more]
+        shift += 7
+    return codes, ends
 
 
 class CompressedCSRGraph:
@@ -112,10 +160,9 @@ class CompressedCSRGraph:
 
     @staticmethod
     def _encode(csr: CSRGraph):
-        cols = csr.column_indices.astype(np.int64)
+        cols = csr.column_indices
         offsets = csr.row_offsets.astype(np.int64)
         n = csr.num_vertices
-        degrees = np.diff(offsets)
         if len(cols) == 0:
             payload = np.empty(0, dtype=np.uint8)
             row_byte_offsets = np.zeros(n + 1, dtype=np.uint32)
@@ -127,31 +174,13 @@ class CompressedCSRGraph:
         # otherwise.
         prev = np.empty_like(cols)
         prev[1:] = cols[:-1]
-        nonempty = degrees > 0
-        row_starts = offsets[:-1][nonempty]
-        prev[row_starts] = np.arange(n, dtype=np.int64)[nonempty]
-        deltas = cols - prev
-        codes = _zigzag(deltas)
-        lengths = _varint_lengths(codes)
+        nonempty = np.flatnonzero(np.diff(offsets))
+        prev[offsets[nonempty]] = nonempty
+        payload, edge_byte_offsets = _write_varints(_zigzag(cols - prev))
 
-        edge_byte_offsets = np.zeros(len(cols) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=edge_byte_offsets[1:])
-        total = int(edge_byte_offsets[-1])
-        payload = np.zeros(total, dtype=np.uint8)
-        starts = edge_byte_offsets[:-1]
-        for b in range(_MAX_VARINT_BYTES):
-            has_byte = lengths > b
-            if not has_byte.any():
-                break
-            byte = (codes[has_byte] >> np.uint64(7 * b)) \
-                & np.uint64(0x7F)
-            cont = (lengths[has_byte] - 1 > b)
-            payload[starts[has_byte] + b] = \
-                byte.astype(np.uint8) | (cont.astype(np.uint8) << 7)
-
-        row_byte = edge_byte_offsets[offsets]
-        offset_dtype = np.uint32 if total < 2**32 else np.int64
-        return payload, row_byte.astype(offset_dtype), edge_byte_offsets
+        offset_dtype = np.uint32 if len(payload) < 2**32 else np.int64
+        row_byte = edge_byte_offsets[offsets].astype(offset_dtype)
+        return payload, row_byte, edge_byte_offsets
 
     def decode(self) -> CSRGraph:
         """The exact dense CSR this graph encodes (cached).
@@ -174,22 +203,7 @@ class CompressedCSRGraph:
             self._dense = dense
             return dense
 
-        # Varint boundaries from continuation bits: a terminator byte has
-        # the high bit clear.
-        ends = np.flatnonzero(payload < 0x80) + 1
-        starts = np.empty_like(ends)
-        starts[0] = 0
-        starts[1:] = ends[:-1]
-        lengths = ends - starts
-        codes = np.zeros(len(ends), dtype=np.uint64)
-        for b in range(_MAX_VARINT_BYTES):
-            has_byte = lengths > b
-            if not has_byte.any():
-                break
-            codes[has_byte] |= (
-                (payload[starts[has_byte] + b] & np.uint8(0x7F))
-                .astype(np.uint64) << np.uint64(7 * b)
-            )
+        codes, ends = _read_varints(payload)
         deltas = _unzigzag(codes)
 
         # Rows: varints never span a row boundary, so the number of edges
@@ -197,19 +211,22 @@ class CompressedCSRGraph:
         # before it.
         row_byte = self.row_byte_offsets.astype(np.int64)
         row_offsets = np.searchsorted(ends, row_byte, side="right")
-        degrees = np.diff(row_offsets)
-        owners = np.repeat(np.arange(n, dtype=np.int64), degrees)
 
-        # Per-row prefix sums via one global cumsum: subtract each row's
-        # incoming cumulative total from its elements.
-        gsum = np.cumsum(deltas)
-        before = np.zeros(len(deltas) + 1, dtype=np.int64)
-        before[1:] = gsum
-        cols = owners + gsum - np.repeat(before[row_offsets[:-1]], degrees)
+        # Retarget each row's first delta from its owner to the last
+        # column of the row before it (0 for the first row with edges);
+        # one running sum then decodes every row.  It is exact in int32:
+        # every partial sum is a column, or a column minus its owner.
+        nonempty = np.flatnonzero(np.diff(row_offsets))
+        firsts = row_offsets[nonempty]
+        last_cols = nonempty + np.add.reduceat(deltas, firsts, dtype=np.int64)
+        before = np.zeros_like(last_cols)
+        before[1:] = last_cols[:-1]
+        deltas[firsts] += (nonempty - before).astype(np.int32)
+        cols = np.cumsum(deltas, dtype=np.int32, out=deltas)
 
         dense = CSRGraph(
             row_offsets.astype(OFFSET_DTYPE),
-            cols.astype(VERTEX_DTYPE),
+            cols,
             self.edge_weights,
             validate=False,
         )

@@ -57,19 +57,21 @@ def rmat_edges(
     if scale < 1 or scale > 30:
         raise DatasetError(f"RMAT scale must be in [1, 30], got {scale}")
     rng = np.random.default_rng(seed)
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
+    # Ids stay below 2**30, so they are built in int32 in place.
+    src = np.zeros(num_edges, dtype=VERTEX_DTYPE)
+    dst = np.zeros(num_edges, dtype=VERTEX_DTYPE)
+    r = np.empty(num_edges)
     ab = a + b
     abc = a + b + c
     for _ in range(scale):
-        r = rng.random(num_edges)
+        rng.random(out=r)
         # Quadrant decoding: bit of src set for quadrants c, d;
         # bit of dst set for quadrants b, d.
-        src_bit = r >= ab
-        dst_bit = (r >= a) & (r < ab) | (r >= abc)
-        src = (src << 1) | src_bit
-        dst = (dst << 1) | dst_bit
-    return src.astype(VERTEX_DTYPE), dst.astype(VERTEX_DTYPE)
+        src <<= 1
+        src |= r >= ab
+        dst <<= 1
+        dst |= (r >= a) & (r < ab) | (r >= abc)
+    return src, dst
 
 
 def rmat(
@@ -261,6 +263,7 @@ def web_chain(
 
     src = np.concatenate(srcs)
     dst = np.concatenate(dsts)
+    del srcs, dsts  # free the pieces before the build's own copies
     src, dst, _ = remove_self_loops(src, dst)
 
     # Vertex ids stay in community (crawl) order — WebGraph datasets are

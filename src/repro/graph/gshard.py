@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph, VERTEX_DTYPE, WEIGHT_DTYPE, WORD_BYTES
+from repro.utils.sorting import stable_argsort
 
 
 class GShards:
@@ -43,8 +44,9 @@ class GShards:
         shard_of_edge = dst // self.window_size
         # Group by shard, then by source within the shard (CuSha sorts
         # shard entries by source so consecutive threads read consecutive
-        # source values).
-        order = np.lexsort((src, shard_of_edge))
+        # source values).  CSR sources already ascend, so a stable sort
+        # by shard alone gives that order.
+        order = stable_argsort(shard_of_edge)
         self.shard_src = np.ascontiguousarray(src[order])
         self.shard_dst = np.ascontiguousarray(dst[order])
         self.weights = (

@@ -6,7 +6,16 @@ simulated clocks, the per-iteration statistics and the profiler's
 counters.  A change that only makes the simulator faster must leave the
 digest unchanged.
 
-The five shapes of operation:
+Two kinds of entry.  The graph entries pin the set-up every op rests
+on, built with ``spec.build()`` (never ``datasets.load``, whose on-disk
+cache could serve a stale build):
+
+* ``graphs/<name>``: ``row_offsets`` and ``column_indices`` of each of
+  the seven Table II surrogates (``datasets.ALL_DATASETS``);
+* ``codec/uk-2005``: the compressed ``uk-2005`` topology's payload,
+  ``row_byte_offsets`` and ``edge_byte_offsets``.
+
+The op entries come in five shapes:
 
 * ``bfs-replay``: BFS from four ``com-orkut`` sources on one session,
   then the same four again (the frontier memo answers the replays);
@@ -98,7 +107,24 @@ def run_ops() -> dict[str, str]:
     device = GTX_1080TI.with_capacity(datasets.scaled_device_capacity())
     hashes: dict[str, str] = {}
 
-    orkut = datasets.get_spec("com-orkut").build()
+    kept = {}
+    for name in datasets.ALL_DATASETS:
+        graph = datasets.get_spec(name).build()
+        hashes[f"graphs/{name}"] = _hash({
+            "row_offsets": graph.row_offsets,
+            "column_indices": graph.column_indices,
+        })
+        if name in ("com-orkut", "livejournal", "uk-2005"):
+            kept[name] = graph
+    crawl = kept["uk-2005"]
+    topology = compressed.compress(crawl)
+    hashes["codec/uk-2005"] = _hash({
+        "payload": topology.payload,
+        "row_byte_offsets": topology.row_byte_offsets,
+        "edge_byte_offsets": topology.edge_byte_offsets,
+    })
+
+    orkut = kept["com-orkut"]
     sources = _sources(orkut, 4, seed=1)
     with EngineSession(orkut, device=device) as session:
         for rep in range(2):
@@ -109,7 +135,7 @@ def run_ops() -> dict[str, str]:
         hashes["wave"] = _hash(
             msbfs.run_wave(session, _sources(orkut, 64, seed=2)))
 
-    journal = datasets.get_spec("livejournal").build()
+    journal = kept["livejournal"]
     a, b, c, d = _sources(journal, 4, seed=3)
     requests = [
         VisitRequest(source=a), VisitRequest(source=b, target=d),
@@ -123,10 +149,9 @@ def run_ops() -> dict[str, str]:
                 service.call(request))
     hashes["pagerank"] = _hash(delta_pagerank(journal, device=device))
 
-    crawl = datasets.get_spec("uk-2005").build()
     source = _sources(crawl, 1, seed=4)[0]
     with EngineSession(
-        compressed.compress(crawl),
+        topology,
         EtaGraphConfig(memory_mode=MemoryMode.DIRECT_ACCESS),
         device=device,
     ) as session:

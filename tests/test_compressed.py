@@ -1,7 +1,9 @@
 """Compressed CSR topology + direct-access placement (PR 8).
 
-Four batteries:
+Five batteries:
 
+* format — the payload and both offset arrays equal a scalar zigzag +
+  LEB128 encoder's, for varints of one to five bytes;
 * roundtrip — the delta+varint codec reproduces the dense topology
   byte-for-byte on every generator family;
 * placement — all memory modes x encodings produce bit-identical labels,
@@ -20,7 +22,14 @@ import pytest
 from repro.core.config import EtaGraphConfig, MemoryMode
 from repro.core.session import EngineSession
 from repro.graph import generators
-from repro.graph.compressed import CompressedCSRGraph, compress
+from repro.graph.compressed import (
+    CompressedCSRGraph,
+    _read_varints,
+    _unzigzag,
+    _write_varints,
+    _zigzag,
+    compress,
+)
 from repro.graph.csr import CSRGraph
 from repro.gpu.transfer import (
     DIRECT_ACCESS_SECTOR_BYTES,
@@ -52,6 +61,97 @@ def _generator_zoo() -> dict[str, CSRGraph]:
         "grid": generators.grid_graph(12, 17),
         "erdos_renyi": generators.erdos_renyi(300, 2_500, seed=6),
     }
+
+
+def _leb128(code: int) -> bytes:
+    """Scalar little-endian base-128 varint of one unsigned code."""
+    out = bytearray()
+    while True:
+        byte, code = code & 0x7F, code >> 7
+        out.append(byte | 0x80 if code else byte)
+        if not code:
+            return bytes(out)
+
+
+def _reference_encode(csr: CSRGraph):
+    """Scalar zigzag + LEB128 encoder, one edge at a time: the payload
+    and every edge's byte offset."""
+    payload = bytearray()
+    edge_bytes = [0]
+    offsets = csr.row_offsets
+    for v in np.flatnonzero(np.diff(offsets)):
+        prev = int(v)
+        for c in csr.column_indices[offsets[v]:offsets[v + 1]]:
+            delta, prev = int(c) - prev, int(c)
+            payload += _leb128(2 * delta if delta >= 0 else -2 * delta - 1)
+            edge_bytes.append(len(payload))
+    return bytes(payload), np.array(edge_bytes, dtype=np.int64)
+
+
+def _assert_reference_format(csr: CSRGraph, c: CompressedCSRGraph):
+    payload, edge_bytes = _reference_encode(csr)
+    assert c.payload.dtype == np.uint8
+    assert c.payload.tobytes() == payload
+    assert c.edge_byte_offsets.dtype == np.int64
+    assert np.array_equal(c.edge_byte_offsets, edge_bytes)
+    assert c.row_byte_offsets.dtype == np.uint32
+    assert np.array_equal(c.row_byte_offsets, edge_bytes[csr.row_offsets])
+
+
+# ----------------------------------------------------------------------
+# Format: pinned against a scalar encoder
+# ----------------------------------------------------------------------
+
+
+class TestFormat:
+    def test_zigzag_matches_scalar(self):
+        deltas = np.array([0, -1, 1, -64, 63, 64, -(2**31 - 1), 2**31 - 1,
+                           -(2**27), 2**27], dtype=np.int32)
+        codes = _zigzag(deltas)
+        assert codes.dtype == np.uint32
+        assert codes.tolist() == [2 * d if d >= 0 else -2 * d - 1
+                                  for d in deltas.tolist()]
+        assert _unzigzag(codes).tolist() == deltas.tolist()
+
+    def test_varints_of_one_to_five_bytes(self):
+        codes = np.array([0, 1, 127, 128, 2**14 - 1, 2**14, 2**21 - 1,
+                          2**21, 2**28 - 1, 2**28, 2**32 - 1, 5],
+                         dtype=np.uint32)
+        payload, offsets = _write_varints(codes)
+        assert payload.tobytes() == b"".join(
+            _leb128(int(code)) for code in codes)
+        assert np.diff(offsets).tolist() == [
+            len(_leb128(int(code))) for code in codes]
+        decoded, ends = _read_varints(payload)
+        assert decoded.tolist() == codes.tolist()
+        assert np.array_equal(ends, offsets[1:])
+
+    @pytest.mark.parametrize("name", sorted(_generator_zoo()))
+    def test_generators_match_scalar_encoder(self, name):
+        dense = _generator_zoo()[name]
+        _assert_reference_format(dense, CompressedCSRGraph(dense))
+
+    def test_one_to_four_byte_deltas(self):
+        """A 2**22-vertex space reaches 4-byte varints; unsorted rows
+        and empty rows between them keep the exact format."""
+        n = 2**22 + 5
+        rows = {0: [0, 1, 100, 20_000, 3_000_000, n - 1, 5],
+                7: [7, 6, 2**21],
+                n - 2: [0, n - 1, 0]}
+        degrees = np.zeros(n, dtype=np.int64)
+        for v, cols in rows.items():
+            degrees[v] = len(cols)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        dense = CSRGraph(offsets.astype(np.int32), np.array(
+            [c for v in sorted(rows) for c in rows[v]], dtype=np.int32))
+        c = CompressedCSRGraph(dense)
+        assert set(np.diff(c.edge_byte_offsets).tolist()) == {1, 2, 3, 4}
+        _assert_reference_format(dense, c)
+        decoded = c.decode()
+        assert decoded.row_offsets.tobytes() == dense.row_offsets.tobytes()
+        assert decoded.column_indices.tobytes() == \
+            dense.column_indices.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,53 @@ from repro.graph.builder import build_csr_from_edges, symmetrize
 from repro.graph import generators
 
 
+def lexsort_build(src, dst, n, weights=None, dedup=True):
+    """Reference CSR build on ``np.lexsort``, independent of the
+    library's packed-key sort: ``(row_offsets, columns, weights)``."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float32)[order]
+    if dedup and len(src):
+        keep = np.ones(len(src), dtype=bool)
+        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        src, dst = src[keep], dst[keep]
+        if weights is not None:
+            weights = weights[keep]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets.astype(np.int32), dst.astype(VERTEX_DTYPE), weights
+
+
+def assert_csr_is(graph, reference):
+    """``graph`` holds exactly the reference's arrays, dtypes included."""
+    got = (graph.row_offsets, graph.column_indices, graph.edge_weights)
+    for have, want in zip(got, reference):
+        if want is None:
+            assert have is None
+        else:
+            assert have.dtype == want.dtype
+            assert have.tobytes() == want.tobytes()
+
+
+def multigraph_edges(seed):
+    """Random ``(n, src, dst, weights)`` with self-loops, duplicate edges
+    (each with its own weight) and vertices with no in-edges."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    m = int(rng.integers(0, 400))
+    src = rng.integers(0, n, m)
+    # Destinations avoid the top quarter: those have no in-edges.
+    dst = rng.integers(0, max(1, 3 * n // 4), m)
+    loops = rng.integers(0, n, m // 10)
+    src = np.concatenate([src, loops, src[: m // 5]])
+    dst = np.concatenate([dst, loops, dst[: m // 5]])
+    weights = rng.random(len(src)).astype(np.float32) + 0.5
+    return n, src, dst, weights
+
+
 class TestConstruction:
     def test_from_edges_basic(self):
         g = CSRGraph.from_edges([0, 0, 1, 2], [1, 2, 2, 0])
@@ -68,6 +115,65 @@ class TestConstruction:
     def test_weights_length_mismatch_rejected(self):
         with pytest.raises(GraphFormatError):
             CSRGraph.from_edges([0], [1], weights=[1.0, 2.0])
+
+    @pytest.mark.parametrize("big", [2**31, 2**32 + 1, 2**40])
+    def test_ids_beyond_int32_rejected_before_the_cast(self, big):
+        """An id that an int32 cast would wrap (2**32 + 1 to vertex 1)
+        or turn negative (2**31) is rejected as out of range."""
+        src = np.array([0, big], dtype=np.int64)
+        with pytest.raises(GraphFormatError, match="exceeds"):
+            build_csr_from_edges(src, np.array([1, 2]), num_vertices=3)
+        with pytest.raises(GraphFormatError, match="int32 vertex range"):
+            build_csr_from_edges(src, np.array([1, 2]))
+        with pytest.raises(GraphFormatError, match="exceeds"):
+            build_csr_from_edges(np.array([1, 2]), src.astype(np.uint64),
+                                 num_vertices=3)
+
+    def test_num_vertices_beyond_int32_rejected(self):
+        with pytest.raises(GraphFormatError, match="int32 vertex range"):
+            build_csr_from_edges([0], [1], num_vertices=2**31 + 1)
+
+
+class TestAgainstLexsortReference:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_multigraphs(self, seed, weighted, dedup):
+        n, src, dst, weights = multigraph_edges(seed)
+        weights = weights if weighted else None
+        graph = build_csr_from_edges(src, dst, num_vertices=n,
+                                     weights=weights, dedup=dedup)
+        assert_csr_is(graph, lexsort_build(src, dst, n, weights, dedup))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_duplicates_keep_the_first_weight(self, weighted):
+        src = np.array([3, 0, 3, 3, 0, 3, 1])
+        dst = np.array([2, 1, 2, 0, 1, 2, 1])
+        weights = np.arange(1, 8, dtype=np.float32) if weighted else None
+        graph = build_csr_from_edges(src, dst, num_vertices=4,
+                                     weights=weights)
+        assert_csr_is(graph, lexsort_build(src, dst, 4, weights))
+        assert graph.num_edges == 4
+        if weighted:
+            assert graph.edge_weights.tolist() == [2.0, 7.0, 4.0, 1.0]
+
+    @pytest.mark.parametrize("n, src, dst", [
+        (0, [], []),
+        (5, [], []),
+        (1, [0, 0, 0], [0, 0, 0]),
+        (1, [0], [0]),
+        (2**20, [2**20 - 1, 0, 2**20 - 1, 7], [0, 2**20 - 1, 3, 7]),
+    ])
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_edge_cases(self, n, src, dst, dedup):
+        src = np.array(src, dtype=np.int64)
+        dst = np.array(dst, dtype=np.int64)
+        weights = np.arange(len(src), dtype=np.float32)
+        for w in (None, weights):
+            graph = build_csr_from_edges(src, dst, num_vertices=n,
+                                         weights=w, dedup=dedup)
+            assert graph.num_vertices == n
+            assert_csr_is(graph, lexsort_build(src, dst, n, w, dedup))
 
 
 class TestValidation:
@@ -148,15 +254,7 @@ class TestConversions:
         lexsort build on multigraphs with self-loops, duplicate edges,
         weights and zero-in-degree vertices."""
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 60))
-        m = int(rng.integers(0, 400))
-        src = rng.integers(0, n, m)
-        # Destinations avoid the top quarter: those have no in-edges.
-        dst = rng.integers(0, max(1, 3 * n // 4), m)
-        loops = rng.integers(0, n, m // 10)
-        src = np.concatenate([src, loops, src[: m // 5]])
-        dst = np.concatenate([dst, loops, dst[: m // 5]])
-        weights = rng.random(len(src)).astype(np.float32) + 0.5
+        n, src, dst, weights = multigraph_edges(seed)
         g = CSRGraph.from_edges(src, dst, num_vertices=n,
                                 weights=weights if seed % 2 else None,
                                 dedup=False)
@@ -166,20 +264,9 @@ class TestConversions:
             within = np.lexsort((rng.random(g.num_edges), g.edge_sources()))
             g = CSRGraph(g.row_offsets, g.column_indices[within],
                          g.edge_weights[within] if g.is_weighted else None)
-        expected = build_csr_from_edges(
-            g.column_indices, g.edge_sources(), num_vertices=n,
-            weights=g.edge_weights, dedup=False,
-        )
-        r = g.reverse()
-        assert r == expected
-        for got, want in ((r.row_offsets, expected.row_offsets),
-                          (r.column_indices, expected.column_indices),
-                          (r.edge_weights, expected.edge_weights)):
-            if want is None:
-                assert got is None
-            else:
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
+        assert_csr_is(g.reverse(), lexsort_build(
+            g.column_indices, g.edge_sources(), n, g.edge_weights,
+            dedup=False))
 
     def test_to_scipy_roundtrip(self, skewed_graph):
         m = skewed_graph.to_scipy()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import DatasetError
 from repro.graph import generators, properties
+from repro.graph.csr import VERTEX_DTYPE
 
 
 class TestRMAT:
@@ -37,6 +38,25 @@ class TestRMAT:
         g = generators.rmat(7, 2000, seed=5)
         src = g.edge_sources()
         assert not np.any(src == g.column_indices)
+
+    @pytest.mark.parametrize("scale, m, a, b, c, seed", [
+        (1, 5, 0.45, 0.22, 0.22, 0), (8, 3000, 0.45, 0.22, 0.22, 9),
+        (13, 20000, 0.57, 0.19, 0.19, 4), (30, 500, 0.25, 0.25, 0.25, 2),
+    ])
+    def test_edges_match_one_draw_per_round(self, scale, m, a, b, c, seed):
+        """The in-place rounds draw the same stream, and decode it the
+        same way, as a fresh ``rng.random(m)`` per round in int64."""
+        rng = np.random.default_rng(seed)
+        src = np.zeros(m, dtype=np.int64)
+        dst = np.zeros(m, dtype=np.int64)
+        for _ in range(scale):
+            r = rng.random(m)
+            src = (src << 1) | (r >= a + b)
+            dst = (dst << 1) | ((r >= a) & (r < a + b) | (r >= a + b + c))
+        got = generators.rmat_edges(scale, m, a, b, c, seed=seed)
+        for have, want in zip(got, (src, dst)):
+            assert have.dtype == VERTEX_DTYPE
+            assert np.array_equal(have, want)
 
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(DatasetError):

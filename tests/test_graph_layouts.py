@@ -67,6 +67,20 @@ class TestGShards:
             src = gs.shard_src[gs.shard_slice(i)]
             assert np.all(np.diff(src) >= 0)
 
+    @pytest.mark.parametrize("window", [1, 7, 64, 4096])
+    def test_order_matches_lexsort(self, weighted_skewed_graph, window):
+        """Shards hold the edges in ``(destination window, source)``
+        lexsort order, weights alongside."""
+        g = weighted_skewed_graph
+        src, dst = g.edge_sources(), g.column_indices
+        order = np.lexsort((src, dst // window))
+        gs = GShards(g, window_size=window)
+        for got, want in ((gs.shard_src, src[order]),
+                          (gs.shard_dst, dst[order]),
+                          (gs.weights, g.edge_weights[order])):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_edge_multiset_preserved(self, skewed_graph):
         gs = GShards(skewed_graph, window_size=16)
         orig = set(zip(skewed_graph.edge_sources().tolist(),
