@@ -12,7 +12,8 @@ One bound applies: ``max_bytes`` (:data:`MAX_BYTES` per session) caps
 the host bytes held, and least recently used entries are evicted to it.
 The byte total is a running sum: an entry is charged when it is put,
 and charged again by :meth:`FrontierMemo.settle` after an iteration
-that filled one of its lazy parts, so a warm hit that filled nothing
+that filled one of its lazy parts (a run summary replaces its stream's
+arrays, so the charge can fall), so a warm hit that filled nothing
 pays no recount.
 
 Entries are kept on evidence of reuse, as in the 2Q cache policy:
@@ -189,7 +190,8 @@ class _FrontierExpansion:
     def fills(self) -> int:
         """How many lazily built parts the entry holds, run summaries
         included.  Parts are only ever added, so a changed count means
-        the entry's bytes grew."""
+        the entry's bytes changed: they grew, or shrank because a
+        summarized stream released its arrays."""
         plan, stream = self.trace_plan, self.transform_stream
         return ((self.dests is not None) + (plan is not None)
                 + (self.src_ids is not None) + (self.dest_edges is not None)
@@ -349,7 +351,7 @@ class FrontierMemo:
         self._charge(entry, size)
 
     def settle(self) -> None:
-        """Charge the entry in use again if its lazy parts grew since
+        """Charge the entry in use again if its lazy parts changed since
         its last charge, then evict to the budget, and drop any widened
         neighbour ids the iteration left.  An entry that filled nothing
         costs one :meth:`~_FrontierExpansion.fills` count."""

@@ -37,21 +37,29 @@ class SortedStream:
     ``sectors`` falls back to int64 for ids ``>= 2**31``.
 
     A stream walked through a :class:`CacheHierarchy` a second time
-    keeps its :class:`RunSummary` for the hierarchy's windows in
-    ``summary``; ``nbytes`` counts it.
+    gets its :class:`RunSummary` for the hierarchy's windows in
+    ``summary`` and *releases* ``order`` and ``sectors`` (both become
+    ``None``): every later walk replays from the summary, so the stream
+    keeps only its length.  ``nbytes`` counts what it holds.
     """
 
-    order: np.ndarray
-    sectors: np.ndarray
+    order: np.ndarray | None
+    sectors: np.ndarray | None
     walked: bool = field(default=False, init=False, repr=False)
     summary: RunSummary | None = field(default=None, init=False, repr=False)
+    length: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.length = len(self.order)
 
     def __len__(self) -> int:
-        return len(self.order)
+        return self.length
 
     @property
     def nbytes(self) -> int:
-        total = self.order.nbytes + self.sectors.nbytes
+        total = 0
+        if self.order is not None:
+            total += self.order.nbytes + self.sectors.nbytes
         if self.summary is not None:
             total += self.summary.nbytes
         return total
@@ -128,46 +136,72 @@ def sort_segments(segments: list[np.ndarray]) -> SortedStream:
 
 @dataclass(frozen=True, eq=False)
 class _Runs:
-    """One cache level's view of a sorted stream: each run's sector and
-    the positions of its head and tail, the stream's length, and its
-    static hits (non-head accesses within the window of the run's
-    previous access, which no cache state can change)."""
+    """What one cache level's walk of a sorted stream reads from and
+    writes to its last-access table.
 
-    sectors: np.ndarray
+    ``head_sectors``/``heads`` are the sector and stream position of
+    every run head at position ``< window``: a later head has gap
+    ``>= position + 1 > window`` whatever the table holds, so it misses
+    unread.  ``tail_sectors``/``tails`` are those of every run tail at
+    position ``>= length - window``: an earlier tail is more than a
+    window old at every later access, and so is whatever older value
+    its slot keeps, so it is not written.  Both are in sector order.
+    ``static_hits`` counts the non-head accesses within the window of
+    their run's previous access, which no cache state can change.
+    """
+
+    head_sectors: np.ndarray
     heads: np.ndarray
+    tail_sectors: np.ndarray
     tails: np.ndarray
     length: int
     static_hits: int
+
+    @property
+    def nbytes(self) -> int:
+        return (self.head_sectors.nbytes + self.heads.nbytes
+                + self.tail_sectors.nbytes + self.tails.nbytes)
 
 
 def _runs(stream: SortedStream, window: int):
     """Split a non-empty sorted stream into runs for ``window``.
 
     Returns the static hit mask in sorted order (heads read ``False``),
-    the heads' indices into the sorted stream, and the :class:`_Runs`.
+    the indices into the sorted stream of the heads :class:`_Runs`
+    keeps, and the :class:`_Runs`.
     """
     order, sectors = stream.order, stream.sectors
+    if order is None:
+        raise ValueError("stream was released by its run summary")
     n = len(order)
     if sectors[0] < 0:
         raise ValueError("negative sector id")
     hits = np.empty(n, dtype=bool)
+    hits[0] = False
     np.less_equal(np.diff(order), window, out=hits[1:])
     run_start = np.empty(n, dtype=bool)
     run_start[0] = True
     np.not_equal(sectors[1:], sectors[:-1], out=run_start[1:])
-    heads = np.flatnonzero(run_start)
-    hits[heads] = False
-    tails = np.empty_like(heads)
-    tails[:-1] = heads[1:] - 1
-    tails[-1] = n - 1
-    runs = _Runs(sectors.take(heads), order.take(heads), order.take(tails),
+    np.greater(hits, run_start, out=hits)
+    # A head opens a run; a tail is followed by a head or ends the
+    # stream.
+    early = np.less(order, window)
+    early &= run_start
+    early_heads = np.flatnonzero(early)
+    late = np.greater_equal(order, n - window)
+    late[:-1] &= run_start[1:]
+    late_tails = np.flatnonzero(late)
+    runs = _Runs(sectors.take(early_heads), order.take(early_heads),
+                 sectors.take(late_tails), order.take(late_tails),
                  n, int(np.count_nonzero(hits)))
-    return hits, heads, runs
+    return hits, early_heads, runs
 
 
-def _miss_stream(stream: SortedStream, miss: np.ndarray) -> SortedStream:
+def _miss_stream(stream: SortedStream,
+                 miss: np.ndarray) -> tuple[SortedStream, np.ndarray]:
     """The sorted stream of ``stream``'s accesses under ``miss`` (a mask
-    in sorted order), as the next level sees them.
+    in sorted order), as the next level sees them, and each stream
+    position's count of misses up to and including it.
 
     Filtering keeps equal sectors in stream order, and a miss's
     position is its rank among the misses, so the result is sorted.
@@ -178,40 +212,70 @@ def _miss_stream(stream: SortedStream, miss: np.ndarray) -> SortedStream:
     rank = np.cumsum(miss_in_stream, dtype=stream.order.dtype)
     order = rank.take(missed)
     order -= 1
-    return SortedStream(order, stream.sectors.compress(miss))
+    return SortedStream(order, stream.sectors.compress(miss)), rank
 
 
 @dataclass(frozen=True, eq=False)
 class RunSummary:
     """What a sorted stream does to an L1/L2 pair of reuse-window caches
-    with windows ``windows``, apart from its run heads' lookups.
+    with windows ``windows``, in O(W1 + W2) arrays.
 
-    ``l1`` holds the stream's runs.  ``l2`` holds the runs of the
-    *canonical* L2 stream, the L1 misses when every L1 run head misses:
-    every L1 run is then also an L2 run, so ``l2`` shares ``l1``'s
-    sectors and holds each run's L2 head and tail ranks.  A replay in
-    which no L1 head hits is exactly this canonical case and costs
-    O(runs); any other replay takes the full walk.
+    ``l1`` holds the stream's L1 early heads, late tails and static hits
+    (:class:`_Runs`).  The *canonical* L2 stream is the L1 misses when
+    every L1 early head misses; ``l2`` holds its early heads, late tails
+    and static hits.  A replay in which no L1 early head hits is exactly
+    the canonical case.
+
+    A replay in which ``d`` early heads hit sends the canonical L2
+    stream minus those ``d`` accesses.  ``l1_ranks`` holds each L1 early
+    head's position in the canonical L2 stream, all below ``k``, the
+    number of canonical L2 accesses from L1 positions ``< W1``.
+    ``prefix`` holds the first ``M = min(n2, k + W2)`` canonical L2
+    sectors in issue order: the replay deletes the hitting heads from it
+    and walks it exactly.  Every later access keeps its canonical
+    outcome, so ``rest`` holds only the static hits and the late tails
+    after ``M`` (positions relative to ``M``); see docs/performance.md
+    for the proof.
     """
 
     windows: tuple[int, int]
     l1: _Runs
+    l1_ranks: np.ndarray
     l2: _Runs
+    prefix: np.ndarray
+    rest: _Runs
 
     @property
     def nbytes(self) -> int:
-        return (self.l1.sectors.nbytes + self.l1.heads.nbytes
-                + self.l1.tails.nbytes + self.l2.heads.nbytes
-                + self.l2.tails.nbytes)
+        return (self.l1.nbytes + self.l1_ranks.nbytes + self.l2.nbytes
+                + self.prefix.nbytes + self.rest.nbytes)
 
 
 def summarize(stream: SortedStream, l1_window: int,
               l2_window: int) -> RunSummary:
     """The :class:`RunSummary` of a non-empty sorted stream."""
     hits, _, l1 = _runs(stream, l1_window)
-    _, _, l2 = _runs(_miss_stream(stream, ~hits), l2_window)
-    l2 = _Runs(l1.sectors, l2.heads, l2.tails, l2.length, l2.static_hits)
-    return RunSummary((l1_window, l2_window), l1, l2)
+    canonical, rank = _miss_stream(stream, ~hits)
+    l1_ranks = rank.take(l1.heads)
+    l1_ranks -= 1
+    k = int(rank[min(len(stream), l1_window) - 1])
+    hits2, _, l2 = _runs(canonical, l2_window)
+    n2 = len(canonical)
+    m = min(n2, k + l2_window)
+    in_prefix = canonical.order < m
+    prefix = np.empty(m, dtype=canonical.sectors.dtype)
+    prefix[canonical.order.compress(in_prefix)] = \
+        canonical.sectors.compress(in_prefix)
+    # After the prefix every head is a late head, which misses unread;
+    # the static hits there are ``hits2`` outside the prefix.
+    after = l2.tails >= m
+    rest_tails = l2.tails.compress(after)
+    rest_tails -= m
+    rest = _Runs(l2.head_sectors[:0].copy(), l2.heads[:0].copy(),
+                 l2.tail_sectors.compress(after), rest_tails, n2 - m,
+                 int(np.count_nonzero(hits2 > in_prefix)))
+    return RunSummary((l1_window, l2_window), l1, l1_ranks, l2, prefix,
+                      rest)
 
 
 class ReuseWindowCache:
@@ -225,21 +289,30 @@ class ReuseWindowCache:
     Fully vectorized over a :class:`SortedStream`.  Within a run of equal
     sectors a non-first access hits iff its position gap to the previous
     one is ``<= window``, which does not depend on the cache's state.
-    Only each run's head reads the last-access table and only its tail
-    writes it, so a stream sorted once (a memoized trace plan) replays
-    without sorting again.
+    Only run heads within a window of the stream's start read the
+    last-access table, and only run tails within a window of its end
+    write it (:class:`_Runs`), so each walk touches O(window) table
+    slots.  The table therefore holds exact values only for sectors
+    touched within the last ``window`` accesses; any other slot is more
+    than a window old, which is all a later lookup needs.  That is why
+    ``window`` is fixed at construction: a window that grew could reach
+    a slot that was not written.
     """
 
     def __init__(self, window: int):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        self.window = int(window)
+        self._window = int(window)
         # Last access position of sector ``_base + i`` is ``_last[i]``.
         self._last = np.empty(0, dtype=np.int64)
         self._base = 0
         self._clock = 0
         self.accesses = 0
         self.hits = 0
+
+    @property
+    def window(self) -> int:
+        return self._window
 
     def _ensure_capacity(self, lo: int, hi: int) -> None:
         """Grow the last-access table to cover sectors ``lo..hi``.
@@ -263,26 +336,31 @@ class ReuseWindowCache:
         self._last = grown
         self._base = new_base
 
-    def _lookup(self, runs: _Runs):
-        """The head-hit mask of ``runs`` and their table slots.
+    def _slots(self, sectors: np.ndarray) -> np.ndarray:
+        """Table slots of ``sectors`` (non-empty, ascending), grown to."""
+        self._ensure_capacity(int(sectors[0]), int(sectors[-1]))
+        return np.subtract(sectors, self._base, dtype=np.intp)
 
-        A run's head continues from the previous batches.  Only grows
-        the table; changes no cache state.
-        """
-        self._ensure_capacity(int(runs.sectors[0]), int(runs.sectors[-1]))
-        slots = np.subtract(runs.sectors, self._base, dtype=np.intp)
+    def _lookup(self, runs: _Runs) -> np.ndarray:
+        """The hit mask of ``runs``' heads, which continue from the
+        previous batches.  Changes no cache state."""
+        if len(runs.heads) == 0:
+            return np.zeros(0, dtype=bool)
+        slots = self._slots(runs.head_sectors)
         gap = np.add(runs.heads, self._clock, dtype=np.int64)
         gap -= self._last.take(slots)
-        return gap <= self.window, slots
+        return gap <= self._window
 
-    def _apply(self, runs: _Runs, head_hits: np.ndarray,
-               slots: np.ndarray) -> int:
+    def _apply(self, runs: _Runs, head_hits: np.ndarray) -> int:
         """Advance the cache over ``runs``; returns their hit count.
 
         A run's tail is its sector's latest position, which the table
         keeps.
         """
-        self._last[slots] = np.add(runs.tails, self._clock, dtype=np.int64)
+        if len(runs.tails):
+            slots = self._slots(runs.tail_sectors)
+            self._last[slots] = np.add(runs.tails, self._clock,
+                                       dtype=np.int64)
         self._clock += runs.length
         hits = runs.static_hits + int(np.count_nonzero(head_hits))
         self.accesses += runs.length
@@ -293,10 +371,10 @@ class ReuseWindowCache:
         """Process a sorted stream; returns its hit mask in sorted order."""
         if len(stream) == 0:
             return np.zeros(0, dtype=bool)
-        hits, heads, runs = _runs(stream, self.window)
-        head_hits, slots = self._lookup(runs)
+        hits, heads, runs = _runs(stream, self._window)
+        head_hits = self._lookup(runs)
         hits[heads] = head_hits
-        self._apply(runs, head_hits, slots)
+        self._apply(runs, head_hits)
         return hits
 
     def access(self, sectors: np.ndarray) -> np.ndarray:
@@ -396,7 +474,10 @@ class CacheHierarchy:
         L2 sees the L1 misses in stream order, which
         :func:`_miss_stream` gives already sorted: L2 never sorts.  A
         stream walked before replays from its :class:`RunSummary`
-        (built on its second walk) when no L1 run head hits.
+        (built on its second walk) in O(W1 + W2): the L1 early heads
+        are looked up, and if none hits, the canonical L2 heads and
+        tails apply; otherwise the L2 prefix, less the hitting heads,
+        is walked exactly and the rest of the L2 stream applies.
         """
         if not isinstance(stream, SortedStream):
             stream = sort_stream(stream)
@@ -404,27 +485,40 @@ class CacheHierarchy:
         if n == 0:
             return HierarchyResult(0, 0, 0, 0, 0)
         summary = self._summary(stream)
-        if summary is not None:
-            l1_heads = self.unified._lookup(summary.l1)
-            if not l1_heads[0].any():
-                self.unified._apply(summary.l1, *l1_heads)
-                l2_hits = self.l2._apply(summary.l2,
-                                         *self.l2._lookup(summary.l2))
-                return self._result(n, summary.l2.length, l2_hits)
-        to_l2 = _miss_stream(stream, ~self.unified.walk(stream))
-        return self._result(n, len(to_l2),
-                            int(np.count_nonzero(self.l2.walk(to_l2))))
+        if summary is None:
+            to_l2, _ = _miss_stream(stream, ~self.unified.walk(stream))
+            return self._result(n, len(to_l2),
+                                int(np.count_nonzero(self.l2.walk(to_l2))))
+        l1_hits = self.unified._lookup(summary.l1)
+        self.unified._apply(summary.l1, l1_hits)
+        if not l1_hits.any():
+            l2 = summary.l2
+            return self._result(n, l2.length,
+                                self.l2._apply(l2, self.l2._lookup(l2)))
+        hit_ranks = summary.l1_ranks.compress(l1_hits)
+        prefix = sort_stream(np.delete(summary.prefix, hit_ranks))
+        l2_hits = int(np.count_nonzero(self.l2.walk(prefix)))
+        l2_hits += self.l2._apply(summary.rest, l1_hits[:0])
+        return self._result(n, summary.l2.length - len(hit_ranks), l2_hits)
 
     def _summary(self, stream: SortedStream) -> RunSummary | None:
-        """``stream``'s summary for the current windows; ``None`` on its
-        first walk, so a stream walked once never pays for one."""
+        """``stream``'s summary; ``None`` on its first walk, so a stream
+        walked once never pays for one.  Building it releases the
+        stream's arrays, so a summary for other windows cannot be built
+        again: walking it through such a hierarchy raises."""
         windows = (self.unified.window, self.l2.window)
-        if stream.summary is not None and stream.summary.windows == windows:
-            return stream.summary
+        summary = stream.summary
+        if summary is not None:
+            if summary.windows != windows:
+                raise ValueError(
+                    f"stream was summarized for windows {summary.windows} "
+                    f"and released; this hierarchy has {windows}")
+            return summary
         if not stream.walked:
             stream.walked = True
             return None
         stream.summary = summarize(stream, *windows)
+        stream.order = stream.sectors = None
         return stream.summary
 
     @staticmethod

@@ -61,7 +61,8 @@ class TracePlan:
     """The precomputed memory trace of one vertex-kernel launch.
 
     ``sorted_stream`` is the coalesced sector stream fed to the cache
-    hierarchy, stored stable-sorted (``stream`` rebuilds issue order);
+    hierarchy, stored stable-sorted (``stream`` rebuilds issue order
+    until the hierarchy's second walk summarizes and releases it);
     ``degrees``/``n_threads``/``sampled_edges`` describe the
     (possibly warp-sampled) traced subset the instruction model runs
     over; ``scale`` rescales traced counts back to the full launch;

@@ -187,11 +187,10 @@ def web_chain(
 
     def sample_in_community(comm_ids: np.ndarray) -> np.ndarray:
         """Uniform core vertex within each requested community (vectorized)."""
-        lo = comm_start[comm_ids]
-        size = comm_sizes[comm_ids]
-        return (lo + (rng.random(len(comm_ids)) * size).astype(np.int64)).astype(
-            np.int64
-        )
+        offset = (rng.random(len(comm_ids)) * comm_sizes[comm_ids]).astype(
+            np.int64)
+        offset += comm_start[comm_ids]
+        return offset
 
     # Intra-community edges (60% of core budget), forward chain edges
     # (30%), sparse back edges (10%).
@@ -273,13 +272,10 @@ def web_chain(
     # traversals from thrashing.  For pocket graphs, swap ids 0 and the
     # pocket entry so the query source is always vertex 0.
     if n_pocket:
-        entry = n_main
-        src = np.where(src == 0, -1, src)
-        src = np.where(src == entry, 0, src)
-        src = np.where(src == -1, entry, src)
-        dst = np.where(dst == 0, -1, dst)
-        dst = np.where(dst == entry, 0, dst)
-        dst = np.where(dst == -1, entry, dst)
+        swap = np.arange(num_vertices, dtype=np.int64)
+        swap[0], swap[n_main] = n_main, 0
+        src = swap.take(src)
+        dst = swap.take(dst)
     return build_csr_from_edges(src, dst, num_vertices=num_vertices)
 
 

@@ -293,15 +293,34 @@ class _NaiveHierarchy:
                 l2_accesses - l2_hits)
 
 
-def _table(cache):
-    """A reuse-window cache's last-access table as {sector: position}."""
+def _table(cache, naive):
+    """A reuse-window cache's *live* last-access entries, those at most a
+    window old, as {sector: position}; they must equal the per-access
+    loop's.  Every other entry must be more than a window old, and no
+    entry may be newer than the sector's true last access."""
     touched = np.flatnonzero(cache._last != cache_module._NEVER)
-    return {cache._base + int(i): int(cache._last[i]) for i in touched}
+    table = {cache._base + int(i): int(cache._last[i]) for i in touched}
+    live = {s: t for s, t in table.items()
+            if cache._clock - t <= cache.window}
+    for sector, t in table.items():
+        assert t <= naive.last[sector]
+    want = {s: t for s, t in naive.last.items()
+            if naive.clock - t <= naive.window}
+    assert live == want
+    return live
 
 
 def _counts(result):
     return (result.accesses, result.unified_hits, result.l2_accesses,
             result.l2_hits, result.dram_transactions)
+
+
+def _hierarchy(l1_window, l2_window):
+    """A hierarchy whose levels have the given windows."""
+    hier = CacheHierarchy(GTX_1080TI)
+    hier.unified = ReuseWindowCache(l1_window)
+    hier.l2 = ReuseWindowCache(l2_window)
+    return hier
 
 
 def _batches(rng, low):
@@ -330,37 +349,58 @@ def _batches(rng, low):
 
 
 class _PathSpy:
-    """Counts which way each :meth:`CacheHierarchy.access` of a stream
-    holding a summary went: the summary apply, or the full walk taken
-    when an L1 run head hits."""
+    """Counts the replays of :meth:`CacheHierarchy.access` (walks of a
+    stream that holds a summary) by whether an L1 early head hit:
+    ``clean`` applied the canonical L2 sets, ``hit`` walked the L2
+    prefix.  ``most_heads_hit`` is the largest number of L1 early heads
+    that hit in one replay."""
 
     def __init__(self, hier):
         self.hier = hier
-        self.applied = self.fallbacks = self.full_walks = 0
-        walk = hier.unified.walk
+        self.clean = self.hit = self.most_heads_hit = 0
+        self._last_l1 = None
+        lookup = hier.unified._lookup
 
-        def counting_walk(stream):
-            self.full_walks += 1
-            return walk(stream)
+        def recording_lookup(runs):
+            self._last_l1 = lookup(runs)
+            return self._last_l1
 
-        hier.unified.walk = counting_walk
+        hier.unified._lookup = recording_lookup
 
     def access(self, stream):
-        before = self.full_walks
         result = self.hier.access(stream)
         if stream.summary is not None:
-            if self.full_walks == before:
-                self.applied += 1
+            heads_hit = int(np.count_nonzero(self._last_l1))
+            self.most_heads_hit = max(self.most_heads_hit, heads_hit)
+            if heads_hit:
+                self.hit += 1
             else:
-                self.fallbacks += 1
+                self.clean += 1
         return result
+
+
+def _replay_against_naive(hier, batches, rounds):
+    """Walk each batch's one sorted stream ``rounds`` times, interleaved,
+    checking the counts, both levels' live tables and both clocks
+    against the per-access loop after every walk."""
+    naive = _NaiveHierarchy(hier)
+    spy = _PathSpy(hier)
+    streams = [sort_stream(b) for b in batches]
+    for _ in range(rounds):
+        for batch, stream in zip(batches, streams):
+            assert _counts(spy.access(stream)) == naive.access(batch)
+            _table(hier.unified, naive.l1)
+            _table(hier.l2, naive.l2)
+            assert hier.unified._clock == naive.l1.clock
+            assert hier.l2._clock == naive.l2.clock
+    return spy, streams
 
 
 class TestSortedWalkExactness:
     """Raw arrays, sorted streams (what a trace plan holds) and sorted
     streams replayed round after round (so they walk from their run
     summaries) must give the per-access loop's counts and leave its
-    last-access tables and clocks, batch after batch."""
+    live last-access entries and clocks, batch after batch."""
 
     @pytest.mark.parametrize("path", ["raw", "sorted", "replayed"])
     @pytest.mark.parametrize("low", [0, 1 << 20, (1 << 31) - 4300],
@@ -368,44 +408,32 @@ class TestSortedWalkExactness:
     @pytest.mark.parametrize("seed", range(4))
     def test_batches_match_naive_loop(self, path, low, seed):
         rng = np.random.default_rng(seed)
-        hier = CacheHierarchy(GTX_1080TI)
         # Small windows so both hits and misses occur at both levels.
-        hier.unified.window = int(rng.integers(8, 64))
-        hier.l2.window = int(rng.integers(64, 256))
-        naive = _NaiveHierarchy(hier)
-        spy = _PathSpy(hier)
+        hier = _hierarchy(int(rng.integers(8, 64)),
+                          int(rng.integers(64, 256)))
         batches = _batches(rng, low)
-        streams = [sort_stream(b) for b in batches]
-        rounds = 3 if path == "replayed" else 1
-        saw_l1_only = False
-        for _ in range(rounds):
-            for batch, stream in zip(batches, streams):
-                if path == "raw":
-                    got = _counts(hier.access(batch))
-                elif path == "sorted":
-                    got = _counts(hier.access(sort_stream(batch)))
-                else:
-                    got = _counts(spy.access(stream))
-                    # A stream is reusable: the walk must not consume it.
-                    again = sort_stream(batch)
-                    assert np.array_equal(stream.order, again.order)
-                    assert np.array_equal(stream.sectors, again.sectors)
-                want = naive.access(batch)
-                assert got == want
-                saw_l1_only |= bool(len(batch)) and got[2] == 0
-                assert _table(hier.unified) == naive.l1.last
-                assert _table(hier.l2) == naive.l2.last
-                assert hier.unified._clock == naive.l1.clock
-                assert hier.l2._clock == naive.l2.clock
-        assert saw_l1_only
         if path == "replayed":
+            spy, _ = _replay_against_naive(hier, batches, rounds=3)
             # Every non-empty stream walked from its summary from the
             # second round on, and both branches ran.
-            assert spy.applied + spy.fallbacks == \
+            assert spy.clean + spy.hit == \
                 2 * sum(1 for b in batches if len(b))
-            assert spy.applied and spy.fallbacks
-        else:
-            assert spy.applied == spy.fallbacks == 0
+            assert spy.clean and spy.hit
+            return
+        naive = _NaiveHierarchy(hier)
+        saw_l1_only = False
+        for batch in batches:
+            if path == "raw":
+                got = _counts(hier.access(batch))
+            else:
+                got = _counts(hier.access(sort_stream(batch)))
+            assert got == naive.access(batch)
+            saw_l1_only |= bool(len(batch)) and got[2] == 0
+            _table(hier.unified, naive.l1)
+            _table(hier.l2, naive.l2)
+            assert hier.unified._clock == naive.l1.clock
+            assert hier.l2._clock == naive.l2.clock
+        assert saw_l1_only
 
     def test_replay_summary_is_built_on_the_second_walk(self):
         rng = np.random.default_rng(3)
@@ -413,67 +441,191 @@ class TestSortedWalkExactness:
         hier = CacheHierarchy(GTX_1080TI)
         hier.access(stream)
         assert stream.summary is None
-        once = stream.nbytes
-        assert once == stream.order.nbytes + stream.sectors.nbytes
+        assert stream.nbytes == stream.order.nbytes + stream.sectors.nbytes
         hier.access(stream)
         summary = stream.summary
         assert summary is not None
         assert summary.windows == (hier.unified.window, hier.l2.window)
-        assert stream.nbytes == once + summary.nbytes > once
+        # The summary replaces the stream's arrays.
+        assert stream.order is None and stream.sectors is None
+        assert len(stream) == 2000
+        assert stream.nbytes == summary.nbytes
         hier.access(stream)
         assert stream.summary is summary
 
-    def test_replay_summary_keeps_the_streams_dtypes(self):
+    @pytest.mark.parametrize("low", [0, 1 << 40])
+    def test_replay_summary_is_o_window_whatever_the_stream_length(self, low):
+        """A summarized stream holds no per-access arrays: every summary
+        array is bounded by the windows, and the stream's length only
+        shows in ``len``."""
+        w1, w2 = 16, 48
         rng = np.random.default_rng(4)
-        for low in (0, 1 << 40):
-            stream = sort_stream(low + _duplicate_heavy_stream(rng, 900, 300))
-            hier = CacheHierarchy(GTX_1080TI)
+        sizes = []
+        for n in (500, 5_000, 50_000):
+            raw = low + _duplicate_heavy_stream(rng, n, n // 2)
+            stream = sort_stream(raw)
+            dtype = stream.sectors.dtype
+            hier = _hierarchy(w1, w2)
             hier.access(stream)
             hier.access(stream)
             summary = stream.summary
-            assert summary.l2.sectors is summary.l1.sectors
-            assert summary.l1.sectors.dtype == stream.sectors.dtype
-            for level in (summary.l1, summary.l2):
-                assert level.heads.dtype == stream.order.dtype
-                assert level.tails.dtype == stream.order.dtype
+            assert stream.order is None and stream.sectors is None
+            assert len(stream) == n
+            for level, window in ((summary.l1, w1), (summary.l2, w2),
+                                  (summary.rest, w2)):
+                for array in (level.head_sectors, level.heads,
+                              level.tail_sectors, level.tails):
+                    assert len(array) <= window
+                assert level.head_sectors.dtype == dtype
+                assert level.tail_sectors.dtype == dtype
+            assert len(summary.l1_ranks) <= w1
+            assert len(summary.prefix) <= 2 * w1 + w2 + 1
+            assert summary.prefix.dtype == dtype
+            sizes.append(stream.nbytes)
+        # Sectors of at most 8 bytes and int32 positions: L1 heads and
+        # tails, their L2 ranks, L2 heads and tails, the rest's tails
+        # and the prefix.
+        bound = ((2 * w1 + 3 * w2) * (8 + 4) + 4 * w1
+                 + 8 * (2 * w1 + w2 + 1))
+        assert max(sizes) <= bound
 
     @pytest.mark.parametrize("level", ["unified", "l2"])
     def test_window_change_rebuilds_the_replay_summary(self, level):
+        """Windows are fixed per level, so a window change is a new
+        level.  Each hierarchy is exact on its own copies of the
+        streams, whose summaries are built for its windows; a stream
+        summarized and released by the old windows cannot be walked by
+        the new ones."""
         rng = np.random.default_rng(5)
         batches = [_duplicate_heavy_stream(rng, 1500, 5000)
                    for _ in range(3)]
-        streams = [sort_stream(b) for b in batches]
-        hier = CacheHierarchy(GTX_1080TI)
-        hier.unified.window, hier.l2.window = 24, 160
-        naive = _NaiveHierarchy(hier)
-        for _ in range(2):
-            for batch, stream in zip(batches, streams):
-                assert _counts(hier.access(stream)) == naive.access(batch)
-        old = streams[0].summary
-        assert old.windows == (24, 160)
-        setattr(getattr(hier, level), "window", 48 if level == "unified"
-                else 320)
-        naive.l1.window, naive.l2.window = \
-            hier.unified.window, hier.l2.window
-        for batch, stream in zip(batches, streams):
-            assert _counts(hier.access(stream)) == naive.access(batch)
-            assert stream.summary.windows == \
-                (hier.unified.window, hier.l2.window)
-        assert streams[0].summary is not old
-        assert _table(hier.unified) == naive.l1.last
-        assert _table(hier.l2) == naive.l2.last
+        old_windows = (24, 160)
+        new_windows = (48, 160) if level == "unified" else (24, 320)
+        _, old = _replay_against_naive(_hierarchy(*old_windows), batches, 3)
+        assert all(s.summary.windows == old_windows for s in old)
+        spy, new = _replay_against_naive(_hierarchy(*new_windows),
+                                         batches, 3)
+        assert all(s.summary.windows == new_windows for s in new)
+        assert spy.clean + spy.hit == 6
+        with pytest.raises(ValueError, match="released"):
+            spy.hier.access(old[0])
 
     def test_replayed_stream_matches_raw_path(self):
         rng = np.random.default_rng(7)
         batches = [_duplicate_heavy_stream(rng, 3000, 900) for _ in range(3)]
         plans = [sort_stream(b) for b in batches]
         raw, planned = CacheHierarchy(GTX_1080TI), CacheHierarchy(GTX_1080TI)
+        naive = _NaiveHierarchy(raw)
         for _ in range(3):
             for batch, plan in zip(batches, plans):
-                assert _counts(raw.access(batch)) == \
-                    _counts(planned.access(plan))
-        assert _table(raw.unified) == _table(planned.unified)
-        assert _table(raw.l2) == _table(planned.l2)
+                want = naive.access(batch)
+                assert _counts(raw.access(batch)) == want
+                assert _counts(planned.access(plan)) == want
+        for hier in (raw, planned):
+            _table(hier.unified, naive.l1)
+            _table(hier.l2, naive.l2)
+
+
+class TestReplayFromSummary:
+    """Streams replayed from their run summaries against the per-access
+    loop, on the cases the summary's proofs separate."""
+
+    @given(st.lists(st.lists(st.integers(0, 60), max_size=120),
+                    min_size=1, max_size=6),
+           st.integers(1, 24), st.integers(1, 48), st.integers(2, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_random_replays_match_naive_loop(self, batches, w1, w2, rounds):
+        batches = [np.array(b, dtype=np.int64) for b in batches]
+        _replay_against_naive(_hierarchy(w1, w2), batches, rounds)
+
+    def test_prefix_covers_the_whole_l2_stream(self):
+        """A short stream with an early head hit: ``M`` is the whole
+        canonical L2 stream, so nothing follows the prefix."""
+        batches = [np.arange(20), np.array([3, 40, 41, 3, 42, 43, 44])]
+        spy, streams = _replay_against_naive(_hierarchy(8, 16), batches, 3)
+        summary = streams[1].summary
+        assert len(summary.prefix) == summary.l2.length
+        assert summary.rest.length == 0
+        assert spy.hit
+
+    def test_prefix_shorter_than_the_l2_stream(self):
+        """A long stream with an early head hit: the accesses after the
+        prefix keep their canonical outcomes."""
+        rng = np.random.default_rng(11)
+        tail = _duplicate_heavy_stream(rng, 3000, 2000) + 100
+        batches = [np.arange(6), np.concatenate([[2, 5], tail])]
+        spy, streams = _replay_against_naive(_hierarchy(8, 32), batches, 3)
+        summary = streams[1].summary
+        assert len(summary.prefix) < summary.l2.length
+        assert summary.rest.static_hits and len(summary.rest.tails)
+        assert spy.hit
+
+    def test_prefix_bound_is_tight(self):
+        """``M = k + W2`` is the shortest exact prefix.  Three early
+        heads (``k = 4``) hit L1 on the replay, so sector 200's second
+        access at canonical L2 position ``k + W2 - 1 = 11`` has a
+        canonical gap of 11, a miss, but an actual gap of 8, a hit."""
+        warm = np.array([101, 102, 103])
+        fillers = np.arange(300, 307)
+        stream = np.concatenate([[200], warm, fillers, [200], fillers + 10])
+        spy, streams = _replay_against_naive(_hierarchy(4, 8),
+                                             [warm, stream], 3)
+        summary = streams[1].summary
+        assert len(summary.prefix) == 4 + 8 < summary.l2.length
+        assert spy.hit and spy.most_heads_hit == 3
+
+    def test_replay_hitting_l1_on_every_access(self):
+        """Every access of the replayed stream hits L1, so the L2 stream
+        after deleting the hitting head is empty."""
+        batches = [np.array([9]), np.array([9, 9, 9])]
+        spy, _ = _replay_against_naive(_hierarchy(8, 16), batches, 3)
+        assert spy.hit
+        hier = _hierarchy(8, 16)
+        stream = sort_stream(np.array([9, 9, 9]))
+        for _ in range(2):
+            hier.access(stream)
+        hier.access(np.array([9]))
+        result = hier.access(stream)
+        assert _counts(result) == (3, 3, 0, 0, 0)
+
+    def test_stream_shorter_than_either_window(self):
+        rng = np.random.default_rng(12)
+        batches = [_duplicate_heavy_stream(rng, 30, 40) for _ in range(4)]
+        spy, _ = _replay_against_naive(_hierarchy(64, 128), batches, 4)
+        assert spy.clean + spy.hit == 12
+        assert spy.hit
+
+    def test_several_early_heads_hit_at_once(self):
+        rng = np.random.default_rng(13)
+        warm = np.arange(1000, 1012)
+        batches = [warm, rng.permutation(warm),
+                   np.concatenate([warm[::3], _duplicate_heavy_stream(
+                       rng, 400, 300)])]
+        spy, _ = _replay_against_naive(_hierarchy(16, 48), batches, 3)
+        assert spy.most_heads_hit >= 4
+
+    def test_ids_straddling_2_pow_31(self):
+        rng = np.random.default_rng(14)
+        low = (1 << 31) - 150
+        batches = [low + _duplicate_heavy_stream(rng, 300, 300)
+                   for _ in range(3)]
+        batches += [batches[0][:40], low + 400 + np.arange(30)]
+        spy, streams = _replay_against_naive(_hierarchy(16, 48), batches, 3)
+        assert streams[0].summary.prefix.dtype == np.int64
+        assert spy.clean and spy.hit
+
+    def test_window_is_fixed_at_construction(self):
+        cache = ReuseWindowCache(16)
+        with pytest.raises(AttributeError):
+            cache.window = 32
+
+    def test_released_stream_cannot_be_walked_by_one_level(self):
+        hier = _hierarchy(8, 16)
+        stream = sort_stream(np.array([1, 2, 1]))
+        hier.access(stream)
+        hier.access(stream)
+        with pytest.raises(ValueError, match="released"):
+            ReuseWindowCache(8).walk(stream)
 
 
 class TestLastAccessTable:

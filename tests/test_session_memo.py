@@ -500,17 +500,55 @@ class TestMemoPolicy:
         with pytest.raises(InvariantViolation, match="no entry"):
             check_memo(memo)
 
+    def test_settle_recharges_an_entry_that_shrank(self):
+        """A replayed stream is summarized and releases its arrays, so
+        its entry shrinks; settle charges the smaller size and the
+        invariant holds."""
+        from repro.gpu.cache import CacheHierarchy, sort_stream
+        from repro.gpu.device import GTX_1080TI
+        from repro.testing.invariants import check_memo
+
+        rng = np.random.default_rng(0)
+        stream = sort_stream(rng.integers(0, 5000, size=20_000))
+        entry = _entry(100)
+        entry.transform_stream = stream
+        memo = FrontierMemo(max_bytes=1 << 20)
+        memo.get("a", b"")
+        memo.put("a", entry)
+        hier = CacheHierarchy(GTX_1080TI)
+        hier.access(stream)
+        memo.settle()
+        charged = memo.bytes
+        assert charged == entry.nbytes
+        assert memo.get("a", b"") is entry
+        hier.access(stream)
+        memo.settle()
+        assert stream.order is None
+        assert memo.bytes == entry.charged == entry.nbytes < charged
+        check_memo(memo)
+
     def test_session_replays_repeat_from_the_second_cycle(self, social):
         """``bfs-hot``'s warm-state property in miniature: with a budget
         that just holds the warm set, every replay of a source repeats
         the memo hits and misses of its first replay, because the
-        first sighting of each frontier is kept."""
+        first sighting of each frontier is kept.  The budget is the
+        twin's peak charge: an entry shrinks once its streams are
+        summarized, so the warm set ends below it."""
         sources = [0, 3, 5, 9]
         with EngineSession(social) as twin:
+            peak = 0
+            charge = twin.memo._charge
+
+            def tracking_charge(entry, size):
+                nonlocal peak
+                charge(entry, size)
+                peak = max(peak, twin.memo.bytes)
+
+            twin.memo._charge = tracking_charge
             _warm_counts(twin, sources, 3)
             warm_bytes = twin.memo_bytes
         with EngineSession(social) as ses:
-            ses.memo.max_bytes = warm_bytes
+            ses.memo.max_bytes = peak
             first, second, third = _warm_counts(ses, sources, 3)
             assert ses.memo_rejections == 0
             assert ses.memo_bytes == warm_bytes
