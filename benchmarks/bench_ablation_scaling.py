@@ -1,8 +1,7 @@
-"""Ablation bench: multi-GPU scaling saturation and CPU comparison.
+"""Ablation bench: single GPU against a shared-memory CPU system.
 
-Executable versions of two Section I claims: PCIe-staged communication
-caps multi-GPU scaling well below linear, and a tuned single-GPU
-framework at least matches a shared-memory CPU system at scale.
+Executable version of a Section I claim: a tuned single-GPU framework at
+least matches a shared-memory CPU system at scale.
 """
 
 import numpy as np
@@ -10,35 +9,11 @@ import pytest
 
 from repro.baselines.cpu_ligra import LigraLikeCPU
 from repro.core.api import EtaGraph
-from repro.gpu.multigpu import scaling_sweep
 
 
 @pytest.fixture(scope="module")
 def workload(ctx):
     return ctx.load("rmat25", False)
-
-
-def test_multi_gpu_saturation(benchmark, workload):
-    graph, source = workload
-
-    sweep = benchmark.pedantic(
-        scaling_sweep, args=(graph, source),
-        kwargs={"gpu_counts": [1, 2, 4, 8, 16]},
-        rounds=1, iterations=1,
-    )
-    base = sweep[1].total_ms
-    print()
-    for gpus, r in sweep.items():
-        print(f"  {gpus:>2} GPUs: {r.total_ms:8.3f} ms "
-              f"({base / r.total_ms:4.2f}x), comm {100 * r.comm_fraction:.0f}%")
-
-    # Sublinear scaling that flattens: 16 GPUs nowhere near 16x.
-    assert base / sweep[16].total_ms < 8.0
-    # Adding GPUs eventually stops helping (or actively hurts).
-    assert sweep[16].total_ms > 0.5 * sweep[4].total_ms
-    # Communication share grows monotonically past 2 GPUs.
-    assert sweep[16].comm_fraction > sweep[4].comm_fraction > \
-        sweep[2].comm_fraction
 
 
 def test_gpu_vs_cpu_at_scale(benchmark, workload, ctx):

@@ -19,16 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.baselines.base import (
-    Framework,
-    FrameworkResult,
-    check_iteration_budget,
-    propagate_step,
-)
-from repro.gpu.profiler import Profiler
-from repro.graph.csr import CSRGraph
+from repro.baselines.base import Framework
 
 
 @dataclass(frozen=True)
@@ -68,52 +59,28 @@ class LigraLikeCPU(Framework):
     name = "cpu-ligra"
 
     def __init__(self, device=None, cpu: CPUSpec = XEON_E5_2620):
-        from repro.gpu.device import GTX_1080TI
-
         # `device` is accepted for factory compatibility but unused: the
         # CPU baseline runs in host memory (that is its selling point —
         # no transfer, no capacity limit).
-        super().__init__(device or GTX_1080TI)
+        super().__init__(device)
         self.cpu = cpu
 
-    def run(self, csr: CSRGraph, problem, source: int) -> FrameworkResult:
-        problem = self._resolve(csr, problem, source)
-        cpu = self.cpu
-        prof = Profiler()
+    def _place(self, ctx):
+        # The graph already lives in host memory: nothing to copy, no
+        # device footprint.
+        ctx.extras["cpu"] = self.cpu.name
+        return {}, ctx.problem.initial_labels(
+            ctx.csr.num_vertices, ctx.source), 0.0
 
-        labels = problem.initial_labels(csr.num_vertices, source)
-        kernel_ms = 0.0
-        iterations = 0
-        active = problem.initial_frontier(csr.num_vertices, source)
-        offsets = csr.row_offsets
-        while len(active):
-            check_iteration_budget(iterations, self.name)
-            changed, attempted, _nbr, edges = propagate_step(
-                csr, labels, active, problem
-            )
-            # Instruction term: edges over all hardware threads.
-            instr_ms = edges * cpu.instr_per_edge / cpu.instr_throughput * 1e3
-            # Memory term: adjacency streams sequentially (prefetched),
-            # label gathers miss to DRAM at the modelled rate.
-            adj_bytes = edges * 4 * (2 if csr.edge_weights is not None else 1)
-            label_bytes = edges * cpu.label_miss_rate * cpu.cache_line_bytes
-            mem_ms = (adj_bytes + label_bytes) / (
-                cpu.dram_bandwidth_gbps * 1e9
-            ) * 1e3
-            kernel_ms += max(instr_ms, mem_ms) + cpu.barrier_us * 1e-3
-            active = changed
-            iterations += 1
-
-        return FrameworkResult(
-            labels=labels.copy(),
-            source=source,
-            problem_name=problem.name,
-            framework=self.name,
-            kernel_ms=kernel_ms,
-            # No device transfer: the graph already lives in host memory.
-            total_ms=kernel_ms,
-            iterations=iterations,
-            profiler=prof,
-            device_bytes=0,
-            extras={"cpu": cpu.name},
-        )
+    def _charge(self, ctx, arrays, step):
+        cpu, edges = self.cpu, step.edges
+        # Instruction term: edges over all hardware threads.
+        instr_ms = edges * cpu.instr_per_edge / cpu.instr_throughput * 1e3
+        # Memory term: adjacency streams sequentially (prefetched),
+        # label gathers miss to DRAM at the modelled rate.
+        adj_bytes = edges * 4 * (2 if ctx.csr.edge_weights is not None else 1)
+        label_bytes = edges * cpu.label_miss_rate * cpu.cache_line_bytes
+        mem_ms = (adj_bytes + label_bytes) / (
+            cpu.dram_bandwidth_gbps * 1e9
+        ) * 1e3
+        return (max(instr_ms, mem_ms) + cpu.barrier_us * 1e-3,), 0.0

@@ -20,17 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import (
-    Framework,
-    FrameworkResult,
-    check_iteration_budget,
-    propagate_step,
-)
+from repro.baselines.base import Framework, FrameworkResult
 from repro.errors import ConfigError
-from repro.gpu.cache import CacheHierarchy
 from repro.gpu.kernel import simulate_streaming_kernel
-from repro.gpu.memory import DeviceMemory
-from repro.gpu.profiler import Profiler
 from repro.gpu.transfer import h2d_copy
 from repro.graph.csr import CSRGraph
 from repro.graph.gshard import GShards
@@ -65,10 +57,10 @@ class CuShaFramework(Framework):
     #: Instructions per shard entry (load 4 fields, compare, accumulate).
     INSTR_PER_EDGE = 14.0
 
-    def __init__(self, device=None, method: str = "gs"):
-        from repro.gpu.device import GTX_1080TI
+    edge_centric = True
 
-        super().__init__(device or GTX_1080TI)
+    def __init__(self, device=None, method: str = "gs"):
+        super().__init__(device)
         if method not in METHODS + ("best",):
             raise ConfigError(
                 f"unknown CuSha method {method!r}; known: {METHODS + ('best',)}"
@@ -77,22 +69,15 @@ class CuShaFramework(Framework):
 
     def run(self, csr: CSRGraph, problem, source: int) -> FrameworkResult:
         if self.method == "best":
-            results = [self._run_method(csr, problem, source, m)
+            results = [CuShaFramework(self.device, m).run(csr, problem, source)
                        for m in METHODS]
             best = min(results, key=lambda r: r.total_ms)
             best.extras["method"] = best.extras["method"] + " (best of 3)"
             return best
-        return self._run_method(csr, problem, source, self.method)
+        return super().run(csr, problem, source)
 
-    def _run_method(
-        self, csr: CSRGraph, problem, source: int, method: str
-    ) -> FrameworkResult:
-        problem = self._resolve(csr, problem, source)
-        spec = self.device
-        mem = DeviceMemory(spec)
-        caches = CacheHierarchy(spec)
-        prof = Profiler()
-
+    def _place(self, ctx):
+        csr, mem = ctx.csr, ctx.mem
         shards = GShards.from_csr(csr)
         # Allocate CuSha's actual device structures; OOM emerges here.
         # All three methods stage per-edge values, so the footprint is
@@ -101,92 +86,55 @@ class CuShaFramework(Framework):
         device_arrays = [
             mem.alloc(name, arr) for name, arr in shards.device_arrays().items()
         ]
-        if method == "cw":
+        if self.method == "cw":
             mem.alloc_empty("cw_index", max(shards.num_edges, 1), np.int32)
-        labels_host = problem.initial_labels(csr.num_vertices, source)
-        labels_arr = mem.alloc("vertex_values_in", labels_host.copy())
+        labels_host = ctx.problem.initial_labels(csr.num_vertices, ctx.source)
+        labels_arr = mem.alloc("vertex_values_in", labels_host)
         mem.alloc_empty("vertex_values_out", max(csr.num_vertices, 1),
                         labels_host.dtype)
-        labels = labels_arr.data
 
         # Upfront H2D of shards + initial values.
-        transfer_ms = 0.0
-        for arr in device_arrays + [labels_arr]:
-            transfer_ms += h2d_copy(spec, prof, arr.nbytes)
+        transfer_ms = sum(h2d_copy(self.device, ctx.prof, arr.nbytes)
+                          for arr in device_arrays + [labels_arr])
+        ctx.extras.update(num_shards=shards.num_shards, method=self.method)
+        return {"shards": shards}, labels_arr.data, transfer_ms
 
+    def _charge(self, ctx, arrays, step):
+        """One full-graph pass under the selected processing method.
+
+        The frontier holds the vertices the previous pass changed (all
+        of them on the first pass): ``cw`` refreshes only their slots.
+        """
+        csr, edges = ctx.csr, arrays["shards"].num_edges
+        n = csr.num_vertices
         entry_words = 4 if csr.edge_weights is None else 5
-
-        kernel_ms = 0.0
-        iterations = 0
-        all_vertices = np.arange(csr.num_vertices, dtype=np.int64)
-        prev_changed = csr.num_vertices
-        while True:
-            check_iteration_budget(iterations, self.name)
-            # Edge-centric: relax along *every* edge each pass.
-            changed, _attempted, _nbr, _edges = propagate_step(
-                csr, labels, all_vertices, problem
-            )
-            timing = self._pass_cost(
-                spec, caches, csr, shards, method, entry_words, prev_changed
-            )
-            prof.record_kernel(timing.counters)
-            kernel_ms += timing.time_ms
-            prev_changed = len(changed)
-            iterations += 1
-            if len(changed) == 0:
-                break
-
-        return FrameworkResult(
-            labels=labels.copy(),
-            source=source,
-            problem_name=problem.name,
-            framework=self.name,
-            kernel_ms=kernel_ms,
-            total_ms=kernel_ms + transfer_ms,
-            iterations=iterations,
-            profiler=prof,
-            device_bytes=mem.device_bytes_in_use,
-            extras={"num_shards": shards.num_shards, "method": method},
-        )
-
-    def _pass_cost(self, spec, caches, csr, shards, method, entry_words,
-                   prev_changed):
-        """One full-graph pass under the given processing method."""
-        if method == "vwc":
+        scatter = None
+        if self.method == "vwc":
             # Virtual warp-centric: read CSR + staged values, sub-warp
             # division halves (not eliminates) lockstep waste; scattered
             # value gathers instead of streaming.
-            return simulate_streaming_kernel(
-                spec, caches,
-                read_bytes=shards.num_edges * 2 * 4 + csr.num_vertices * 8,
-                write_bytes=csr.num_vertices * 4,
-                n_threads=max(shards.num_edges, 1),
-                instr_per_thread=self.INSTR_PER_EDGE + 6.0,
-                scatter_base_address=0,
-                scatter_indices=csr.column_indices[
-                    :: max(1, csr.num_edges // 100_000)
-                ].astype(np.int64),
-            )
-        if method == "cw":
+            read_bytes, write_bytes = edges * 2 * 4 + n * 8, n * 4
+            instr = self.INSTR_PER_EDGE + 6.0
+            scatter = csr.column_indices[
+                :: max(1, csr.num_edges // 100_000)].astype(np.int64)
+        elif self.method == "cw":
             # Concatenated windows: refresh only changed vertices' slots.
-            refresh_frac = min(1.0, prev_changed / max(csr.num_vertices, 1))
-            read_bytes = (shards.num_edges * entry_words * 4
-                          + csr.num_vertices * 4)
-            write_bytes = (shards.num_edges * 4 * refresh_frac
-                           + csr.num_vertices * 4)
-            return simulate_streaming_kernel(
-                spec, caches,
-                read_bytes=read_bytes,
-                write_bytes=write_bytes,
-                n_threads=max(shards.num_edges, 1),
-                instr_per_thread=self.INSTR_PER_EDGE + 1.0,
-            )
-        # Plain G-Shards.
-        return simulate_streaming_kernel(
-            spec, caches,
-            read_bytes=shards.num_edges * entry_words * 4
-            + csr.num_vertices * 4,
-            write_bytes=shards.num_edges * 4 + csr.num_vertices * 4,
-            n_threads=max(shards.num_edges, 1),
-            instr_per_thread=self.INSTR_PER_EDGE,
+            refresh_frac = min(1.0, len(step.active) / max(n, 1))
+            read_bytes = edges * entry_words * 4 + n * 4
+            write_bytes = edges * 4 * refresh_frac + n * 4
+            instr = self.INSTR_PER_EDGE + 1.0
+        else:
+            # Plain G-Shards.
+            read_bytes = edges * entry_words * 4 + n * 4
+            write_bytes = edges * 4 + n * 4
+            instr = self.INSTR_PER_EDGE
+        timing = simulate_streaming_kernel(
+            self.device, ctx.caches,
+            read_bytes=read_bytes,
+            write_bytes=write_bytes,
+            n_threads=max(edges, 1),
+            instr_per_thread=instr,
+            scatter_indices=scatter,
         )
+        ctx.prof.record_kernel(timing.counters)
+        return (timing.time_ms,), 0.0

@@ -18,19 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import (
-    Framework,
-    FrameworkResult,
-    check_iteration_budget,
-    propagate_step,
-)
+from repro.baselines.base import Framework, edge_ranges
 from repro.errors import ConfigError
-from repro.gpu.cache import CacheHierarchy
 from repro.gpu.kernel import simulate_vertex_kernel
-from repro.gpu.memory import DeviceMemory
-from repro.gpu.profiler import Profiler
 from repro.gpu.transfer import h2d_copy
-from repro.graph.csr import CSRGraph, VERTEX_DTYPE
+from repro.graph.csr import VERTEX_DTYPE
 from repro.utils.units import MIB
 
 
@@ -40,106 +32,77 @@ class GTSFramework(Framework):
     name = "gts"
 
     def __init__(self, device=None, chunk_bytes: int = 2 * MIB):
-        from repro.gpu.device import GTX_1080TI
-
-        super().__init__(device or GTX_1080TI)
+        super().__init__(device)
         if chunk_bytes < 4096:
             raise ConfigError(f"chunk_bytes too small: {chunk_bytes}")
         self.chunk_bytes = int(chunk_bytes)
 
-    def run(self, csr: CSRGraph, problem, source: int) -> FrameworkResult:
-        problem = self._resolve(csr, problem, source)
-        spec = self.device
-        mem = DeviceMemory(spec)
-        caches = CacheHierarchy(spec)
-        prof = Profiler()
-
+    def _place(self, ctx):
+        csr, mem = ctx.csr, ctx.mem
         # Resident state: labels + offsets + two chunk buffers (the
         # double-buffering that enables overlap).
         offsets_arr = mem.alloc("row_offsets", csr.row_offsets)
-        labels_host = problem.initial_labels(csr.num_vertices, source)
-        labels_arr = mem.alloc("labels", labels_host.copy())
+        labels_arr = mem.alloc("labels", ctx.problem.initial_labels(
+            csr.num_vertices, ctx.source))
         chunk_words = self.chunk_bytes // 4
         buf_a = mem.alloc_empty("chunk_buffer_a", chunk_words, VERTEX_DTYPE)
         mem.alloc_empty("chunk_buffer_b", chunk_words, VERTEX_DTYPE)
-        labels = labels_arr.data
 
-        transfer_ms = h2d_copy(spec, prof, offsets_arr.nbytes)
-        transfer_ms += h2d_copy(spec, prof, labels_arr.nbytes)
+        transfer_ms = h2d_copy(self.device, ctx.prof, offsets_arr.nbytes)
+        transfer_ms += h2d_copy(self.device, ctx.prof, labels_arr.nbytes)
 
-        offsets = csr.row_offsets
-        weight_mult = 2 if csr.edge_weights is not None else 1
-        n_chunks = -(-csr.num_edges * 4 * weight_mult // self.chunk_bytes)
-
-        kernel_ms = 0.0
-        streamed_bytes = 0.0
-        iterations = 0
-        active = problem.initial_frontier(csr.num_vertices, source)
-        while len(active):
-            check_iteration_budget(iterations, self.name)
-            starts = offsets[active].astype(np.int64)
-            degs = offsets[active + 1].astype(np.int64) - starts
-            changed, attempted, nbr, edges = propagate_step(
-                csr, labels, active, problem
-            )
-
-            # Which fixed chunks intersect the active adjacency ranges?
-            # Whole chunks are transferred even when barely touched —
-            # the waste the paper's Section I calls out.
-            if edges:
-                first = starts * 4 * weight_mult // self.chunk_bytes
-                last = ((starts + degs) * 4 * weight_mult - 1) \
-                    // self.chunk_bytes
-                # Exact count of chunks covered by any active range, via
-                # a difference array over chunk ids (vectorized sweep).
-                cover = np.zeros(n_chunks + 1, dtype=np.int64)
-                np.add.at(cover, np.minimum(first, n_chunks), 1)
-                np.add.at(cover, np.minimum(last + 1, n_chunks), -1)
-                touched_chunks = int((np.cumsum(cover[:-1]) > 0).sum())
-                chunk_transfer = sum(
-                    h2d_copy(spec, prof, self.chunk_bytes, pinned=True)
-                    for _ in range(min(touched_chunks, 64))
-                )
-                if touched_chunks > 64:
-                    chunk_transfer *= touched_chunks / 64
-                streamed_bytes += touched_chunks * self.chunk_bytes
-
-                kernel = simulate_vertex_kernel(
-                    spec, caches,
-                    starts=starts % chunk_words,  # edges live in the buffer
-                    degrees=degs,
-                    adj_array=buf_a,
-                    neighbor_ids=nbr,
-                    label_array=labels_arr,
-                    meta_array=offsets_arr,
-                    meta_words_per_thread=2,
-                    updates=attempted,
-                    instr_per_edge=problem.instr_per_edge,
-                )
-                prof.record_kernel(kernel.counters)
-                # Double buffering: the slower pipeline governs, plus a
-                # ramp chunk that cannot be hidden.
-                ramp = chunk_transfer / max(touched_chunks, 1)
-                iter_kernel = max(kernel.time_ms, chunk_transfer) + ramp
-                kernel_ms += kernel.time_ms
-                transfer_ms += max(0.0, iter_kernel - kernel.time_ms)
-
-            active = changed
-            iterations += 1
-
-        return FrameworkResult(
-            labels=labels.copy(),
-            source=source,
-            problem_name=problem.name,
-            framework=self.name,
-            kernel_ms=kernel_ms,
-            total_ms=kernel_ms + transfer_ms,
-            iterations=iterations,
-            profiler=prof,
-            device_bytes=mem.device_bytes_in_use,
-            extras={
-                "chunk_bytes": self.chunk_bytes,
-                "streamed_bytes": streamed_bytes,
-                "n_chunks": n_chunks,
-            },
+        edge_bytes = 8 if csr.edge_weights is not None else 4
+        ctx.extras.update(
+            chunk_bytes=self.chunk_bytes,
+            streamed_bytes=0.0,
+            n_chunks=-(-csr.num_edges * edge_bytes // self.chunk_bytes),
         )
+        arrays = {"offsets": offsets_arr, "labels": labels_arr,
+                  "buffer": buf_a}
+        return arrays, labels_arr.data, transfer_ms
+
+    def _charge(self, ctx, arrays, step):
+        if not step.edges:
+            return (), 0.0
+        spec, chunk_bytes = self.device, self.chunk_bytes
+        n_chunks = ctx.extras["n_chunks"]
+        starts, degs = edge_ranges(ctx.csr, step.active)
+
+        # Which fixed chunks intersect the active adjacency ranges?
+        # Whole chunks are transferred even when barely touched —
+        # the waste the paper's Section I calls out.
+        edge_bytes = 8 if ctx.csr.edge_weights is not None else 4
+        first = starts * edge_bytes // chunk_bytes
+        last = ((starts + degs) * edge_bytes - 1) // chunk_bytes
+        # Exact count of chunks covered by any active range, via
+        # a difference array over chunk ids (vectorized sweep).
+        cover = np.zeros(n_chunks + 1, dtype=np.int64)
+        np.add.at(cover, np.minimum(first, n_chunks), 1)
+        np.add.at(cover, np.minimum(last + 1, n_chunks), -1)
+        touched_chunks = int((np.cumsum(cover[:-1]) > 0).sum())
+        chunk_transfer = sum(
+            h2d_copy(spec, ctx.prof, chunk_bytes, pinned=True)
+            for _ in range(min(touched_chunks, 64))
+        )
+        if touched_chunks > 64:
+            chunk_transfer *= touched_chunks / 64
+        ctx.extras["streamed_bytes"] += touched_chunks * chunk_bytes
+
+        kernel = simulate_vertex_kernel(
+            spec, ctx.caches,
+            starts=starts % (chunk_bytes // 4),  # edges live in the buffer
+            degrees=degs,
+            adj_array=arrays["buffer"],
+            neighbor_ids=step.nbr,
+            label_array=arrays["labels"],
+            meta_array=arrays["offsets"],
+            meta_words_per_thread=2,
+            updates=step.attempted,
+            instr_per_edge=ctx.problem.instr_per_edge,
+        )
+        ctx.prof.record_kernel(kernel.counters)
+        # Double buffering: the slower pipeline governs, plus a ramp
+        # chunk that cannot be hidden.
+        ramp = chunk_transfer / max(touched_chunks, 1)
+        iter_kernel = max(kernel.time_ms, chunk_transfer) + ramp
+        return (kernel.time_ms,), max(0.0, iter_kernel - kernel.time_ms)

@@ -19,19 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import Framework, edge_ranges
 from repro.errors import ConfigError
-from repro.baselines.base import (
-    Framework,
-    FrameworkResult,
-    check_iteration_budget,
-    propagate_step,
-)
-from repro.gpu.cache import CacheHierarchy
 from repro.gpu.kernel import simulate_streaming_kernel, simulate_vertex_kernel
-from repro.gpu.memory import DeviceMemory
-from repro.gpu.profiler import Profiler
 from repro.gpu.transfer import h2d_copy
-from repro.graph.csr import CSRGraph, VERTEX_DTYPE
+from repro.graph.csr import VERTEX_DTYPE
 
 
 #: Gunrock's workload-mapping strategies for the advance kernel
@@ -56,9 +48,7 @@ class GunrockFramework(Framework):
     DYNAMIC_DEGREE_THRESHOLD = 128
 
     def __init__(self, device=None, mapping: str = "dynamic"):
-        from repro.gpu.device import GTX_1080TI
-
-        super().__init__(device or GTX_1080TI)
+        super().__init__(device)
         if mapping not in MAPPINGS:
             raise ConfigError(
                 f"unknown Gunrock mapping {mapping!r}; known: {MAPPINGS}"
@@ -81,88 +71,59 @@ class GunrockFramework(Framework):
             return True, 2.0
         return True, 3.0  # cta: scan + binary search per edge
 
-    def run(self, csr: CSRGraph, problem, source: int) -> FrameworkResult:
-        problem = self._resolve(csr, problem, source)
-        spec = self.device
-        mem = DeviceMemory(spec)
-        caches = CacheHierarchy(spec)
-        prof = Profiler()
-
+    def _place(self, ctx):
+        csr, mem = ctx.csr, ctx.mem
         # Problem + enactor allocations (cudaMalloc; OOM emerges here).
-        offsets_arr = mem.alloc("row_offsets", csr.row_offsets)
-        cols_arr = mem.alloc("column_indices", csr.column_indices)
-        weights_arr = None
-        if csr.edge_weights is not None:
-            weights_arr = mem.alloc("edge_weights", csr.edge_weights)
+        arrays = {
+            "offsets": mem.alloc("row_offsets", csr.row_offsets),
+            "cols": mem.alloc("column_indices", csr.column_indices),
+            "weights": (None if csr.edge_weights is None
+                        else mem.alloc("edge_weights", csr.edge_weights)),
+        }
         queue_len = max(int(self.QUEUE_SIZING * csr.num_edges), csr.num_vertices)
         mem.alloc_empty("frontier_queue_a", queue_len, VERTEX_DTYPE)
         mem.alloc_empty("frontier_queue_b", queue_len, VERTEX_DTYPE)
-        labels_host = problem.initial_labels(csr.num_vertices, source)
-        labels_arr = mem.alloc("labels", labels_host.copy())
+        arrays["labels"] = mem.alloc("labels", ctx.problem.initial_labels(
+            csr.num_vertices, ctx.source))
         mem.alloc_empty("preds", max(csr.num_vertices, 1), VERTEX_DTYPE)
         mem.alloc_empty("visited_flags", max(csr.num_vertices, 1), np.uint8)
-        labels = labels_arr.data
 
-        transfer_ms = 0.0
-        for arr in (offsets_arr, cols_arr, weights_arr, labels_arr):
-            if arr is not None:
-                transfer_ms += h2d_copy(spec, prof, arr.nbytes)
+        transfer_ms = sum(h2d_copy(self.device, ctx.prof, arr.nbytes)
+                          for arr in arrays.values() if arr is not None)
+        return arrays, arrays["labels"].data, transfer_ms
 
-        offsets = csr.row_offsets
-        kernel_ms = 0.0
-        iterations = 0
-        active = problem.initial_frontier(csr.num_vertices, source)
-        while len(active):
-            check_iteration_budget(iterations, self.name)
-            starts = offsets[active].astype(np.int64)
-            degs = offsets[active + 1].astype(np.int64) - starts
-            changed, attempted, nbr, edges = propagate_step(
-                csr, labels, active, problem
+    def _charge(self, ctx, arrays, step):
+        launches = []
+        if step.edges:
+            # Advance under the selected workload mapping, no SMP.
+            starts, degs = edge_ranges(ctx.csr, step.active)
+            balanced, lb_cost = self._advance_params(int(degs.max()))
+            advance = simulate_vertex_kernel(
+                self.device, ctx.caches,
+                starts=starts,
+                degrees=degs,
+                adj_array=arrays["cols"],
+                neighbor_ids=step.nbr,
+                label_array=arrays["labels"],
+                weight_array=arrays["weights"],
+                meta_array=arrays["offsets"],
+                meta_words_per_thread=2,  # row_offsets[v], row_offsets[v+1]
+                balanced_issue=balanced,
+                updates=step.attempted,
+                instr_per_edge=ctx.problem.instr_per_edge + lb_cost,
             )
+            ctx.prof.record_kernel(advance.counters)
+            launches.append(advance.time_ms)
 
-            if edges:
-                # Advance under the selected workload mapping, no SMP.
-                balanced, lb_cost = self._advance_params(int(degs.max()))
-                advance = simulate_vertex_kernel(
-                    spec, caches,
-                    starts=starts,
-                    degrees=degs,
-                    adj_array=cols_arr,
-                    neighbor_ids=nbr,
-                    label_array=labels_arr,
-                    weight_array=weights_arr,
-                    meta_array=offsets_arr,
-                    meta_words_per_thread=2,  # row_offsets[v], row_offsets[v+1]
-                    balanced_issue=balanced,
-                    updates=attempted,
-                    instr_per_edge=problem.instr_per_edge + lb_cost,
-                )
-                prof.record_kernel(advance.counters)
-                kernel_ms += advance.time_ms
-
-            # Filter: stream the generated edge frontier, scan + compact
-            # into the next vertex frontier.
-            filter_k = simulate_streaming_kernel(
-                spec, caches,
-                read_bytes=max(edges, 1) * 4,
-                write_bytes=len(changed) * 4,
-                n_threads=max(edges, 1),
-                instr_per_thread=10.0,
-            )
-            prof.record_kernel(filter_k.counters)
-            kernel_ms += filter_k.time_ms
-
-            active = changed
-            iterations += 1
-
-        return FrameworkResult(
-            labels=labels.copy(),
-            source=source,
-            problem_name=problem.name,
-            framework=self.name,
-            kernel_ms=kernel_ms,
-            total_ms=kernel_ms + transfer_ms,
-            iterations=iterations,
-            profiler=prof,
-            device_bytes=mem.device_bytes_in_use,
+        # Filter: stream the generated edge frontier, scan + compact
+        # into the next vertex frontier.
+        filter_k = simulate_streaming_kernel(
+            self.device, ctx.caches,
+            read_bytes=max(step.edges, 1) * 4,
+            write_bytes=len(step.changed) * 4,
+            n_threads=max(step.edges, 1),
+            instr_per_thread=10.0,
         )
+        ctx.prof.record_kernel(filter_k.counters)
+        launches.append(filter_k.time_ms)
+        return launches, 0.0

@@ -9,20 +9,9 @@ benches to show what UDC + the active set buy.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.baselines.base import (
-    Framework,
-    FrameworkResult,
-    check_iteration_budget,
-    propagate_step,
-)
-from repro.gpu.cache import CacheHierarchy
+from repro.baselines.base import Framework, edge_ranges
 from repro.gpu.kernel import simulate_vertex_kernel
-from repro.gpu.memory import DeviceMemory
-from repro.gpu.profiler import Profiler
 from repro.gpu.transfer import h2d_copy
-from repro.graph.csr import CSRGraph
 
 
 class SimpleVertexCentric(Framework):
@@ -30,68 +19,38 @@ class SimpleVertexCentric(Framework):
 
     name = "simple-vc"
 
-    def run(self, csr: CSRGraph, problem, source: int) -> FrameworkResult:
-        problem = self._resolve(csr, problem, source)
-        spec = self.device
-        mem = DeviceMemory(spec)
-        caches = CacheHierarchy(spec)
-        prof = Profiler()
+    def _place(self, ctx):
+        csr, mem = ctx.csr, ctx.mem
+        arrays = {
+            "offsets": mem.alloc("row_offsets", csr.row_offsets),
+            "cols": mem.alloc("column_indices", csr.column_indices),
+            "weights": (None if csr.edge_weights is None
+                        else mem.alloc("edge_weights", csr.edge_weights)),
+            "labels": mem.alloc("labels", ctx.problem.initial_labels(
+                csr.num_vertices, ctx.source)),
+        }
+        transfer_ms = sum(h2d_copy(self.device, ctx.prof, arr.nbytes)
+                          for arr in arrays.values() if arr is not None)
+        return arrays, arrays["labels"].data, transfer_ms
 
-        offsets_arr = mem.alloc("row_offsets", csr.row_offsets)
-        cols_arr = mem.alloc("column_indices", csr.column_indices)
-        weights_arr = None
-        if csr.edge_weights is not None:
-            weights_arr = mem.alloc("edge_weights", csr.edge_weights)
-        labels_host = problem.initial_labels(csr.num_vertices, source)
-        labels_arr = mem.alloc("labels", labels_host.copy())
-        labels = labels_arr.data
-
-        transfer_ms = 0.0
-        for arr in (offsets_arr, cols_arr, weights_arr, labels_arr):
-            if arr is not None:
-                transfer_ms += h2d_copy(spec, prof, arr.nbytes)
-
-        offsets = csr.row_offsets
-        kernel_ms = 0.0
-        iterations = 0
-        active = problem.initial_frontier(csr.num_vertices, source)
-        while len(active):
-            check_iteration_budget(iterations, self.name)
-            changed, attempted, nbr, edges = propagate_step(
-                csr, labels, active, problem
-            )
-            # Cost: ALL vertices are launched; inactive ones read their
-            # activity state and exit.  Active vertices scan their full
-            # (unbounded) degree -> lockstep long tail.
-            starts = offsets[active].astype(np.int64)
-            degs = offsets[active + 1].astype(np.int64) - starts
-            timing = simulate_vertex_kernel(
-                spec, caches,
-                starts=starts,
-                degrees=degs,
-                adj_array=cols_arr,
-                neighbor_ids=nbr,
-                label_array=labels_arr,
-                weight_array=weights_arr,
-                meta_array=offsets_arr,
-                meta_words_per_thread=2,
-                updates=attempted,
-                idle_threads=csr.num_vertices - len(active),
-                instr_per_edge=problem.instr_per_edge,
-            )
-            prof.record_kernel(timing.counters)
-            kernel_ms += timing.time_ms
-            active = changed
-            iterations += 1
-
-        return FrameworkResult(
-            labels=labels.copy(),
-            source=source,
-            problem_name=problem.name,
-            framework=self.name,
-            kernel_ms=kernel_ms,
-            total_ms=kernel_ms + transfer_ms,
-            iterations=iterations,
-            profiler=prof,
-            device_bytes=mem.device_bytes_in_use,
+    def _charge(self, ctx, arrays, step):
+        # Cost: ALL vertices are launched; inactive ones read their
+        # activity state and exit.  Active vertices scan their full
+        # (unbounded) degree -> lockstep long tail.
+        starts, degs = edge_ranges(ctx.csr, step.active)
+        timing = simulate_vertex_kernel(
+            self.device, ctx.caches,
+            starts=starts,
+            degrees=degs,
+            adj_array=arrays["cols"],
+            neighbor_ids=step.nbr,
+            label_array=arrays["labels"],
+            weight_array=arrays["weights"],
+            meta_array=arrays["offsets"],
+            meta_words_per_thread=2,
+            updates=step.attempted,
+            idle_threads=ctx.csr.num_vertices - len(step.active),
+            instr_per_edge=ctx.problem.instr_per_edge,
         )
+        ctx.prof.record_kernel(timing.counters)
+        return (timing.time_ms,), 0.0

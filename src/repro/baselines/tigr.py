@@ -19,18 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import (
-    Framework,
-    FrameworkResult,
-    check_iteration_budget,
-    propagate_step,
-)
-from repro.gpu.cache import CacheHierarchy
+from repro.baselines.base import Framework
 from repro.gpu.kernel import simulate_vertex_kernel
-from repro.gpu.memory import DeviceMemory
-from repro.gpu.profiler import Profiler
 from repro.gpu.transfer import h2d_copy
-from repro.graph.csr import CSRGraph
 from repro.graph.vst import VirtualSplitGraph
 from repro.utils.ragged import ragged_arange
 
@@ -44,83 +35,57 @@ class TigrFramework(Framework):
     #: for the |N| accounting; we keep the same value).
     DEGREE_BOUND = 10
 
-    def run(self, csr: CSRGraph, problem, source: int) -> FrameworkResult:
-        problem = self._resolve(csr, problem, source)
-        spec = self.device
-        mem = DeviceMemory(spec)
-        caches = CacheHierarchy(spec)
-        prof = Profiler()
-
+    def _place(self, ctx):
+        csr, mem = ctx.csr, ctx.mem
         vst = VirtualSplitGraph(csr, self.DEGREE_BOUND)
-        device_arrays = [
-            mem.alloc(name, arr) for name, arr in vst.device_arrays().items()
-        ]
-        labels_host = problem.initial_labels(csr.num_vertices, source)
-        labels_arr = mem.alloc("labels", labels_host.copy())
+        device_arrays = {
+            name: mem.alloc(name, arr)
+            for name, arr in vst.device_arrays().items()
+        }
+        labels_arr = mem.alloc("labels", ctx.problem.initial_labels(
+            csr.num_vertices, ctx.source))
         active_flags_arr = mem.alloc_full(
             "active_flags", max(csr.num_vertices, 1), 0, np.uint8
         )
-        labels = labels_arr.data
-        cols_arr = device_arrays[0]  # vst_column_indices
-        weights_arr = None
-        if csr.edge_weights is not None:
-            weights_arr = next(
-                a for a in device_arrays if a.name == "vst_edge_weights"
-            )
-
-        transfer_ms = 0.0
-        for arr in device_arrays + [labels_arr, active_flags_arr]:
-            transfer_ms += h2d_copy(spec, prof, arr.nbytes)
-
-        v_starts = vst.virtual_start.astype(np.int64)
-        v_degrees = (vst.virtual_ends().astype(np.int64) - v_starts)
-        first_virtual = vst.real_first_virtual.astype(np.int64)
-        virtual_counts = vst.real_virtual_count.astype(np.int64)
-
-        kernel_ms = 0.0
-        iterations = 0
-        active = problem.initial_frontier(csr.num_vertices, source)
-        while len(active):
-            check_iteration_budget(iterations, self.name)
-            # Virtual nodes of the active owners.
-            counts = virtual_counts[active]
-            act_virtual = np.repeat(first_virtual[active], counts) + \
-                ragged_arange(counts)
-            changed, attempted, nbr, edges = propagate_step(
-                csr, labels, active, problem
-            )
-
-            n_idle = vst.num_virtual - len(act_virtual)
-            if len(act_virtual):
-                timing = simulate_vertex_kernel(
-                    spec, caches,
-                    starts=v_starts[act_virtual],
-                    degrees=v_degrees[act_virtual],
-                    adj_array=cols_arr,
-                    neighbor_ids=nbr,
-                    label_array=labels_arr,
-                    weight_array=weights_arr,
-                    meta_array=device_arrays[1],  # vst_virtual_start
-                    meta_words_per_thread=2,  # start + owner
-                    updates=attempted,
-                    idle_threads=n_idle,
-                    instr_per_edge=problem.instr_per_edge,
-                )
-                prof.record_kernel(timing.counters)
-                kernel_ms += timing.time_ms
-
-            active = changed
-            iterations += 1
-
-        return FrameworkResult(
-            labels=labels.copy(),
-            source=source,
-            problem_name=problem.name,
-            framework=self.name,
-            kernel_ms=kernel_ms,
-            total_ms=kernel_ms + transfer_ms,
-            iterations=iterations,
-            profiler=prof,
-            device_bytes=mem.device_bytes_in_use,
-            extras={"num_virtual": vst.num_virtual},
+        transfer_ms = sum(
+            h2d_copy(self.device, ctx.prof, arr.nbytes)
+            for arr in [*device_arrays.values(), labels_arr, active_flags_arr]
         )
+        ctx.extras["num_virtual"] = vst.num_virtual
+        v_starts = vst.virtual_start.astype(np.int64)
+        arrays = {
+            "cols": device_arrays["vst_column_indices"],
+            "weights": device_arrays.get("vst_edge_weights"),
+            "meta": device_arrays["vst_virtual_start"],
+            "labels": labels_arr,
+            "num_virtual": vst.num_virtual,
+            "v_starts": v_starts,
+            "v_degrees": vst.virtual_ends().astype(np.int64) - v_starts,
+            "first_virtual": vst.real_first_virtual.astype(np.int64),
+            "virtual_counts": vst.real_virtual_count.astype(np.int64),
+        }
+        return arrays, labels_arr.data, transfer_ms
+
+    def _charge(self, ctx, arrays, step):
+        # Virtual nodes of the active owners.
+        counts = arrays["virtual_counts"][step.active]
+        act_virtual = np.repeat(arrays["first_virtual"][step.active],
+                                counts) + ragged_arange(counts)
+        if not len(act_virtual):
+            return (), 0.0
+        timing = simulate_vertex_kernel(
+            self.device, ctx.caches,
+            starts=arrays["v_starts"][act_virtual],
+            degrees=arrays["v_degrees"][act_virtual],
+            adj_array=arrays["cols"],
+            neighbor_ids=step.nbr,
+            label_array=arrays["labels"],
+            weight_array=arrays["weights"],
+            meta_array=arrays["meta"],
+            meta_words_per_thread=2,  # start + owner
+            updates=step.attempted,
+            idle_threads=arrays["num_virtual"] - len(act_virtual),
+            instr_per_edge=ctx.problem.instr_per_edge,
+        )
+        ctx.prof.record_kernel(timing.counters)
+        return (timing.time_ms,), 0.0

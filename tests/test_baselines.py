@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from repro import EtaGraph
 from repro.algorithms import cpu_reference
 from repro.baselines import get_framework
+from repro.baselines import base
 from repro.baselines.base import propagate_step
-from repro.errors import ConfigError, DeviceOutOfMemoryError
+from repro.errors import ConfigError, ConvergenceError, DeviceOutOfMemoryError
 from repro.gpu.device import GTX_1080TI
 from repro.graph import generators
 from repro.graph.weights import attach_weights
@@ -34,6 +35,16 @@ class TestRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(ConfigError):
             get_framework("mapgraph")
+
+
+@pytest.mark.parametrize(
+    "name", ["cusha", "gunrock", "tigr", "gts", "simple-vc", "cpu-ligra"])
+def test_iteration_budget_names_the_framework(monkeypatch, name):
+    """Every framework runs the one loop, so the one budget stops each
+    of them: a path needs more than one iteration."""
+    monkeypatch.setattr(base, "MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError, match=f"^{name} exceeded 1 "):
+        get_framework(name).run(generators.path_graph(5), "bfs", 0)
 
 
 class TestEquivalence:
