@@ -48,19 +48,17 @@ class ConnectedComponents(TraversalProblem):
         return np.ones(len(labels), dtype=bool)
 
 
-def weakly_connected_components(csr: CSRGraph, engine_factory=None) -> np.ndarray:
+def weakly_connected_components(csr: CSRGraph) -> np.ndarray:
     """Component id (the minimum member id) of every vertex.
 
-    Symmetrizes the graph, then floods through the provided engine
-    factory (defaults to EtaGraph with its default configuration).
+    Symmetrizes the graph, then floods it on a session of one with the
+    default EtaGraph configuration.
     """
+    from repro.core.session import EngineSession
     from repro.graph.builder import build_csr_from_edges, symmetrize
 
     src, dst = symmetrize(csr.edge_sources(), csr.column_indices)
     sym = build_csr_from_edges(src, dst, num_vertices=csr.num_vertices)
-    if engine_factory is None:
-        from repro.core.engine import EtaGraphEngine
-
-        engine_factory = EtaGraphEngine
-    result = engine_factory(sym).run(ConnectedComponents(), 0)
+    with EngineSession(sym) as session:
+        result = session.query(ConnectedComponents(), 0)
     return result.labels.astype(np.int64)

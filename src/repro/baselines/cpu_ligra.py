@@ -41,10 +41,6 @@ class CPUSpec:
     barrier_us: float = 4.0
 
     @property
-    def hw_threads(self) -> int:
-        return self.num_cores * self.threads_per_core
-
-    @property
     def instr_throughput(self) -> float:
         """Aggregate scalar instructions per second (HT gives ~30%)."""
         return self.num_cores * 1.3 * self.clock_ghz * 1e9

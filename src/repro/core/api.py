@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import EtaGraphConfig
-from repro.core.engine import EtaGraphEngine, TraversalResult
+from repro.core.engine import TraversalResult
 from repro.core.session import EngineSession
 from repro.gpu.device import DeviceSpec, GTX_1080TI
 from repro.graph.csr import CSRGraph
@@ -39,7 +39,6 @@ class EtaGraph:
         self.graph = graph
         self.config = config or EtaGraphConfig()
         self.device = device
-        self._engine = EtaGraphEngine(graph, self.config, device)
         self._path_session: EngineSession | None = None
 
     def session(self) -> EngineSession:
@@ -47,15 +46,23 @@ class EtaGraph:
         the first query places (and prefetches) topology, every further
         query runs against the warm residency.  The caller owns it —
         use as a context manager or call ``close()``."""
-        return self._engine.session()
+        return EngineSession(self.graph, self.config, self.device)
+
+    def _once(self, problem: str, source: int, **kwargs) -> TraversalResult:
+        """A session of one: ``total_ms`` includes the full topology
+        placement (``result.setup_ms``), faithful to standalone use."""
+        with self.session() as session:
+            return session.query(problem, source, **kwargs)
 
     def bfs(self, source: int, target: int | None = None) -> TraversalResult:
         """Breadth-first search from ``source``; labels are BFS levels.
 
         With ``target``, the traversal exits early once the target's
-        level is settled (point-to-point reachability query).
+        level is settled (point-to-point reachability query).  Only BFS
+        may exit early: its labels are final on first assignment, while
+        weighted labels (SSSP/SSWP) may still improve later.
         """
-        return self._engine.run("bfs", source, target=target)
+        return self._once("bfs", source, target=target)
 
     def shortest_hop_path(self, source: int, target: int) -> list[int]:
         """A minimum-hop path ``source -> target`` (BFS + parent pointers).
@@ -69,9 +76,7 @@ class EtaGraph:
         from repro.algorithms.paths import reconstruct_path
 
         if self._path_session is None or self._path_session.closed:
-            self._path_session = EngineSession(
-                self.graph, self.config, self.device,
-            )
+            self._path_session = self.session()
         result = self._path_session.query(
             "bfs", source, target=target, parents=True,
         )
@@ -79,15 +84,15 @@ class EtaGraph:
 
     def sssp(self, source: int) -> TraversalResult:
         """Single-source shortest paths; requires edge weights."""
-        return self._engine.run("sssp", source)
+        return self._once("sssp", source)
 
     def sswp(self, source: int) -> TraversalResult:
         """Single-source widest paths; requires edge weights."""
-        return self._engine.run("sswp", source)
+        return self._once("sswp", source)
 
     def run(self, problem: str, source: int) -> TraversalResult:
         """Run any registered traversal problem by name."""
-        return self._engine.run(problem, source)
+        return self._once(problem, source)
 
     def reachable_from(self, source: int) -> np.ndarray:
         """Boolean reachability mask derived from a BFS run."""

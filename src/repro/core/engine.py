@@ -1,6 +1,6 @@
-"""The EtaGraph engine: Procedure 1 of the paper.
+"""The EtaGraph engine's result record: :class:`TraversalResult`.
 
-Per traversal:
+Procedure 1 of the paper, per traversal:
 
 1. Topology (CSR, unmodified) is placed in Unified Memory — prefetched
    up front (``cudaMemPrefetchAsync``, the default) or migrated on demand
@@ -17,8 +17,8 @@ bit-for-bit) while all performance numbers come from the GPU model.
 
 The traversal loop itself lives in :mod:`repro.core.session`:
 :class:`~repro.core.session.EngineSession` places topology once and
-serves many queries against warm residency; :meth:`EtaGraphEngine.run`
-is the one-shot path, implemented as a session of one.
+serves many queries against warm residency, and a one-shot traversal
+(:class:`~repro.core.api.EtaGraph`) is a session of one.
 """
 
 from __future__ import annotations
@@ -27,13 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.algorithms.base import TraversalProblem
 from repro.core.config import EtaGraphConfig
 from repro.core.stats import TraversalStats
-from repro.gpu.device import DeviceSpec, GTX_1080TI
 from repro.gpu.profiler import Profiler
 from repro.gpu.timeline import Timeline
-from repro.graph.csr import CSRGraph
 
 
 @dataclass
@@ -101,53 +98,3 @@ class TraversalResult:
             f"{self.iterations} iters, {self.visited} visited, "
             f"{self.total_ms:.3f} ms)"
         )
-
-
-class EtaGraphEngine:
-    """One engine instance per (graph, config, device) combination."""
-
-    def __init__(
-        self,
-        csr: CSRGraph,
-        config: EtaGraphConfig | None = None,
-        device: DeviceSpec = GTX_1080TI,
-    ):
-        self.csr = csr
-        self.config = config or EtaGraphConfig()
-        self.device = device
-
-    # ------------------------------------------------------------------
-    # Public entry points
-    # ------------------------------------------------------------------
-
-    def session(self):
-        """A fresh :class:`~repro.core.session.EngineSession` bound to
-        this engine's graph, configuration and device."""
-        from repro.core.session import EngineSession
-
-        return EngineSession(self.csr, self.config, self.device)
-
-    def run(
-        self,
-        problem: TraversalProblem | str,
-        source: int,
-        *,
-        target: int | None = None,
-    ) -> TraversalResult:
-        """Run one traversal; see :class:`TraversalResult`.
-
-        A session of one: topology is placed, the query runs, the session
-        is closed — ``total_ms`` therefore includes the full topology
-        placement cost (recorded in ``result.setup_ms``), faithful to
-        standalone use.
-
-        ``target`` enables point-to-point early exit: the loop stops at
-        the end of the iteration that settles the target.  Only valid
-        for BFS, whose labels are final on first assignment; monotone
-        weighted labels (SSSP/SSWP) may still improve later.
-        """
-        session = self.session()
-        try:
-            return session.query(problem, source, target=target)
-        finally:
-            session.close()

@@ -48,12 +48,13 @@ differential engine gate this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from repro.algorithms.base import get_problem
-from repro.core.session import EngineSession
+from repro.core.engine import TraversalResult
+from repro.core.session import EngineSession, fill_result
 from repro.core.stats import TraversalStats
 from repro.errors import ConfigError, InvalidLaunchError
 from repro.gpu.profiler import Profiler
@@ -167,28 +168,26 @@ class WaveResult:
         Labels are exact per source; timings are an attribution, which
         is what batch amortization accounting needs.
         """
-        from repro.core.engine import TraversalResult
-
         width = self.width
+        measured = {f.name: getattr(self, f.name) for f in fields(self)}
+        measured.update(
+            kernel_ms=self.kernel_ms / width,
+            transfer_ms=self.transfer_ms / width,
+            d2h_ms=self.d2h_ms / width,
+            device_bytes=self.extras.get("device_bytes", 0),
+            um_bytes=self.extras.get("um_bytes", 0),
+        )
         share = self.query_ms / width
         out = []
         for lane, source in enumerate(self.sources):
-            out.append(TraversalResult(
+            setup_ms = self.setup_ms if lane == 0 else 0.0
+            out.append(fill_result(
+                TraversalResult, measured,
                 labels=self.labels_for(lane),
                 source=int(source),
                 problem_name="bfs",
-                total_ms=share + (self.setup_ms if lane == 0 else 0.0),
-                kernel_ms=self.kernel_ms / width,
-                transfer_ms=self.transfer_ms / width,
-                d2h_ms=self.d2h_ms / width,
-                stats=self.stats,
-                timeline=self.timeline,
-                profiler=self.profiler,
-                config=self.config,
-                device_bytes=self.extras.get("device_bytes", 0),
-                um_bytes=self.extras.get("um_bytes", 0),
-                oversubscribed=self.oversubscribed,
-                setup_ms=self.setup_ms if lane == 0 else 0.0,
+                total_ms=share + setup_ms,
+                setup_ms=setup_ms,
                 trace=self.trace if lane == 0 else None,
                 extras={
                     "wave": True,
@@ -241,19 +240,13 @@ def run_wave(
     does), mapping to :class:`~repro.errors.ConvergenceError` exactly
     like a sequential query.
     """
-    session._check_open()
     sources = _validate_sources(session, sources)
-    if max_iterations is not None and max_iterations < 1:
-        raise ConfigError(
-            f"max_iterations must be >= 1, got {max_iterations}"
-        )
     problem = get_problem("bfs")
-    problem.check_graph(session.csr)
     width = len(sources)
     n = session.csr.num_vertices
 
-    run = session._open(problem, "wave_query", problem="msbfs",
-                        sources=width)
+    run = session._open(problem, "wave_query", max_iterations,
+                        problem="msbfs", sources=width)
     # Wave state: bit-packed frontier masks, and the lanes' levels
     # bit-sliced: ``planes[b]`` is the lane mask of every vertex whose
     # ``level + 1`` has bit ``b`` set, so recording a level is one OR per
@@ -262,7 +255,7 @@ def run_wave(
     for lane, source in enumerate(sources):
         masks_host[source] |= _ONE << np.uint64(lane)
     planes = [masks_host.copy()]
-    mask_arr = session._wave_mask_buffer(masks_host)
+    mask_arr = session._buffer("wave_masks", masks_host)
     mask = mask_arr.data
     visited_mask = mask.copy()
     num_edges = session.csr.num_edges
@@ -313,31 +306,20 @@ def run_wave(
     session._traverse(
         run, problem, mask_arr, np.flatnonzero(mask), propagate,
         name=f"msbfs wave ({width} sources)", label="wave-masks",
-        max_iterations=max_iterations,
         trace_meta={"problem": "msbfs", "sources": str(width)},
         wave_lanes=width,
     )
 
-    session.queries_served += width
-    return WaveResult(
+    measured = run.measured(session)
+    return fill_result(
+        WaveResult, measured,
         sources=sources,
         levels=_unslice_levels(planes, width),
-        total_ms=run.total_ms,
-        kernel_ms=run.prof.kernels.elapsed_ms,
-        transfer_ms=run.prof.h2d_time_ms + run.prof.migration_time_ms,
-        d2h_ms=run.d2h_ms,
-        setup_ms=run.setup_ms,
-        stats=run.stats,
-        timeline=run.timeline,
-        profiler=run.prof,
-        config=session.config,
-        oversubscribed=run.oversubscribed,
-        trace=run.trace,
         extras={
             "smp_effective": session._smp,
             "threads_per_block": session._threads_per_block,
-            "device_bytes": session.memory.device_bytes_in_use,
-            "um_bytes": session.memory.um_bytes_allocated,
+            "device_bytes": measured["device_bytes"],
+            "um_bytes": measured["um_bytes"],
         },
     )
 

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.core.config import EtaGraphConfig
-from repro.core.session import EngineSession
+from repro.core.session import EngineSession, fill_result
 from repro.core.stats import TraversalStats
 from repro.errors import ConfigError
 from repro.gpu.device import DeviceSpec, GTX_1080TI
@@ -82,7 +82,6 @@ def pagerank(
     vertex stops pushing; the returned ranks satisfy the PageRank
     recurrence to within the total leftover residual.
     """
-    session._check_open()
     if not 0.0 < damping < 1.0:
         raise ConfigError(f"damping must be in (0, 1), got {damping}")
     if tolerance <= 0:
@@ -92,9 +91,10 @@ def pagerank(
     if n == 0:
         raise ConfigError("empty graph")
 
-    run = session._open(_DELTA_PUSH, "pagerank", damping=damping)
-    residual_arr = session._labels_buffer(
-        np.full(n, 1.0 - damping, dtype=np.float64)
+    run = session._open(_DELTA_PUSH, "pagerank", max_iterations,
+                        damping=damping)
+    residual_arr = session._buffer(
+        "residual", np.full(n, 1.0 - damping, dtype=np.float64)
     )
     residual = residual_arr.data
     ranks = np.zeros(n, dtype=np.float64)
@@ -114,7 +114,7 @@ def pagerank(
 
     session._traverse(
         run, _DELTA_PUSH, residual_arr, np.arange(n, dtype=np.int64), push,
-        name="pagerank", label="residual", max_iterations=max_iterations,
+        name="pagerank", label="residual",
         trace_meta={"problem": "pagerank"},
     )
     # The pipeline skips the step for a frontier of sinks alone, which
@@ -122,16 +122,7 @@ def pagerank(
     left = residual > tolerance
     ranks[left] += residual[left]
 
-    session.queries_served += 1
-    return PageRankResult(
-        ranks=ranks,
-        total_ms=run.total_ms,
-        kernel_ms=run.prof.kernels.elapsed_ms,
-        stats=run.stats,
-        timeline=run.timeline,
-        profiler=run.prof,
-        trace=run.trace,
-    )
+    return fill_result(PageRankResult, run.measured(session), ranks=ranks)
 
 
 def delta_pagerank(
@@ -144,7 +135,8 @@ def delta_pagerank(
     device: DeviceSpec = GTX_1080TI,
 ) -> PageRankResult:
     """:func:`pagerank` on a session of one: ``total_ms`` includes the
-    full topology placement, as :meth:`EtaGraphEngine.run` does."""
+    full topology placement, as a one-shot
+    :class:`~repro.core.api.EtaGraph` query does."""
     with EngineSession(csr, config, device) as session:
         return pagerank(session, damping=damping, tolerance=tolerance,
                         max_iterations=max_iterations)

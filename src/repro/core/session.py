@@ -22,17 +22,27 @@ Accounting is *measured*, not reconstructed:
   time therefore reflects only pages actually migrated for that query
   (labels initialization, faults under oversubscription), nothing else.
 
-``EtaGraphEngine.run`` is a session-of-one built on this class, so the
-one-shot path and the first query of a fresh session are the same code —
-bit-identical labels and identical clock arithmetic.
+Every engine entry point runs on this class: :class:`~repro.core.api.
+EtaGraph`'s one-shot methods open a session of one, so the one-shot path
+and the first query of a fresh session are the same code — bit-identical
+labels and identical clock arithmetic.  Query, MSBFS wave
+(:mod:`repro.core.msbfs`) and delta PageRank (:mod:`repro.core.pagerank`)
+each supply only their step and their result type: :meth:`EngineSession.
+_open` validates and places, :meth:`EngineSession._buffer` holds the
+working arrays, :meth:`EngineSession._traverse` runs Procedure 1's loop,
+and :meth:`_TraversalRun.measured` hands the measurement record to
+:func:`fill_result`.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
 from repro.algorithms.base import TraversalProblem, get_problem
 from repro.core.config import EtaGraphConfig, MemoryMode
+from repro.core.engine import TraversalResult
 from repro.core.frontier import FrontierBuffers
 from repro.core.memo import FrontierMemo, _FrontierExpansion
 from repro.core.smp import plan_prefetch
@@ -60,10 +70,19 @@ from repro.graph.csr import CSRGraph
 from repro.utils.ragged import ragged_gather_indices
 
 
+def fill_result(cls, measured: dict, /, **own):
+    """``cls(**own)``, completed with every ``measured`` field that
+    ``cls`` declares and ``own`` does not set.  The result types share
+    their measurement fields' names, so each takes what it reports."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**own, **{k: v for k, v in measured.items()
+                         if k in names and k not in own})
+
+
 class _TraversalRun:
-    """Measurement state of one query or wave: opened by
+    """Measurement state of one query, wave or PageRank: opened by
     :meth:`EngineSession._open`, advanced and filled in by
-    :meth:`EngineSession._traverse`.
+    :meth:`EngineSession._traverse`, handed over by :meth:`measured`.
 
     The run owns the simulated clock: the ``gpu`` cost models only
     return durations, and :meth:`record` places each activity on the
@@ -71,23 +90,44 @@ class _TraversalRun:
     """
 
     __slots__ = (
-        "prof", "timeline", "tr", "span", "clock", "setup_before",
+        "prof", "timeline", "tr", "span", "clock", "setup_before", "limit",
         "oversubscribed", "total_ms", "d2h_ms", "stats", "setup_ms", "trace",
     )
 
-    def __init__(self, setup_before: float):
+    def __init__(self, setup_before: float, limit: int = 0):
         self.prof = Profiler()
         self.timeline = Timeline()
         self.tr = None
         self.span = None
         self.clock = 0.0
         self.setup_before = setup_before
+        #: The traversal's iteration budget.
+        self.limit = limit
         self.oversubscribed = False
         self.total_ms = 0.0
         self.d2h_ms = 0.0
         self.stats: TraversalStats | None = None
         self.setup_ms = 0.0
         self.trace = None
+
+    def measured(self, session: "EngineSession") -> dict:
+        """The finished run's measurement record, by result field name."""
+        prof = self.prof
+        return {
+            "total_ms": self.total_ms,
+            "kernel_ms": prof.kernels.elapsed_ms,
+            "transfer_ms": prof.h2d_time_ms + prof.migration_time_ms,
+            "d2h_ms": self.d2h_ms,
+            "setup_ms": self.setup_ms,
+            "stats": self.stats,
+            "timeline": self.timeline,
+            "profiler": prof,
+            "config": session.config,
+            "device_bytes": session.memory.device_bytes_in_use,
+            "um_bytes": session.memory.um_bytes_allocated,
+            "oversubscribed": self.oversubscribed,
+            "trace": self.trace,
+        }
 
     def record(self, name: str, category: str, start_ms: float,
                dur_ms: float, *, nbytes: int | None = None,
@@ -212,9 +252,8 @@ class EngineSession:
         self._offsets_arr: DeviceArray | None = None
         self._cols_arr: DeviceArray | None = None
         self._weights_arr: DeviceArray | None = None
-        self._labels_arr: DeviceArray | None = None
-        self._wave_masks_arr: DeviceArray | None = None
-        self._parents_arr: DeviceArray | None = None
+        #: Per-query working buffers by name (:meth:`_buffer`).
+        self._buffers: dict[str, DeviceArray] = {}
         self._frontier: FrontierBuffers | None = None
         self._shadow_table = None
         #: The MSBFS wave's in-edge view (``core.msbfs._PullView``),
@@ -415,32 +454,21 @@ class EngineSession:
     # Per-query working buffers (reused, reset between queries)
     # ------------------------------------------------------------------
 
-    def _labels_buffer(self, labels_host: np.ndarray) -> DeviceArray:
-        arr = self._labels_arr
-        if arr is not None and arr.data.dtype == labels_host.dtype \
-                and arr.data.shape == labels_host.shape:
-            arr.data[:] = labels_host
+    def _buffer(self, name: str, host: np.ndarray) -> DeviceArray:
+        """The session-resident working buffer ``name``, holding a copy
+        of ``host``: query labels, parents, wave lane masks or the
+        PageRank residual.  The allocation is reused while its dtype and
+        shape match ``host``, so memo keys and memoized trace plans keep
+        their device addresses; otherwise it is freed and reallocated."""
+        arr = self._buffers.get(name)
+        if arr is not None and arr.data.dtype == host.dtype \
+                and arr.data.shape == host.shape:
+            arr.data[:] = host
             return arr
         if arr is not None:
             self.memory.free(arr)
-        self._labels_arr = self.memory.alloc("labels", labels_host.copy())
-        return self._labels_arr
-
-    def _wave_mask_buffer(self, masks_host: np.ndarray) -> DeviceArray:
-        """Session-resident uint64 lane-mask buffer for MSBFS waves
-        (:mod:`repro.core.msbfs`): one 64-bit word per vertex, reused —
-        never reallocated — across waves, so memoized wave trace plans
-        keep stable device addresses."""
-        arr = self._wave_masks_arr
-        if arr is not None and arr.data.shape == masks_host.shape:
-            arr.data[:] = masks_host
-            return arr
-        if arr is not None:
-            self.memory.free(arr)
-        self._wave_masks_arr = self.memory.alloc(
-            "wave_masks", masks_host.copy()
-        )
-        return self._wave_masks_arr
+        arr = self._buffers[name] = self.memory.alloc(name, host.copy())
+        return arr
 
     def _frontier_buffers(self) -> FrontierBuffers:
         if self._frontier is None:
@@ -449,20 +477,6 @@ class EngineSession:
                 self.config.degree_limit,
             )
         return self._frontier
-
-    def _parents_buffer(self) -> DeviceArray:
-        """Session-resident parent pointers (one |V|-word int32 array),
-        allocated by the first query that asks for parents and reset to
-        ``NO_PARENT`` by every later one."""
-        from repro.algorithms.paths import NO_PARENT
-
-        if self._parents_arr is None:
-            self._parents_arr = self.memory.alloc_full(
-                "parents", max(self.csr.num_vertices, 1), NO_PARENT, np.int32
-            )
-        else:
-            self._parents_arr.data[:] = NO_PARENT
-        return self._parents_arr
 
     def _check_open(self) -> None:
         if self._closed:
@@ -547,26 +561,18 @@ class EngineSession:
     ):
         """Run one traversal against the session's resident topology.
 
-        Semantics match :meth:`repro.core.engine.EtaGraphEngine.run`
-        exactly (same labels, same validation); only the cost accounting
-        differs: topology setup is paid at most once per session, and
-        the returned result's ``setup_ms`` records the slice of it paid
-        during *this* call.
+        Topology setup is paid at most once per session, and the
+        returned result's ``setup_ms`` records the slice of it paid
+        during *this* call (a session of one pays it all, as
+        :class:`~repro.core.api.EtaGraph`'s one-shot methods do).
 
         ``max_iterations`` tightens (or loosens) the config's iteration
         budget for *this query only* — the per-request budget hook the
         resilience and serving layers use without rebuilding the
         session's resident state.  ``None`` keeps the config's budget.
         """
-        from repro.core.engine import TraversalResult
-
-        self._check_open()
         if isinstance(problem, str):
             problem = get_problem(problem)
-        if max_iterations is not None and max_iterations < 1:
-            raise ConfigError(
-                f"max_iterations must be >= 1, got {max_iterations}"
-            )
         problem.check_graph(self.csr)
         if target is not None:
             if problem.name != "bfs":
@@ -576,21 +582,27 @@ class EngineSession:
                 )
             if not 0 <= target < self.csr.num_vertices:
                 raise InvalidLaunchError(f"target {target} out of range")
-        cfg = self.config
         n = self.csr.num_vertices
         if not 0 <= source < n:
             raise InvalidLaunchError(
                 f"source {source} out of range [0, {n})"
             )
 
-        run = self._open(problem, "query", problem=problem.name,
-                         source=source)
+        run = self._open(problem, "query", max_iterations,
+                         problem=problem.name, source=source)
+        index = self.queries_served
         # Allocation order fixes device addresses (and so the cache
         # model's input): labels, frontier buffers, then parents.
-        labels_arr = self._labels_buffer(problem.initial_labels(n, source))
+        labels_arr = self._buffer("labels", problem.initial_labels(n, source))
         labels = labels_arr.data
         self._frontier_buffers()
-        parents = self._parents_buffer().data if parents else None
+        if parents:
+            from repro.algorithms.paths import NO_PARENT
+
+            parents = self._buffer("parents", np.full(
+                max(n, 1), NO_PARENT, dtype=np.int32)).data
+        else:
+            parents = None
         seeds = problem.initial_frontier(n, source)
         visited = np.zeros(n, dtype=bool)
         visited[seeds] = True
@@ -651,38 +663,24 @@ class EngineSession:
         self._traverse(
             run, problem, labels_arr, seeds, relax,
             name=problem.name, label="labels",
-            max_iterations=max_iterations,
             trace_meta={"problem": problem.name, "source": source},
         )
 
-        result = TraversalResult(
+        result = fill_result(
+            TraversalResult, run.measured(self),
             labels=labels.copy(),
             source=source,
             problem_name=problem.name,
-            total_ms=run.total_ms,
-            kernel_ms=run.prof.kernels.elapsed_ms,
-            transfer_ms=run.prof.h2d_time_ms + run.prof.migration_time_ms,
-            d2h_ms=run.d2h_ms,
-            stats=run.stats,
-            timeline=run.timeline,
-            profiler=run.prof,
-            config=cfg,
-            device_bytes=self.memory.device_bytes_in_use,
-            um_bytes=self.memory.um_bytes_allocated,
-            oversubscribed=run.oversubscribed,
-            setup_ms=run.setup_ms,
-            trace=run.trace,
             extras={
                 "smp_effective": self._smp,
                 "threads_per_block": self._threads_per_block,
                 "parents": parents.copy() if parents is not None else None,
                 "early_exit": target is not None,
-                "session_query_index": self.queries_served,
-                "warm_start": self.queries_served > 0 and run.setup_ms == 0.0,
+                "session_query_index": index,
+                "warm_start": index > 0 and run.setup_ms == 0.0,
             },
         )
-        self.queries_served += 1
-        if cfg.check_invariants:
+        if self.config.check_invariants:
             # Imported lazily: repro.testing imports this module.
             from repro.testing.invariants import check_traversal_result
 
@@ -695,13 +693,19 @@ class EngineSession:
         return result
 
     # ------------------------------------------------------------------
-    # The iteration pipeline every driver (query, MSBFS wave) runs
+    # The iteration pipeline every driver (query, MSBFS wave, PageRank)
+    # runs
     # ------------------------------------------------------------------
 
-    def _open(self, problem: TraversalProblem, span_name: str, /,
-              **attrs) -> _TraversalRun:
-        """Start one traversal: fresh profiler and timeline, the tracer
-        and its outer span, and topology placement (first call only).
+    def _open(self, problem: TraversalProblem, span_name: str,
+              max_iterations: int | None, /, **attrs) -> _TraversalRun:
+        """Start one traversal: the preamble every driver shares (the
+        session is open; ``max_iterations``, which overrides the
+        config's budget when given, is at least 1), then a fresh
+        profiler and timeline, the tracer and its outer span, and
+        topology placement (first call only).  A driver checks its own
+        arguments before calling this, so a rejected call places
+        nothing.
 
         Telemetry: an attached tracer wins; else ``config.telemetry``
         creates one per traversal.  Every span is recorded behind a
@@ -709,8 +713,16 @@ class EngineSession:
         one) — with telemetry off no span is built, and with it on the
         spans only *read* the simulated clock.
         """
+        self._check_open()
+        if max_iterations is not None and max_iterations < 1:
+            raise ConfigError(
+                f"max_iterations must be >= 1, got {max_iterations}"
+            )
         cfg = self.config
-        run = _TraversalRun(self.setup_ms)
+        run = _TraversalRun(
+            self.setup_ms,
+            cfg.max_iterations if max_iterations is None else max_iterations,
+        )
         tr = self.tracer
         if tr is None and cfg.telemetry:
             from repro.observability.spans import Tracer
@@ -737,12 +749,12 @@ class EngineSession:
         *,
         name: str,
         label: str,
-        max_iterations: int | None,
         trace_meta: dict,
         wave_lanes: int = 0,
     ) -> None:
         """Run the traversal loop over the per-vertex working array
-        ``work_arr`` (float labels, or MSBFS uint64 lane masks).
+        ``work_arr`` (float labels, MSBFS uint64 lane masks or the
+        PageRank residual), within ``run``'s iteration budget.
 
         Every iteration is the paper's pipeline: frontier-memo lookup and
         expansion, the ``actSet2virtActSet`` transform kernel, topology
@@ -754,7 +766,8 @@ class EngineSession:
 
         The working array's H2D initialization and D2H readback bracket
         the loop as ``{label}-init`` / ``{label}-d2h``.  Results land on
-        ``run``; ``name`` heads the non-convergence message.
+        ``run``; ``name`` heads the non-convergence message.  A finished
+        traversal counts as one served query, or ``wave_lanes``.
         """
         cfg = self.config
         csr = self.csr
@@ -795,14 +808,11 @@ class EngineSession:
         weights = csr.edge_weights if problem.needs_weights else None
 
         iteration = 0
-        iteration_limit = (
-            cfg.max_iterations if max_iterations is None else max_iterations
-        )
         while not frontier.is_empty:
-            if iteration >= iteration_limit:
+            if iteration >= run.limit:
                 raise ConvergenceError(
                     f"{name} did not converge within "
-                    f"{iteration_limit} iterations"
+                    f"{run.limit} iterations"
                 )
             active = frontier.active
             frontier.reset()  # the paper's per-iteration reset-and-reuse
@@ -1031,6 +1041,7 @@ class EngineSession:
                 graph=f"{csr.num_vertices}v-{csr.num_edges}e",
                 memory_mode=cfg.memory_mode.value,
             )
+        self.queries_served += max(wave_lanes, 1)
 
     def _topology_access(
         self,

@@ -146,10 +146,6 @@ class DeviceMemory:
     def um_bytes_allocated(self) -> int:
         return sum(a.nbytes for a in self._allocations.values() if a.kind == "um")
 
-    @property
-    def bytes_free(self) -> int:
-        return self.capacity - self._device_in_use
-
     def allocations(self) -> list[DeviceArray]:
         return list(self._allocations.values())
 

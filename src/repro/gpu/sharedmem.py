@@ -24,10 +24,6 @@ class OccupancyResult:
     warps_per_sm: int
     shared_bytes_per_block: int
 
-    @property
-    def limited_by_shared_memory(self) -> bool:
-        return self.shared_bytes_per_block > 0 and self.blocks_per_sm < 32
-
 
 def smp_shared_bytes_per_block(
     threads_per_block: int, degree_limit: int, word_bytes: int = 4

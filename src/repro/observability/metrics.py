@@ -267,16 +267,6 @@ def add_service(reg: MetricsRegistry, service) -> None:
         reg.set_gauge("service.recorder_entries", len(recorder.ring))
 
 
-def add_run_outcome(reg: MetricsRegistry, outcome) -> None:
-    """Lift a :class:`~repro.resilience.session.RunOutcome` into
-    ``resilience.*`` counters."""
-    reg.inc("resilience.queries", 1, placement=outcome.final_placement)
-    reg.inc("resilience.attempts", outcome.num_attempts)
-    reg.inc("resilience.degraded", int(outcome.degraded))
-    reg.inc("resilience.backoff_ms", outcome.backoff_ms)
-    reg.inc("resilience.faults_seen", len(outcome.faults_seen))
-
-
 def unified_snapshot(
     *,
     session=None,

@@ -18,11 +18,10 @@ summarize <trace> --request <id>`` on a traced rerun.  Every choice is
 seeded and the latencies, shed rates, burn rates and counters are read
 off the simulated clock, so they repeat exactly run to run — facts
 about the scheduler, not about the host — and CI gates them against
-``benchmarks/baseline_pr10/``.  Two kinds of leaf are not exact: the
-``wall_*`` leaves are host wall-clock, and ``recovery_ms`` is a
-difference of two wall-contaminated instants (see
-:func:`run_recovery_scenario`), equal between runs only up to float
-rounding in its last bits.
+``benchmarks/baseline_pr10/``.  Only the ``wall_*`` leaves, host
+wall-clock, are not exact; the breaker's open and close instants and
+their difference ``recovery_ms`` (see :func:`run_recovery_scenario`)
+are simulated like the rest.
 
 The headline invariant (asserted by the chaos tests, visible here):
 **shed rate is monotone in offered load** — more clients can only shed
@@ -353,9 +352,9 @@ def run_recovery_scenario(csr, *, pool_size: int = 2) -> dict:
     and standby-replaced at the open instant, half-open probes re-admit
     it after the quarantine window, and clean probes close it.
     ``recovery_ms`` is first-close minus first-open in simulated
-    milliseconds.  Both instants carry wall-clock fallback durations
-    that cancel in the difference, so ``recovery_ms`` matches between
-    runs up to float rounding in its last bits, not bit-for-bit.
+    milliseconds.  The fail-fast window's CPU-fallback serves are
+    charged the modelled floor's simulated cost, so both instants, and
+    their difference, repeat bit-for-bit between runs.
     """
     from repro.resilience.faults import FaultPlan, FaultSpec
     from repro.resilience.session import RetryPolicy
@@ -381,14 +380,8 @@ def run_recovery_scenario(csr, *, pool_size: int = 2) -> dict:
         return {
             "opens": sum(lane.opens for lane in service.health.lanes),
             "closes": sum(lane.closes for lane in service.health.lanes),
-            # Absolute instants are wall-contaminated: the fail-fast
-            # window's CPU-fallback serves carry wall-clock durations
-            # (the one deliberate wall leak in the simulator), so only
-            # their *difference* — the quarantine arc, which contains no
-            # fallback — is deterministic.  The ``wall_`` prefix puts
-            # them under the loose regression-only compare regime.
-            "wall_first_open_ms": opened,
-            "wall_first_close_ms": closed,
+            "first_open_ms": opened,
+            "first_close_ms": closed,
             "recovery_ms": (
                 closed - opened
                 if opened is not None and closed is not None else None

@@ -271,8 +271,3 @@ class SessionPool:
         return PoolWorker(
             index=self.size, session=session, resilient=self.resilient,
         )
-
-    @property
-    def idle_at_ms(self) -> float:
-        """Earliest simulated time at which some lane is free."""
-        return min(w.busy_until_ms for w in self.workers)

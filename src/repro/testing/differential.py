@@ -26,7 +26,7 @@ import numpy as np
 from repro.algorithms.base import get_problem
 from repro.algorithms.cpu_reference import reference_labels
 from repro.core.config import EtaGraphConfig
-from repro.core.engine import EtaGraphEngine
+from repro.core.session import EngineSession
 from repro.gpu.device import DeviceSpec, GTX_1080TI
 from repro.graph.csr import CSRGraph, WEIGHT_DTYPE
 
@@ -187,8 +187,8 @@ def etagraph_engine(
     """EtaGraph as a pluggable differential engine."""
 
     def run(csr: CSRGraph, problem_name: str, source: int) -> np.ndarray:
-        engine = EtaGraphEngine(csr, config, device)
-        return engine.run(get_problem(problem_name), source).labels
+        with EngineSession(csr, config, device) as session:
+            return session.query(get_problem(problem_name), source).labels
 
     return run
 
@@ -211,7 +211,6 @@ def session_engine(
     run summaries), and it must reproduce the first answer's labels and
     per-iteration counts exactly, or the engine raises.
     """
-    from repro.core.session import EngineSession
 
     def run(csr: CSRGraph, problem_name: str, source: int) -> np.ndarray:
         problem = get_problem(problem_name)
@@ -307,7 +306,6 @@ def msbfs_engine(
     must answer every case the fuzzer deals it.
     """
     from repro.core import msbfs
-    from repro.core.session import EngineSession
 
     def run(csr: CSRGraph, problem_name: str, source: int) -> np.ndarray:
         problem = get_problem(problem_name)

@@ -10,7 +10,6 @@ from repro import EtaGraph
 from repro.algorithms.cc import ConnectedComponents, weakly_connected_components
 from repro.algorithms.validate import validate_labels
 from repro.core.config import EtaGraphConfig, MemoryMode
-from repro.core.engine import EtaGraphEngine
 from repro.core.pagerank import delta_pagerank, pagerank, pagerank_reference
 from repro.core.session import EngineSession
 from repro.errors import ConfigError
@@ -100,7 +99,8 @@ class TestConnectedComponents:
 
     def test_runs_through_engine_directly(self):
         g = generators.cycle_graph(20)
-        result = EtaGraphEngine(g).run(ConnectedComponents(), 0)
+        with EngineSession(g) as session:
+            result = session.query(ConnectedComponents(), 0)
         assert np.all(result.labels == 0)
         assert result.stats.seed_count == 20
         assert result.stats.activation_fraction() == 1.0
@@ -189,6 +189,32 @@ class TestDeltaPageRank:
         if mode in (MemoryMode.ZERO_COPY, MemoryMode.DIRECT_ACCESS,
                     MemoryMode.UM_ON_DEMAND):
             assert first_bytes(pr.timeline)  # the charge was paid
+
+    def test_zero_iteration_budget_rejected_before_placement(self, graph):
+        with EngineSession(graph) as session:
+            with pytest.raises(ConfigError):
+                pagerank(session, max_iterations=0)
+            assert session.setup_ms == 0.0
+            assert not session.warm
+
+    def test_pagerank_leaves_the_bfs_labels_in_place(self, graph):
+        """PageRank's float64 residual has its own allocation, so the
+        float32 BFS labels (and every memo key built on their address)
+        survive it."""
+        def live(session):
+            return {a.name: a for a in session.memory.allocations()}
+
+        with EngineSession(graph) as session:
+            before = session.query("bfs", 0)
+            labels_arr = live(session)["labels"]
+            pagerank(session)
+            after = session.query("bfs", 0)
+            assert live(session)["labels"] is labels_arr
+            residual_arr = live(session)["residual"]
+            assert residual_arr.base_address != labels_arr.base_address
+            assert residual_arr.data.dtype == np.float64
+            assert labels_arr.data.dtype == np.float32
+        assert np.array_equal(before.labels, after.labels)
 
     def test_query_after_pagerank_starts_warm(self, graph):
         with EngineSession(graph) as session:

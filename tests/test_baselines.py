@@ -150,12 +150,11 @@ class TestOOM:
                 get_framework(fw, spec).run(g, "bfs", 0)
 
     def test_etagraph_survives_via_oversubscription(self):
-        from repro.core.engine import EtaGraphEngine
         from repro.core.config import EtaGraphConfig
         g = generators.rmat(10, 20_000, seed=4)
         # Enough for working arrays but not the topology: UM oversubscribes.
         spec = GTX_1080TI.with_capacity(96 * KIB)
-        result = EtaGraphEngine(g, EtaGraphConfig(), spec).run("bfs", 0)
+        result = EtaGraph(g, EtaGraphConfig(), spec).bfs(0)
         assert result.oversubscribed
         expected = cpu_reference.bfs_levels(g, 0)
         assert np.array_equal(result.labels, expected)
@@ -164,7 +163,6 @@ class TestOOM:
 class TestPropagateStep:
     def test_empty_active(self, social):
         g, _ = social
-        problem = EtaGraph(g)._engine  # noqa: F841 - construct engine path
         from repro.algorithms import get_problem
         labels = get_problem("bfs").initial_labels(g.num_vertices, 0)
         changed, attempted, nbr, edges = propagate_step(

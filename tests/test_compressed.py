@@ -301,7 +301,7 @@ class TestMemoKey:
             s.query("bfs", 0)  # place + allocate label arrays
             active = np.array([0], dtype=np.int32)
             return s.memo.key(
-                active.tobytes(), 1, s._labels_arr, s._weights_arr
+                active.tobytes(), 1, s._buffers["labels"], s._weights_arr
             )
 
     def test_key_separates_placement_and_encoding(self):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import get_problem
-from repro.core.engine import EtaGraphEngine
+from repro.core.session import EngineSession
 from repro.testing import (
     ALL_BASELINES,
     cc_reference,
@@ -33,9 +33,8 @@ class TestConfigMatrix:
         for gi, graph in enumerate(graphs):
             expected = oracle_labels(graph, problem, source=0)
             for config in matrix_configs:
-                result = EtaGraphEngine(graph, config).run(
-                    get_problem(problem), 0
-                )
+                with EngineSession(graph, config) as session:
+                    result = session.query(get_problem(problem), 0)
                 diff = diff_labels(expected, result.labels, graph)
                 assert diff is None, (
                     f"graph {gi}, config {config}: {diff}"
@@ -49,9 +48,8 @@ class TestConfigMatrix:
         for gi, graph in enumerate(graphs):
             expected = oracle_labels(graph, problem, source=0)
             for config in matrix_configs:
-                result = EtaGraphEngine(graph, config).run(
-                    get_problem(problem), 0
-                )
+                with EngineSession(graph, config) as session:
+                    result = session.query(get_problem(problem), 0)
                 diff = diff_labels(expected, result.labels, graph)
                 assert diff is None, (
                     f"graph {gi}, config {config}: {diff}"

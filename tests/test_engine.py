@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import EtaGraph, EtaGraphConfig, MemoryMode
 from repro.algorithms import cpu_reference
-from repro.core.engine import EtaGraphEngine
 from repro.errors import ConfigError, ConvergenceError
 from repro.gpu.device import GTX_1080TI
 from repro.graph import generators, properties
@@ -183,7 +182,7 @@ class TestMemoryBehaviour:
     def test_oversubscription_flag(self):
         g = generators.rmat(9, 8000, seed=2)
         tiny = GTX_1080TI.with_capacity(16 * KIB)
-        result = EtaGraphEngine(g, EtaGraphConfig(), tiny).run("bfs", 0)
+        result = EtaGraph(g, EtaGraphConfig(), tiny).bfs(0)
         assert result.oversubscribed
         assert np.array_equal(result.labels, oracle(g, 0, "bfs"))
 
@@ -193,7 +192,7 @@ class TestMemoryBehaviour:
         tiny = GTX_1080TI.with_capacity(16 * KIB)
         cfg = EtaGraphConfig(memory_mode=MemoryMode.DEVICE)
         with pytest.raises(DeviceOutOfMemoryError):
-            EtaGraphEngine(g, cfg, tiny).run("bfs", 0)
+            EtaGraph(g, cfg, tiny).bfs(0)
 
     def test_smp_speeds_up_kernels(self):
         g = generators.rmat(12, 120_000, seed=5)

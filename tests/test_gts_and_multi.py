@@ -58,6 +58,28 @@ class TestGTS:
         assert moved_eta < gts.extras["streamed_bytes"]
         assert np.array_equal(eta.labels, gts.labels)
 
+    def test_profiler_counts_every_streamed_chunk(self):
+        """Iterations touching more than 64 chunks charge 64 copies
+        scaled up, but the profiler records every chunk's bytes and
+        time."""
+        from repro.gpu.profiler import Profiler
+        from repro.gpu.transfer import h2d_copy
+
+        g = generators.rmat(12, 200_000, seed=3)
+        r = GTSFramework(chunk_bytes=4096).run(g, "bfs", 0)
+        upfront = (g.num_vertices + 1) * 4 + g.num_vertices * 4
+        assert upfront == 32_772
+        assert r.profiler.h2d_bytes == upfront + r.extras["streamed_bytes"]
+        assert r.profiler.h2d_bytes == 1_581_060
+        chunks = r.extras["streamed_bytes"] // 4096
+        spec, prof = GTX_1080TI, Profiler()
+        expected_ms = (
+            h2d_copy(spec, prof, (g.num_vertices + 1) * 4)
+            + h2d_copy(spec, prof, g.num_vertices * 4)
+            + chunks * h2d_copy(spec, prof, 4096, pinned=True)
+        )
+        assert r.profiler.h2d_time_ms == pytest.approx(expected_ms)
+
     def test_invalid_chunk_rejected(self):
         with pytest.raises(ConfigError):
             GTSFramework(chunk_bytes=100)

@@ -142,7 +142,8 @@ class TestEarlyExit:
     def test_rejected_for_weighted_problems(self, social):
         g, src = social
         with pytest.raises(ConfigError):
-            EtaGraph(g)._engine.run("sssp", src, target=1)
+            with EtaGraph(g).session() as session:
+                session.query("sssp", src, target=1)
 
     def test_target_out_of_range(self, social):
         g, src = social

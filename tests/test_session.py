@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro import EngineSession, EtaGraph, EtaGraphConfig, MemoryMode
-from repro.core.engine import EtaGraphEngine
 from repro.core.multi import BatchResult, pick_sources, run_batch
 from repro.errors import InvalidLaunchError
 from repro.graph import generators
@@ -43,7 +42,7 @@ class TestBitIdenticalLabels:
             for g in graphs:
                 source = int(np.argmax(g.out_degrees()))
                 warm_src = (source + 1) % g.num_vertices
-                standalone = EtaGraphEngine(g, cfg).run(problem, source)
+                standalone = EtaGraph(g, cfg).run(problem, source)
                 with EngineSession(g, cfg) as session:
                     session.query(problem, warm_src)
                     warm = session.query(problem, source)
@@ -57,7 +56,7 @@ class TestBitIdenticalLabels:
         with EngineSession(social, cfg) as session:
             for s in sources:
                 warm = session.query("sssp", int(s))
-                standalone = EtaGraphEngine(social, cfg).run("sssp", int(s))
+                standalone = EtaGraph(social, cfg).sssp(int(s))
                 assert np.array_equal(warm.labels, standalone.labels)
 
     def test_mixed_problems_share_one_session(self, social):
@@ -69,7 +68,7 @@ class TestBitIdenticalLabels:
             sssp_r = session.query("sssp", 0)
             # The late weights placement is charged to the sssp query.
             assert sssp_r.setup_ms > 0.0
-            standalone = EtaGraphEngine(social).run("sssp", 0)
+            standalone = EtaGraph(social).sssp(0)
             assert np.array_equal(sssp_r.labels, standalone.labels)
 
 
@@ -84,7 +83,7 @@ class TestSessionOfOne:
     )
     def test_run_is_a_fresh_session_query(self, social, mode):
         cfg = EtaGraphConfig(memory_mode=mode)
-        via_run = EtaGraphEngine(social, cfg).run("bfs", 0)
+        via_run = EtaGraph(social, cfg).bfs(0)
         with EngineSession(social, cfg) as session:
             via_session = session.query("bfs", 0)
         assert np.array_equal(via_run.labels, via_session.labels)
@@ -93,7 +92,7 @@ class TestSessionOfOne:
         assert via_run.kernel_ms == via_session.kernel_ms
 
     def test_one_shot_pays_setup(self, social):
-        result = EtaGraphEngine(social).run("bfs", 0)
+        result = EtaGraph(social).bfs(0)
         assert result.setup_ms > 0.0
         assert result.query_ms == pytest.approx(
             result.total_ms - result.setup_ms

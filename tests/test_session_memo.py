@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import EngineSession, EtaGraphConfig
+from repro import EngineSession, EtaGraph, EtaGraphConfig
 from repro.core.memo import (
     SMALL_ENTRY_BYTES, FrontierMemo, _FrontierExpansion,
 )
@@ -174,8 +174,6 @@ class TestMemoAccounting:
         """BFS (int32 labels, no weights) and SSSP (float labels,
         weights) frontiers may share content; their memo entries must
         stay distinct and the results exact."""
-        from repro.core.engine import EtaGraphEngine
-
         with EngineSession(social) as ses:
             b1 = ses.query("bfs", 2)
             s1 = ses.query("sssp", 2)
@@ -183,9 +181,9 @@ class TestMemoAccounting:
             s2 = ses.query("sssp", 2)
         assert np.array_equal(b1.labels, b2.labels)
         assert np.array_equal(s1.labels, s2.labels)
-        engine = EtaGraphEngine(social, EtaGraphConfig())
-        assert np.array_equal(engine.run("bfs", 2).labels, b1.labels)
-        assert np.array_equal(engine.run("sssp", 2).labels, s1.labels)
+        eta = EtaGraph(social, EtaGraphConfig())
+        assert np.array_equal(eta.bfs(2).labels, b1.labels)
+        assert np.array_equal(eta.sssp(2).labels, s1.labels)
 
 
 def _arrays(value, found):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.algorithms.base import get_problem
 from repro.core.config import EtaGraphConfig, MemoryMode
-from repro.core.engine import EtaGraphEngine
+from repro.core.session import EngineSession
 from repro.errors import InvariantViolation
 from repro.testing.invariants import (
     check_stats,
@@ -19,7 +19,8 @@ from repro.testing.invariants import (
 
 def _run(graph, problem="bfs", source=0, **cfg):
     config = EtaGraphConfig(check_invariants=True, **cfg)
-    return EtaGraphEngine(graph, config).run(get_problem(problem), source)
+    with EngineSession(graph, config) as session:
+        return session.query(get_problem(problem), source)
 
 
 class TestInlineEngineFlag:
@@ -36,18 +37,16 @@ class TestInlineEngineFlag:
 
     def test_flag_does_not_change_labels(self, skewed_graph):
         on = _run(skewed_graph)
-        off = EtaGraphEngine(skewed_graph, EtaGraphConfig()).run(
-            get_problem("bfs"), 0
-        )
+        with EngineSession(skewed_graph, EtaGraphConfig()) as session:
+            off = session.query(get_problem("bfs"), 0)
         assert np.array_equal(on.labels, off.labels)
 
     def test_early_exit_run_still_checked(self, path10):
         """Point-to-point queries stop early; the stats/label cross-check
         is skipped but structural checks still run."""
         config = EtaGraphConfig(check_invariants=True)
-        result = EtaGraphEngine(path10, config).run(
-            get_problem("bfs"), 0, target=5
-        )
+        with EngineSession(path10, config) as session:
+            result = session.query(get_problem("bfs"), 0, target=5)
         assert result.labels[5] == 5.0
 
 
