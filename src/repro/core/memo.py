@@ -189,15 +189,19 @@ class _FrontierExpansion:
 
     def fills(self) -> int:
         """How many lazily built parts the entry holds, run summaries
-        included.  Parts are only ever added, so a changed count means
-        the entry's bytes changed: they grew, or shrank because a
-        summarized stream released its arrays."""
+        and the plan's instruction models included.  Parts are only ever
+        added, so a changed count means the entry's bytes changed: they
+        grew, or shrank because a summarized stream released its
+        arrays."""
         plan, stream = self.trace_plan, self.transform_stream
-        return ((self.dests is not None) + (plan is not None)
-                + (self.src_ids is not None) + (self.dest_edges is not None)
-                + (self.dest_last_src is not None)
-                + (stream is not None and stream.summary is not None)
-                + (plan is not None and plan.sorted_stream.summary is not None))
+        count = ((self.dests is not None) + (self.src_ids is not None)
+                 + (self.dest_edges is not None)
+                 + (self.dest_last_src is not None)
+                 + (stream is not None and stream.summary is not None))
+        if plan is not None:
+            count += (1 + len(plan.issue)
+                      + (plan.sorted_stream.summary is not None))
+        return count
 
     @property
     def nbytes(self) -> int:

@@ -37,6 +37,7 @@ and :meth:`_TraversalRun.measured` hands the measurement record to
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -74,9 +75,14 @@ def fill_result(cls, measured: dict, /, **own):
     """``cls(**own)``, completed with every ``measured`` field that
     ``cls`` declares and ``own`` does not set.  The result types share
     their measurement fields' names, so each takes what it reports."""
-    names = {f.name for f in dataclasses.fields(cls)}
+    names = _field_names(cls)
     return cls(**own, **{k: v for k, v in measured.items()
                          if k in names and k not in own})
+
+
+@functools.cache
+def _field_names(cls) -> frozenset[str]:
+    return frozenset(f.name for f in dataclasses.fields(cls))
 
 
 class _TraversalRun:
@@ -615,17 +621,20 @@ class EngineSession:
                 bool((src_labels == src_labels[0]).all())
             if uniform:
                 # Every frontier edge carries the same candidate (every
-                # BFS level): the reduction is one per destination.
+                # BFS level): the reduction is one per destination.  The
+                # destinations are unique, so the scatter-reduce is a
+                # gather-combine-store: exactly the improved ones take
+                # the candidate.
                 cand = problem.candidates(src_labels[:1], None)
+                changed_sel = problem.improves(cand, before)
                 dest_edges = entry.destination_edges(n)
                 if dest_edges is not None:
-                    attempted = int(
-                        dest_edges[problem.improves(cand, before)].sum())
+                    attempted = int(dest_edges[changed_sel].sum())
                 else:
                     attempted = int(np.count_nonzero(problem.improves(
                         cand, labels.take(entry.wide_nbr()))))
-                problem.scatter_reduce(
-                    labels, dests, np.broadcast_to(cand, dests.shape))
+                changed = dests[changed_sel]
+                labels[changed] = cand
             else:
                 # Exact label propagation: scatter-reduce the candidate
                 # of every frontier edge.
@@ -637,8 +646,8 @@ class EngineSession:
                 attempted = int(np.count_nonzero(
                     problem.improves(cand, labels.take(nbr))))
                 problem.scatter_reduce(labels, nbr, cand)
-            changed_sel = labels.take(dests) != before
-            changed = dests[changed_sel]
+                changed_sel = labels.take(dests) != before
+                changed = dests[changed_sel]
             newly = changed[~visited[changed]]
             visited[changed] = True
 
@@ -964,6 +973,7 @@ class EngineSession:
                 plan=entry.trace_plan,
             )
             prof.record_kernel(timing.counters)
+            edges = entry.trace_plan.total_edges
             if key is not None:
                 # The step and both kernels may have filled the entry's
                 # lazy parts (destinations, trace plan, run summaries).
@@ -972,7 +982,7 @@ class EngineSession:
             # The vertex kernel issues after the transform kernel.
             run.record("vertex_kernel", "compute", clock + transform_ms,
                        kernel_ms, threads=int(timing.counters.threads),
-                       edges=shadows.total_edges, smp=self._smp)
+                       edges=edges, smp=self._smp)
             compute_ms = transform_ms + kernel_ms
 
             # --- iteration advance: fine-grained overlap -----------------
@@ -1003,7 +1013,7 @@ class EngineSession:
                 index=iteration,
                 active_vertices=len(active),
                 shadow_vertices=len(shadows),
-                edges_scanned=shadows.total_edges,
+                edges_scanned=edges,
                 updates=attempted,
                 newly_visited=newly_visited,
                 kernel_ms=kernel_ms,
@@ -1014,7 +1024,7 @@ class EngineSession:
             if it_span is not None:
                 tr.end(
                     it_span, clock,
-                    shadows=len(shadows), edges=shadows.total_edges,
+                    shadows=len(shadows), edges=edges,
                     updates=attempted, newly_visited=newly_visited,
                     memo="hit" if memo_hit else "miss",
                 )

@@ -23,6 +23,10 @@ from repro.utils.sorting import stable_argsort
 
 _NEVER = -(1 << 62)
 
+#: The head hit mask of a walk that reads no head (never written to).
+_NO_HEADS = np.zeros(0, dtype=bool)
+_NO_HEADS.flags.writeable = False
+
 #: Sorted sector ids below this are stored as int32.
 _INT32_LIMIT = 1 << 31
 
@@ -148,6 +152,9 @@ class _Runs:
     its slot keeps, so it is not written.  Both are in sector order.
     ``static_hits`` counts the non-head accesses within the window of
     their run's previous access, which no cache state can change.
+    ``lo``/``hi`` bound every sector the walk reads or writes (``hi <
+    lo`` when it touches none), so a replay checks the table's extent
+    once.
     """
 
     head_sectors: np.ndarray
@@ -156,6 +163,20 @@ class _Runs:
     tails: np.ndarray
     length: int
     static_hits: int
+    lo: int = field(init=False)
+    hi: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        heads, tails = self.head_sectors, self.tail_sectors
+        lo, hi = 0, -1
+        if len(heads):
+            lo, hi = int(heads[0]), int(heads[-1])
+        if len(tails):
+            first, last = int(tails[0]), int(tails[-1])
+            lo, hi = (first, last) if hi < lo else \
+                (min(lo, first), max(hi, last))
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def nbytes(self) -> int:
@@ -303,9 +324,11 @@ class ReuseWindowCache:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self._window = int(window)
-        # Last access position of sector ``_base + i`` is ``_last[i]``.
+        # Last access position of sector ``_base + i`` is ``_last[i]``;
+        # the table covers sectors ``_base .. _end - 1``.
         self._last = np.empty(0, dtype=np.int64)
         self._base = 0
+        self._end = 0
         self._clock = 0
         self.accesses = 0
         self.hits = 0
@@ -314,15 +337,14 @@ class ReuseWindowCache:
     def window(self) -> int:
         return self._window
 
-    def _ensure_capacity(self, lo: int, hi: int) -> None:
-        """Grow the last-access table to cover sectors ``lo..hi``.
+    def _grow(self, lo: int, hi: int) -> None:
+        """Grow the last-access table, which does not cover all of
+        sectors ``lo..hi``, to cover them.
 
         The new table spans the sectors touched so far plus ``lo..hi``,
         with a quarter of that span as slack on either side.
         """
-        base, size = self._base, len(self._last)
-        if size and base <= lo and hi < base + size:
-            return
+        base = self._base
         touched = np.flatnonzero(self._last != _NEVER)
         if len(touched):
             first, last = base + int(touched[0]), base + int(touched[-1])
@@ -335,46 +357,43 @@ class ReuseWindowCache:
                 self._last[first - base: last + 1 - base]
         self._last = grown
         self._base = new_base
+        self._end = new_base + len(grown)
 
-    def _slots(self, sectors: np.ndarray) -> np.ndarray:
-        """Table slots of ``sectors`` (non-empty, ascending), grown to."""
-        self._ensure_capacity(int(sectors[0]), int(sectors[-1]))
-        return np.subtract(sectors, self._base, dtype=np.intp)
+    def replay(self, runs: _Runs) -> tuple[np.ndarray, int]:
+        """Advance the cache over ``runs``, which continue from the
+        previous batches; returns the hit mask of their heads and their
+        hit count.
 
-    def _lookup(self, runs: _Runs) -> np.ndarray:
-        """The hit mask of ``runs``' heads, which continue from the
-        previous batches.  Changes no cache state."""
-        if len(runs.heads) == 0:
-            return np.zeros(0, dtype=bool)
-        slots = self._slots(runs.head_sectors)
-        gap = np.add(runs.heads, self._clock, dtype=np.int64)
-        gap -= self._last.take(slots)
-        return gap <= self._window
-
-    def _apply(self, runs: _Runs, head_hits: np.ndarray) -> int:
-        """Advance the cache over ``runs``; returns their hit count.
-
-        A run's tail is its sector's latest position, which the table
-        keeps.
+        The heads are looked up before the tails are written: a run's
+        tail is its sector's latest position, which the table keeps.
+        One extent check covers both.
         """
+        lo, hi = runs.lo, runs.hi
+        if lo <= hi and not (self._base <= lo and hi < self._end):
+            self._grow(lo, hi)
+        last, base, clock = self._last, self._base, self._clock
+        head_hits = _NO_HEADS
+        hits = runs.static_hits
+        if len(runs.heads):
+            gap = np.add(runs.heads, clock, dtype=np.int64)
+            gap -= last.take(np.subtract(runs.head_sectors, base,
+                                         dtype=np.intp))
+            head_hits = gap <= self._window
+            hits += int(np.count_nonzero(head_hits))
         if len(runs.tails):
-            slots = self._slots(runs.tail_sectors)
-            self._last[slots] = np.add(runs.tails, self._clock,
-                                       dtype=np.int64)
-        self._clock += runs.length
-        hits = runs.static_hits + int(np.count_nonzero(head_hits))
+            last[np.subtract(runs.tail_sectors, base, dtype=np.intp)] = \
+                np.add(runs.tails, clock, dtype=np.int64)
+        self._clock = clock + runs.length
         self.accesses += runs.length
         self.hits += hits
-        return hits
+        return head_hits, hits
 
     def walk(self, stream: SortedStream) -> np.ndarray:
         """Process a sorted stream; returns its hit mask in sorted order."""
         if len(stream) == 0:
             return np.zeros(0, dtype=bool)
         hits, heads, runs = _runs(stream, self._window)
-        head_hits = self._lookup(runs)
-        hits[heads] = head_hits
-        self._apply(runs, head_hits)
+        hits[heads] = self.replay(runs)[0]
         return hits
 
     def access(self, sectors: np.ndarray) -> np.ndarray:
@@ -481,24 +500,27 @@ class CacheHierarchy:
         """
         if not isinstance(stream, SortedStream):
             stream = sort_stream(stream)
-        n = len(stream)
+        n = stream.length
         if n == 0:
             return HierarchyResult(0, 0, 0, 0, 0)
-        summary = self._summary(stream)
+        unified, l2 = self.unified, self.l2
+        summary = stream.summary
+        if summary is None or summary.windows != (unified._window,
+                                                  l2._window):
+            summary = self._summary(stream)
         if summary is None:
-            to_l2, _ = _miss_stream(stream, ~self.unified.walk(stream))
+            to_l2, _ = _miss_stream(stream, ~unified.walk(stream))
             return self._result(n, len(to_l2),
-                                int(np.count_nonzero(self.l2.walk(to_l2))))
-        l1_hits = self.unified._lookup(summary.l1)
-        self.unified._apply(summary.l1, l1_hits)
-        if not l1_hits.any():
-            l2 = summary.l2
-            return self._result(n, l2.length,
-                                self.l2._apply(l2, self.l2._lookup(l2)))
+                                int(np.count_nonzero(l2.walk(to_l2))))
+        l1_hits, l1_hit_count = unified.replay(summary.l1)
+        if l1_hit_count == summary.l1.static_hits:
+            # No L1 early head hit: the canonical L2 stream.
+            return self._result(n, summary.l2.length,
+                                l2.replay(summary.l2)[1])
         hit_ranks = summary.l1_ranks.compress(l1_hits)
         prefix = sort_stream(np.delete(summary.prefix, hit_ranks))
-        l2_hits = int(np.count_nonzero(self.l2.walk(prefix)))
-        l2_hits += self.l2._apply(summary.rest, l1_hits[:0])
+        l2_hits = int(np.count_nonzero(l2.walk(prefix)))
+        l2_hits += l2.replay(summary.rest)[1]
         return self._result(n, summary.l2.length - len(hit_ranks), l2_hits)
 
     def _summary(self, stream: SortedStream) -> RunSummary | None:
@@ -524,13 +546,8 @@ class CacheHierarchy:
     @staticmethod
     def _result(accesses: int, l2_accesses: int,
                 l2_hits: int) -> HierarchyResult:
-        return HierarchyResult(
-            accesses=accesses,
-            unified_hits=accesses - l2_accesses,
-            l2_accesses=l2_accesses,
-            l2_hits=l2_hits,
-            dram_transactions=l2_accesses - l2_hits,
-        )
+        return HierarchyResult(accesses, accesses - l2_accesses,
+                               l2_accesses, l2_hits, l2_accesses - l2_hits)
 
     def reset(self) -> None:
         self.unified.reset()

@@ -74,17 +74,25 @@ def _finalize(
     warps: int,
     instructions: float,
     sm_cycles_max: float,
-    hier_result,
+    accesses: float,
+    unified_hits: float,
+    l2_accesses: float,
+    l2_hits: float,
+    dram_transactions: float,
     extra_dram_write_bytes: float,
     load_transactions: float,
     store_transactions: float,
     shared_load_bytes: float = 0.0,
 ) -> KernelTiming:
-    """Roofline combination + counter assembly shared by all kernels."""
+    """Roofline combination + counter assembly shared by all kernels.
+
+    The memory counts are the launch's (rescaled) cache-hierarchy
+    outcome; DRAM reads are its 32-byte DRAM transactions.
+    """
+    dram_read_bytes = dram_transactions * 32
     compute_ms = spec.cycles_to_ms(sm_cycles_max)
-    dram_bytes = hier_result.dram_bytes + extra_dram_write_bytes
-    dram_ms = spec.dram_time_ms(dram_bytes)
-    l2_ms = spec.l2_time_ms(hier_result.l2_accesses * spec.sector_bytes)
+    dram_ms = spec.dram_time_ms(dram_read_bytes + extra_dram_write_bytes)
+    l2_ms = spec.l2_time_ms(l2_accesses * spec.sector_bytes)
     launch_ms = spec.kernel_launch_us * 1e-3
     time_ms = launch_ms + max(compute_ms, dram_ms, l2_ms)
 
@@ -97,11 +105,11 @@ def _finalize(
         elapsed_ms=time_ms,
         global_load_transactions=int(load_transactions),
         global_store_transactions=int(store_transactions),
-        unified_cache_accesses=int(hier_result.accesses),
-        unified_cache_hits=int(hier_result.unified_hits),
-        l2_accesses=int(hier_result.l2_accesses),
-        l2_hits=int(hier_result.l2_hits),
-        dram_read_bytes=float(hier_result.dram_bytes),
+        unified_cache_accesses=int(accesses),
+        unified_cache_hits=int(unified_hits),
+        l2_accesses=int(l2_accesses),
+        l2_hits=int(l2_hits),
+        dram_read_bytes=float(dram_read_bytes),
         dram_write_bytes=float(extra_dram_write_bytes),
         shared_load_bytes=float(shared_load_bytes),
     )
@@ -115,17 +123,43 @@ def _finalize(
     )
 
 
-@dataclass
-class _ScaledHierarchyResult:
-    accesses: float
-    unified_hits: float
-    l2_accesses: float
-    l2_hits: float
-    dram_transactions: float
+def _issue_model(plan: TracePlan, smp: bool, instr_base: float,
+                 instr_per_edge: float, balanced_issue: bool,
+                 warp_size: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The launch-independent part of the instruction model over the
+    plan's traced threads: the total lane instructions, each warp's
+    issue cycles and each warp's edge count.
 
-    @property
-    def dram_bytes(self) -> float:
-        return self.dram_transactions * 32
+    They depend only on the plan's degrees and the arguments, so they
+    are kept on the plan (:attr:`TracePlan.issue`), keyed by the
+    arguments: a memoized plan replays without recomputing them.
+    """
+    key = (smp, instr_base, instr_per_edge, balanced_issue, warp_size)
+    model = plan.issue.get(key)
+    if model is not None:
+        return model
+    degrees = plan.degrees
+    if smp:
+        # Unrolling removes per-iteration loop overhead; prefetch adds a
+        # shared-memory store per edge.
+        eff_instr_per_edge = max(2.0, instr_per_edge - 3.0) + 1.0
+    else:
+        eff_instr_per_edge = instr_per_edge
+    lane_instr = instr_base + degrees.astype(np.float64) * eff_instr_per_edge
+    if plan.n_threads:
+        if balanced_issue:
+            warp_issue = warpmod.per_warp_sum(lane_instr, warp_size) / warp_size \
+                + instr_base
+        else:
+            warp_issue = warpmod.per_warp_max(lane_instr, warp_size)
+        warp_edges = warpmod.per_warp_sum(degrees.astype(np.float64), warp_size)
+    else:
+        warp_issue = np.zeros(0)
+        warp_edges = np.zeros(0)
+    # Every later launch over the plan shares them.
+    warp_issue.flags.writeable = warp_edges.flags.writeable = False
+    model = plan.issue[key] = (float(lane_instr.sum()), warp_issue, warp_edges)
+    return model
 
 
 def simulate_vertex_kernel(
@@ -181,8 +215,10 @@ def simulate_vertex_kernel(
         (same arrays, same shapes) by :func:`build_vertex_trace` —
         typically from the engine session's frontier memo.  When given,
         the whole trace pipeline (sampling, coalescing, the cache-order
-        sort) is skipped; only the stateful cache walk and the
-        instruction model run.  The plan's fingerprint is checked.
+        sort) is skipped, and so is the part of the instruction model
+        the plan already keeps (:func:`_issue_model`): only the
+        stateful cache walk and what depends on it run.  The plan's
+        fingerprint is checked.
     """
     starts = np.asarray(starts, dtype=np.int64)
     degrees = np.asarray(degrees, dtype=np.int64)
@@ -236,41 +272,22 @@ def simulate_vertex_kernel(
 
     scale = plan.scale
     sampled_edges = plan.sampled_edges
-    degrees = plan.degrees
-    n_threads = plan.n_threads
 
     # The cache hierarchy is stateful across launches, so the stream is
     # replayed through it even when the plan itself was memoized.
     hier = caches.access(plan.sorted_stream)
-    load_transactions = len(plan.sorted_stream) * scale
-    hier_scaled = _ScaledHierarchyResult(
-        accesses=hier.accesses * scale,
-        unified_hits=hier.unified_hits * scale,
-        l2_accesses=hier.l2_accesses * scale,
-        l2_hits=hier.l2_hits * scale,
-        dram_transactions=hier.dram_transactions * scale,
-    )
+    load_transactions = plan.sorted_stream.length * scale
+    accesses = hier.accesses * scale
+    unified_hits = hier.unified_hits * scale
+    l2_hits = hier.l2_hits * scale
+    dram_transactions = hier.dram_transactions * scale
 
     # ------------------------------------------------------------------
     # Instruction / cycle model
     # ------------------------------------------------------------------
-    if smp:
-        # Unrolling removes per-iteration loop overhead; prefetch adds a
-        # shared-memory store per edge.
-        eff_instr_per_edge = max(2.0, instr_per_edge - 3.0) + 1.0
-    else:
-        eff_instr_per_edge = instr_per_edge
-    lane_instr = instr_base + degrees.astype(np.float64) * eff_instr_per_edge
-    if n_threads:
-        if balanced_issue:
-            warp_issue = warpmod.per_warp_sum(lane_instr, warp_size) / warp_size \
-                + instr_base
-        else:
-            warp_issue = warpmod.per_warp_max(lane_instr, warp_size)
-        warp_edges = warpmod.per_warp_sum(degrees.astype(np.float64), warp_size)
-    else:
-        warp_issue = np.zeros(0)
-        warp_edges = np.zeros(0)
+    lane_instr_sum, warp_issue, warp_edges = _issue_model(
+        plan, smp, instr_base, instr_per_edge, balanced_issue, warp_size
+    )
 
     # Occupancy / latency hiding.
     shared_per_block = (
@@ -282,15 +299,15 @@ def simulate_vertex_kernel(
     hiding = min(occ.warps_per_sm, spec.latency_hiding_warps)
     mlp = spec.smp_mlp if smp else spec.base_mlp
 
-    if hier_scaled.accesses > 0:
+    if accesses > 0:
         avg_latency = (
-            hier_scaled.unified_hits * spec.unified_cache_latency_cycles
-            + hier_scaled.l2_hits * spec.l2_latency_cycles
-            + hier_scaled.dram_transactions * spec.dram_latency_cycles
-        ) / hier_scaled.accesses
+            unified_hits * spec.unified_cache_latency_cycles
+            + l2_hits * spec.l2_latency_cycles
+            + dram_transactions * spec.dram_latency_cycles
+        ) / accesses
     else:
         avg_latency = 0.0
-    total_stall = (hier_scaled.accesses / scale) * avg_latency / (mlp * hiding)
+    total_stall = (accesses / scale) * avg_latency / (mlp * hiding)
     if sampled_edges > 0:
         warp_stall = total_stall * warp_edges / sampled_edges
     else:
@@ -308,30 +325,31 @@ def simulate_vertex_kernel(
         sm_cycles_max += idle_cycles
 
     instructions = (
-        float(lane_instr.sum()) * scale + idle_threads * idle_instr
+        lane_instr_sum * scale + idle_threads * idle_instr
         + updates * 6.0  # atomicMin + frontier append
     )
-    store_transactions = updates
-    dram_write_bytes = updates * spec.sector_bytes
     shared_load_bytes = float(sampled_edges) * scale * 4.0 if smp else 0.0
 
     # Launched thread/warp counts are exact — warp sampling bounds the
     # *trace*, not the launch, so rescaling sampled counts by the
     # edge-based ``scale`` would misreport them whenever kept warps have
     # skewed degrees.  The plan keeps the pre-sampling counts.
-    timing = _finalize(
+    return _finalize(
         spec,
         threads=plan.threads_full + idle_threads,
         warps=plan.warps_full + (-(-idle_threads // warp_size)),
         instructions=instructions,
         sm_cycles_max=sm_cycles_max,
-        hier_result=hier_scaled,
-        extra_dram_write_bytes=dram_write_bytes,
+        accesses=accesses,
+        unified_hits=unified_hits,
+        l2_accesses=hier.l2_accesses * scale,
+        l2_hits=l2_hits,
+        dram_transactions=dram_transactions,
+        extra_dram_write_bytes=updates * spec.sector_bytes,
         load_transactions=load_transactions,
-        store_transactions=store_transactions,
+        store_transactions=updates,
         shared_load_bytes=shared_load_bytes,
     )
-    return timing
 
 
 def _gather_stride(n: int) -> int:
@@ -387,7 +405,8 @@ def simulate_streaming_kernel(
     stream_transactions = int(np.ceil(read_bytes / spec.sector_bytes))
 
     scatter_trans = 0
-    hier = None
+    accesses = l2_accesses = dram_transactions = stream_transactions
+    unified_hits = l2_hits = 0
     if scatter_indices is not None and len(scatter_indices):
         if scatter_stream is None:
             scatter_stream = gather_stream(
@@ -396,22 +415,13 @@ def simulate_streaming_kernel(
         n = len(scatter_indices)
         s_scale = float(n) / len(range(0, n, _gather_stride(n)))
         raw = caches.access(scatter_stream)
-        scatter_trans = len(scatter_stream) * s_scale
-        hier = _ScaledHierarchyResult(
-            accesses=raw.accesses * s_scale + stream_transactions,
-            unified_hits=raw.unified_hits * s_scale,
-            l2_accesses=raw.l2_accesses * s_scale + stream_transactions,
-            l2_hits=raw.l2_hits * s_scale,
-            dram_transactions=raw.dram_transactions * s_scale + stream_transactions,
-        )
-    if hier is None:
-        hier = _ScaledHierarchyResult(
-            accesses=stream_transactions,
-            unified_hits=0,
-            l2_accesses=stream_transactions,
-            l2_hits=0,
-            dram_transactions=stream_transactions,
-        )
+        scatter_trans = scatter_stream.length * s_scale
+        accesses = raw.accesses * s_scale + stream_transactions
+        unified_hits = raw.unified_hits * s_scale
+        l2_accesses = raw.l2_accesses * s_scale + stream_transactions
+        l2_hits = raw.l2_hits * s_scale
+        dram_transactions = raw.dram_transactions * s_scale \
+            + stream_transactions
 
     warp_size = spec.warp_size
     n_warps = -(-n_threads // warp_size)
@@ -426,15 +436,18 @@ def simulate_streaming_kernel(
     issue_cycles = n_warps * instr_per_thread
     sm_cycles_max = (issue_cycles + total_stall) / spec.num_sms
 
-    timing = _finalize(
+    return _finalize(
         spec,
         threads=n_threads,
         warps=n_warps,
         instructions=n_threads * instr_per_thread,
         sm_cycles_max=sm_cycles_max,
-        hier_result=hier,
+        accesses=accesses,
+        unified_hits=unified_hits,
+        l2_accesses=l2_accesses,
+        l2_hits=l2_hits,
+        dram_transactions=dram_transactions,
         extra_dram_write_bytes=write_bytes,
         load_transactions=stream_transactions + scatter_trans,
         store_transactions=int(np.ceil(write_bytes / spec.sector_bytes)),
     )
-    return timing

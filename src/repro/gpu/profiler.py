@@ -53,7 +53,36 @@ class KernelCounters:
         Non-finite contributions are dropped rather than added: one NaN
         sample must not poison a whole accumulation (and with it every
         derived ratio) for the rest of a session.
+
+        Every kernel launch merges once, so the usual case is one pass
+        of plain additions: a sum of the fields is finite exactly when
+        every field is (a NaN or an infinity carries through a sum).
         """
+        o = other
+        total = sum((
+            o.launches, o.threads, o.warps, o.instructions, o.cycles,
+            o.elapsed_ms, o.global_load_transactions,
+            o.global_store_transactions, o.unified_cache_accesses,
+            o.unified_cache_hits, o.l2_accesses, o.l2_hits,
+            o.dram_read_bytes, o.dram_write_bytes, o.shared_load_bytes,
+        ))
+        if total - total == 0:
+            self.launches += o.launches
+            self.threads += o.threads
+            self.warps += o.warps
+            self.instructions += o.instructions
+            self.cycles += o.cycles
+            self.elapsed_ms += o.elapsed_ms
+            self.global_load_transactions += o.global_load_transactions
+            self.global_store_transactions += o.global_store_transactions
+            self.unified_cache_accesses += o.unified_cache_accesses
+            self.unified_cache_hits += o.unified_cache_hits
+            self.l2_accesses += o.l2_accesses
+            self.l2_hits += o.l2_hits
+            self.dram_read_bytes += o.dram_read_bytes
+            self.dram_write_bytes += o.dram_write_bytes
+            self.shared_load_bytes += o.shared_load_bytes
+            return
         for f in self.__dataclass_fields__:
             value = getattr(other, f)
             if isinstance(value, float) and not math.isfinite(value):

@@ -11,6 +11,7 @@ parameter (the ``degree_cut_tuning`` example sweeps it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import InvalidLaunchError
 from repro.gpu.device import DeviceSpec
@@ -53,12 +54,18 @@ def max_smp_block_threads(
     return (max_threads // 32) * 32
 
 
+@lru_cache(maxsize=256)
 def occupancy(
     spec: DeviceSpec,
     threads_per_block: int,
     shared_bytes_per_block: int = 0,
 ) -> OccupancyResult:
-    """Resident blocks/warps per SM under warp and shared-memory limits."""
+    """Resident blocks/warps per SM under warp and shared-memory limits.
+
+    A pure function of its arguments (the spec is frozen), so it is
+    memoized: every kernel launch asks, with a handful of distinct
+    configurations per session.
+    """
     if threads_per_block < 1 or threads_per_block > spec.max_threads_per_block:
         raise InvalidLaunchError(
             f"threads_per_block must be in [1, {spec.max_threads_per_block}], "

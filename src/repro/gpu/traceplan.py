@@ -31,15 +31,17 @@ The plan keeps it sorted, so the sort runs when the plan is built, not
 on every replay.
 
 Warp sampling (the ``TRACE_CAP`` bound) happens inside the plan, so a
-plan fully describes the traced launch.  Plans are immutable and safe
-to reuse: :class:`repro.core.session.EngineSession` memoizes them per
-frontier so repeated queries skip the whole pipeline (the cache models
-still *consume* the stream every launch — they are stateful).
+plan fully describes the traced launch.  Plans are safe to reuse:
+:class:`repro.core.session.EngineSession` memoizes them per frontier
+so repeated queries skip the whole pipeline (the cache models still
+*consume* the stream every launch — they are stateful).  A plan
+changes only by gaining what is derived from it alone: its stream's
+run summary and the kernel model's per-warp instruction models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +70,10 @@ class TracePlan:
     over; ``scale`` rescales traced counts back to the full launch;
     ``threads_full``/``warps_full`` are the *exact* launched thread and
     warp counts (sampling never distorts them).
+
+    ``issue`` keeps the kernel model's per-warp instruction model of
+    the traced threads, keyed by the instruction parameters it was
+    built for (:func:`repro.gpu.kernel._issue_model`); it only grows.
     """
 
     sorted_stream: SortedStream
@@ -79,6 +85,7 @@ class TracePlan:
     threads_full: int
     warps_full: int
     fingerprint: tuple
+    issue: dict = field(default_factory=dict, compare=False, repr=False)
 
     def check_compatible(self, fingerprint: tuple) -> None:
         """Reject reuse against a launch the plan was not built for."""
@@ -98,7 +105,10 @@ class TracePlan:
     @property
     def nbytes(self) -> int:
         """Retained memory (for memo budgeting)."""
-        return self.sorted_stream.nbytes + self.degrees.nbytes
+        total = self.sorted_stream.nbytes + self.degrees.nbytes
+        for _, warp_issue, warp_edges in self.issue.values():
+            total += warp_issue.nbytes + warp_edges.nbytes
+        return total
 
 
 def plan_fingerprint(

@@ -51,7 +51,7 @@ import numpy as np
 from repro.algorithms.base import TraversalProblem, get_problem
 from repro.core.config import EtaGraphConfig, MemoryMode
 from repro.core.engine import TraversalResult
-from repro.core.session import EngineSession
+from repro.core.session import EngineSession, fill_result
 from repro.core.stats import TraversalStats
 from repro.errors import (
     ConfigError,
@@ -625,24 +625,26 @@ class ResilientSession:
         n = self.csr.num_vertices
         measured = dict(
             total_ms=total_ms, kernel_ms=0.0, transfer_ms=0.0, d2h_ms=0.0,
-            timeline=Timeline(), profiler=Profiler(), config=self.config,
+            setup_ms=0.0, timeline=Timeline(), profiler=Profiler(),
+            config=self.config,
         )
         if wave:
-            return WaveResult(
+            return fill_result(
+                WaveResult, measured,
                 sources=sources, levels=np.stack([r.labels for r in runs]),
-                setup_ms=0.0, extras={"cpu_oracle": True},
+                extras={"cpu_oracle": True},
                 stats=TraversalStats(num_vertices=n, seed_count=len(runs)),
-                **measured,
             )
         (run,) = runs
         extras = {"cpu_oracle": True, "early_exit": False}
         if parents and problem.name == "bfs":
             extras["parents"] = _bfs_parents(self.csr, run.labels)
         seeds = problem.initial_frontier(n, run.source)
-        return TraversalResult(
+        return fill_result(
+            TraversalResult, measured,
             labels=run.labels, source=run.source, problem_name=problem.name,
             stats=TraversalStats(num_vertices=n, seed_count=len(seeds)),
-            extras=extras, **measured,
+            extras=extras,
         )
 
 

@@ -359,13 +359,14 @@ class _PathSpy:
         self.hier = hier
         self.clean = self.hit = self.most_heads_hit = 0
         self._last_l1 = None
-        lookup = hier.unified._lookup
+        replay = hier.unified.replay
 
-        def recording_lookup(runs):
-            self._last_l1 = lookup(runs)
-            return self._last_l1
+        def recording_replay(runs):
+            result = replay(runs)
+            self._last_l1 = result[0]
+            return result
 
-        hier.unified._lookup = recording_lookup
+        hier.unified.replay = recording_replay
 
     def access(self, stream):
         result = self.hier.access(stream)

@@ -1,6 +1,9 @@
 """Tests for the kernel cost model: SIMT lockstep, SMP effects, occupancy,
 roofline composition and warp sampling."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,10 +13,13 @@ from repro.gpu.cache import CacheHierarchy
 from repro.gpu.device import GTX_1080TI
 from repro.gpu.kernel import (
     TRACE_CAP,
+    _issue_model,
+    build_vertex_trace,
     simulate_streaming_kernel,
     simulate_vertex_kernel,
 )
 from repro.gpu.memory import DeviceMemory
+from repro.gpu.profiler import KernelCounters
 
 
 def make_launch(n_threads, degree, *, spread=False, seed=0):
@@ -272,3 +278,85 @@ class TestStreamingKernel:
         kw = make_launch(nbytes // 4 // 8, 8, seed=7)
         t_scatter = run(**kw)
         assert t_stream.time_ms < t_scatter.time_ms
+
+
+class TestPlanKeyedInstructionModel:
+    """A memoized plan keeps its per-warp instruction model, keyed by
+    the instruction parameters: a replay under any parameters must
+    equal a launch that builds everything afresh."""
+
+    DEGREE_LIMIT = 16
+    #: (balanced_issue, instr_per_edge, instr_base) of every replay.
+    COMBOS = list(itertools.product((False, True), (8.0, 11.0),
+                                    (24.0, 30.0)))
+
+    @staticmethod
+    def _warmed():
+        """A hierarchy after a fixed warm-up that overlaps the launch's
+        sectors, so hits occur at both levels."""
+        caches = CacheHierarchy(GTX_1080TI)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            caches.access(rng.integers(0, 3000, size=2000))
+        return caches
+
+    @pytest.mark.parametrize("smp", [False, True])
+    def test_replays_equal_fresh_launches(self, smp):
+        kw = make_launch(300, 6, spread=True, seed=13)
+        launch = dict(kw, smp=smp, degree_limit=self.DEGREE_LIMIT,
+                      updates=17)
+        plan = build_vertex_trace(GTX_1080TI, **kw, smp=smp)
+        for balanced, per_edge, base in self.COMBOS:
+            params = dict(balanced_issue=balanced, instr_per_edge=per_edge,
+                          instr_base=base)
+            replayed = run(caches=self._warmed(), plan=plan, **launch,
+                           **params)
+            fresh = run(caches=self._warmed(), **launch, **params)
+            for f in dataclasses.fields(replayed):
+                assert getattr(replayed, f.name) == getattr(fresh, f.name), \
+                    (f.name, balanced, per_edge, base)
+            assert replayed.counters.as_dict() == fresh.counters.as_dict()
+        # One model per parameter set, all kept on the plan.
+        assert len(plan.issue) == len(self.COMBOS)
+        assert plan.sorted_stream.summary is not None
+
+    def test_every_key_parameter_selects_its_model(self):
+        """Querying one plan under every combination of the five key
+        parameters returns what a plan without kept models computes."""
+        kw = make_launch(200, 5, spread=True, seed=3)
+        plan = build_vertex_trace(GTX_1080TI, **kw)
+        for key in itertools.product((False, True), (24.0, 30.0),
+                                     (8.0, 11.0), (False, True), (32, 16)):
+            kept = _issue_model(plan, *key)
+            fresh = _issue_model(dataclasses.replace(plan, issue={}), *key)
+            assert kept[0] == fresh[0], key
+            for a, b in zip(kept[1:], fresh[1:]):
+                assert np.array_equal(a, b), key
+        assert len(plan.issue) == 32
+        models = sum(w.nbytes + e.nbytes for _, w, e in plan.issue.values())
+        assert plan.nbytes == (plan.sorted_stream.nbytes
+                               + plan.degrees.nbytes + models)
+
+
+class TestCounterMerge:
+    def test_merge_adds_every_field(self):
+        """The straight-line merge covers every declared counter."""
+        names = list(KernelCounters.__dataclass_fields__)
+        a = KernelCounters(**{n: i + 1 for i, n in enumerate(names)})
+        b = KernelCounters(**{n: 100 * (i + 1) for i, n in enumerate(names)})
+        a.merge(b)
+        assert a.as_dict() == {n: 101 * (i + 1) for i, n in enumerate(names)}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_merge_drops_each_non_finite_field(self, bad):
+        """A non-finite contribution to any one field is dropped; the
+        other fields of the same launch still accumulate."""
+        names = list(KernelCounters.__dataclass_fields__)
+        for name in names:
+            acc = KernelCounters(launches=1, instructions=2.0)
+            acc.merge(KernelCounters(**{n: bad if n == name else 1
+                                        for n in names}))
+            for n in names:
+                want = {"launches": 1, "instructions": 2.0}.get(n, 0)
+                assert getattr(acc, n) == want + (n != name), (name, n)

@@ -405,7 +405,9 @@ class TestPerDestinationStep:
             assert np.array_equal(r.extras["parents"], parents)
             assert [(s.updates, s.newly_visited)
                     for s in r.stats.iterations] == steps
-        per_edge = len(reductions) - len(uniform_steps)
+        # A uniform step stores per destination; only a per-edge step
+        # scatter-reduces.
+        per_edge = len(reductions)
         if problem_name == "bfs":
             assert uniform_steps and per_edge == 0 and replayed
         elif problem_name == "cc":

@@ -193,6 +193,12 @@ def _arrays(value, found):
     elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
             _arrays(getattr(value, f.name), found)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _arrays(item, found)
+    elif isinstance(value, tuple):
+        for item in value:
+            _arrays(item, found)
 
 
 def _held_bytes(entry) -> int:
@@ -213,6 +219,41 @@ def _streams(entry):
     return [s for s in (entry.transform_stream,
                         entry.trace_plan and entry.trace_plan.sorted_stream)
             if s is not None]
+
+
+class TestWarmReplayAccounting:
+    def test_warm_replays_charge_what_entries_hold(self, social,
+                                                   monkeypatch):
+        """Eight BFS sources replayed twice with invariant checks on, so
+        ``check_memo`` runs after every traversal.  After the last
+        settle every entry is charged exactly its bytes, and a replayed
+        plan's bytes count the instruction models it keeps."""
+        from repro.testing import invariants
+
+        checks = []
+        check_memo = invariants.check_memo
+        monkeypatch.setattr(invariants, "check_memo",
+                            lambda memo: checks.append(1) or check_memo(memo))
+        sources = np.flatnonzero(social.out_degrees() > 0)[:8]
+        with EngineSession(social,
+                           EtaGraphConfig(check_invariants=True)) as ses:
+            for _ in range(2):
+                for source in sources:
+                    ses.query("bfs", int(source))
+            entries = list(ses.memo.entries.values())
+            assert ses.memo_hits
+        assert len(checks) == 2 * len(sources)
+        for entry in entries:
+            assert entry.charged == entry.nbytes
+        plans = [e.trace_plan for e in entries if e.trace_plan is not None]
+        replayed = [p for p in plans if p.sorted_stream.summary is not None]
+        assert replayed
+        for plan in plans:
+            assert plan.issue
+            models = sum(w.nbytes + e.nbytes
+                         for _, w, e in plan.issue.values())
+            assert plan.nbytes == (plan.sorted_stream.nbytes
+                                   + plan.degrees.nbytes + models)
 
 
 class TestEntryContents:

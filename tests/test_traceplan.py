@@ -609,7 +609,8 @@ class TestWarpSamplingCounters:
 # ----------------------------------------------------------------------
 
 def _held_arrays(obj):
-    """Every ndarray a plan holds, through nested dataclass fields."""
+    """Every ndarray a plan holds, through nested dataclass fields and
+    the instruction models it keeps."""
     arrays = []
     for field in dataclasses.fields(obj):
         value = getattr(obj, field.name)
@@ -617,12 +618,17 @@ def _held_arrays(obj):
             arrays.append(value)
         elif dataclasses.is_dataclass(value):
             arrays.extend(_held_arrays(value))
+        elif isinstance(value, dict):
+            for model in value.values():
+                arrays.extend(a for a in model if isinstance(a, np.ndarray))
     return arrays
 
 
 def _assert_owns_what_it_counts(plan):
     arrays = _held_arrays(plan)
-    assert len(arrays) == 3
+    # The stream's order and sectors, the degrees, and two per-warp
+    # arrays per instruction model.
+    assert len(arrays) == 3 + 2 * len(plan.issue)
     # A view would keep its whole base buffer alive, uncounted.
     assert all(a.base is None for a in arrays)
     assert plan.nbytes == sum(a.nbytes for a in arrays)
@@ -657,4 +663,6 @@ class TestPlanRetention:
                      if e.trace_plan is not None]
             assert plans
             for plan in plans:
+                # Every memoized plan was launched: it keeps the model.
+                assert plan.issue
                 _assert_owns_what_it_counts(plan)
